@@ -1,5 +1,6 @@
 #include "dns/message.h"
 
+#include <algorithm>
 #include <array>
 
 #include "util/strings.h"
@@ -89,9 +90,7 @@ class NameCompressor {
   std::size_t count_ = 0;
 };
 
-void EncodeHeader(const Header& h, std::uint16_t qd, std::uint16_t an,
-                  std::uint16_t ns, std::uint16_t ar, util::ByteWriter& w) {
-  w.WriteU16(h.id);
+std::uint16_t HeaderFlags(const Header& h) {
   std::uint16_t flags = 0;
   if (h.qr) flags |= 0x8000;
   flags |= static_cast<std::uint16_t>(static_cast<std::uint8_t>(h.opcode) & 0xF)
@@ -101,59 +100,101 @@ void EncodeHeader(const Header& h, std::uint16_t qd, std::uint16_t an,
   if (h.rd) flags |= 0x0100;
   if (h.ra) flags |= 0x0080;
   flags |= static_cast<std::uint16_t>(static_cast<std::uint8_t>(h.rcode) & 0xF);
-  w.WriteU16(flags);
-  w.WriteU16(qd);
-  w.WriteU16(an);
-  w.WriteU16(ns);
-  w.WriteU16(ar);
+  return flags;
 }
 
-void EncodeRecord(const ResourceRecord& rr, NameCompressor& compressor,
-                  util::ByteWriter& w) {
-  compressor.EncodeName(rr.name, w);
-  w.WriteU16(static_cast<std::uint16_t>(rr.type));
-  w.WriteU16(static_cast<std::uint16_t>(rr.rrclass));
-  w.WriteU32(rr.ttl);
-  const std::size_t len_offset = w.size();
-  w.WriteU16(0);  // placeholder RDLENGTH
-  const std::size_t start = w.size();
-  EncodeRdata(rr.rdata, w);
-  w.PatchU16(len_offset, static_cast<std::uint16_t>(w.size() - start));
-}
-
-// Same wire bytes as EncodeRecord on the expanded ResourceRecord, but reads
-// name/ttl/rdata straight out of borrowed storage.
-void EncodeViewRecord(const RRsetView& set, const Rdata& rdata,
-                      NameCompressor& compressor, util::ByteWriter& w) {
-  compressor.EncodeName(*set.name, w);
-  w.WriteU16(static_cast<std::uint16_t>(set.type));
-  w.WriteU16(static_cast<std::uint16_t>(set.rrclass));
-  w.WriteU32(set.ttl);
+// Appends one record unless it ends past `max_size` (0 = unlimited), in
+// which case the record is cut off again and the caller must stop there.
+// Returns whether the record was kept.
+bool AppendRecord(const Name& name, RRType type, RRClass rrclass,
+                  std::uint32_t ttl, const Rdata& rdata, std::size_t max_size,
+                  NameCompressor& compressor, util::ByteWriter& w) {
+  const std::size_t record_start = w.size();
+  compressor.EncodeName(name, w);
+  w.WriteU16(static_cast<std::uint16_t>(type));
+  w.WriteU16(static_cast<std::uint16_t>(rrclass));
+  w.WriteU32(ttl);
   const std::size_t len_offset = w.size();
   w.WriteU16(0);  // placeholder RDLENGTH
   const std::size_t start = w.size();
   EncodeRdata(rdata, w);
   w.PatchU16(len_offset, static_cast<std::uint16_t>(w.size() - start));
+  if (max_size == 0 || w.size() <= max_size) return true;
+  w.Truncate(record_start);
+  return false;
 }
 
-// Emits the first `limit` records of a section of RRset views (each view
-// expands to one record per rdata, in rdata order).
-void EncodeViewSection(const std::vector<RRsetView>& sets, std::size_t limit,
-                       NameCompressor& compressor, util::ByteWriter& w) {
-  std::size_t emitted = 0;
-  for (const auto& set : sets) {
+// Appends a section's records in wire order, counting them in `kept`, until
+// one does not fit; returns false if one did not. A Message section holds
+// one record per element; a MessageView section expands each RRset view to
+// one record per rdata, in rdata order.
+bool AppendSection(const std::vector<ResourceRecord>& section,
+                   std::size_t max_size, std::uint16_t& kept,
+                   NameCompressor& compressor, util::ByteWriter& w) {
+  for (const auto& rr : section) {
+    if (!AppendRecord(rr.name, rr.type, rr.rrclass, rr.ttl, rr.rdata,
+                      max_size, compressor, w)) {
+      return false;
+    }
+    ++kept;
+  }
+  return true;
+}
+
+bool AppendSection(const std::vector<RRsetView>& section, std::size_t max_size,
+                   std::uint16_t& kept, NameCompressor& compressor,
+                   util::ByteWriter& w) {
+  for (const auto& set : section) {
     for (const auto& rd : set.rdatas) {
-      if (emitted == limit) return;
-      EncodeViewRecord(set, rd, compressor, w);
-      ++emitted;
+      if (!AppendRecord(*set.name, set.type, set.rrclass, set.ttl, rd,
+                        max_size, compressor, w)) {
+        return false;
+      }
+      ++kept;
     }
   }
+  return true;
 }
 
-std::size_t SectionRecordCount(const std::vector<RRsetView>& sets) {
-  std::size_t n = 0;
-  for (const auto& set : sets) n += set.size();
-  return n;
+// Up-front buffer size: the largest EDNS payload a UDP answer is held to.
+// TCP answers (limit 65535) grow past it only as far as they need.
+constexpr std::size_t kReserveCap = 4096;
+
+// The one encoder body, for Message and MessageView alike. It encodes once
+// and stops at the first record that ends past `max_size`, cut back to the
+// end of the record before it. Compression pointers only point backwards,
+// so every kept byte is what a shorter re-encode would write; only the
+// section counts and TC need patching.
+template <typename Msg>
+util::Bytes Encode(const Msg& m, std::size_t max_size) {
+  util::ByteWriter w;
+  w.Reserve(std::min(max_size ? max_size : 512, kReserveCap));
+  Header h = m.header;
+  h.tc = false;
+  w.WriteU16(h.id);
+  w.WriteU16(HeaderFlags(h));
+  w.WriteU16(static_cast<std::uint16_t>(m.questions.size()));
+  w.WriteU16(0);  // ANCOUNT, NSCOUNT, ARCOUNT: patched below
+  w.WriteU16(0);
+  w.WriteU16(0);
+  NameCompressor compressor;
+  for (const auto& q : m.questions) {
+    compressor.EncodeName(q.name, w);
+    w.WriteU16(static_cast<std::uint16_t>(q.type));
+    w.WriteU16(static_cast<std::uint16_t>(q.rrclass));
+  }
+
+  std::uint16_t counts[3] = {0, 0, 0};
+  const bool complete =
+      AppendSection(m.answers, max_size, counts[0], compressor, w) &&
+      AppendSection(m.authority, max_size, counts[1], compressor, w) &&
+      AppendSection(m.additional, max_size, counts[2], compressor, w);
+  if (!complete) {
+    h.tc = true;
+    w.PatchU16(2, HeaderFlags(h));
+  }
+  for (std::size_t s = 0; s < 3; ++s) w.PatchU16(6 + 2 * s, counts[s]);
+  return w.TakeData();
 }
 
 }  // namespace
@@ -161,88 +202,11 @@ std::size_t SectionRecordCount(const std::vector<RRsetView>& sets) {
 std::size_t Message::WireSize() const { return EncodeMessage(*this).size(); }
 
 util::Bytes EncodeMessage(const Message& m, std::size_t max_size) {
-  // First pass: encode everything; if it does not fit, re-encode dropping
-  // records section-by-section from the back and set TC.
-  auto encode = [&](std::size_t an, std::size_t ns, std::size_t ar,
-                    bool tc) -> util::Bytes {
-    util::ByteWriter w;
-    w.Reserve(max_size ? max_size : 512);
-    Header h = m.header;
-    h.tc = tc;
-    EncodeHeader(h, static_cast<std::uint16_t>(m.questions.size()),
-                 static_cast<std::uint16_t>(an), static_cast<std::uint16_t>(ns),
-                 static_cast<std::uint16_t>(ar), w);
-    NameCompressor compressor;
-    for (const auto& q : m.questions) {
-      compressor.EncodeName(q.name, w);
-      w.WriteU16(static_cast<std::uint16_t>(q.type));
-      w.WriteU16(static_cast<std::uint16_t>(q.rrclass));
-    }
-    for (std::size_t i = 0; i < an; ++i)
-      EncodeRecord(m.answers[i], compressor, w);
-    for (std::size_t i = 0; i < ns; ++i)
-      EncodeRecord(m.authority[i], compressor, w);
-    for (std::size_t i = 0; i < ar; ++i)
-      EncodeRecord(m.additional[i], compressor, w);
-    return w.TakeData();
-  };
-
-  util::Bytes wire =
-      encode(m.answers.size(), m.authority.size(), m.additional.size(), false);
-  if (max_size == 0 || wire.size() <= max_size) return wire;
-
-  // Drop additional, then authority, then answers until it fits.
-  std::size_t an = m.answers.size(), ns = m.authority.size(),
-              ar = m.additional.size();
-  while (an + ns + ar > 0) {
-    if (ar > 0) --ar;
-    else if (ns > 0) --ns;
-    else --an;
-    wire = encode(an, ns, ar, true);
-    if (wire.size() <= max_size) return wire;
-  }
-  return wire;  // header + questions only, TC set
+  return Encode(m, max_size);
 }
 
 util::Bytes EncodeMessage(const MessageView& m, std::size_t max_size) {
-  // Mirrors the owning-Message overload: encode everything, then drop whole
-  // records back-to-front (additional → authority → answers) with TC set
-  // until the datagram fits.
-  auto encode = [&](std::size_t an, std::size_t ns, std::size_t ar,
-                    bool tc) -> util::Bytes {
-    util::ByteWriter w;
-    w.Reserve(max_size ? max_size : 512);
-    Header h = m.header;
-    h.tc = tc;
-    EncodeHeader(h, static_cast<std::uint16_t>(m.questions.size()),
-                 static_cast<std::uint16_t>(an), static_cast<std::uint16_t>(ns),
-                 static_cast<std::uint16_t>(ar), w);
-    NameCompressor compressor;
-    for (const auto& q : m.questions) {
-      compressor.EncodeName(q.name, w);
-      w.WriteU16(static_cast<std::uint16_t>(q.type));
-      w.WriteU16(static_cast<std::uint16_t>(q.rrclass));
-    }
-    EncodeViewSection(m.answers, an, compressor, w);
-    EncodeViewSection(m.authority, ns, compressor, w);
-    EncodeViewSection(m.additional, ar, compressor, w);
-    return w.TakeData();
-  };
-
-  std::size_t an = SectionRecordCount(m.answers);
-  std::size_t ns = SectionRecordCount(m.authority);
-  std::size_t ar = SectionRecordCount(m.additional);
-  util::Bytes wire = encode(an, ns, ar, false);
-  if (max_size == 0 || wire.size() <= max_size) return wire;
-
-  while (an + ns + ar > 0) {
-    if (ar > 0) --ar;
-    else if (ns > 0) --ns;
-    else --an;
-    wire = encode(an, ns, ar, true);
-    if (wire.size() <= max_size) return wire;
-  }
-  return wire;  // header + questions only, TC set
+  return Encode(m, max_size);
 }
 
 Result<Message> DecodeMessage(std::span<const std::uint8_t> wire) {

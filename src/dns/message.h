@@ -57,8 +57,13 @@ struct Message {
 };
 
 // Encodes with owner-name compression. `max_size` of 0 means unlimited;
-// otherwise the TC bit is set and records are dropped (whole RRs) to fit,
-// mimicking UDP truncation at 512 or an EDNS size.
+// otherwise the response is truncated to fit, mimicking UDP truncation at 512
+// or an EDNS size: records are kept in wire order (answers, authority,
+// additional) up to the last whole record that ends within `max_size`, the
+// section counts say what was kept, and TC is set iff a record was dropped
+// (the query's TC bit is never copied). The kept records are a byte-exact
+// prefix of the untruncated encoding — compression pointers only point
+// backwards — so one encoding pass suffices.
 util::Bytes EncodeMessage(const Message& message, std::size_t max_size = 0);
 
 // Borrowed message: sections are RRset views over storage owned elsewhere
@@ -81,9 +86,9 @@ struct MessageView {
   }
 };
 
-// Encodes a borrowed message. Byte-identical to EncodeMessage on the
-// equivalent expanded Message (same compression dictionary growth, same
-// back-to-front whole-record truncation).
+// Encodes a borrowed message (each RRset view expands to one record per
+// rdata). Same encoder body as the Message overload, so byte-identical to
+// EncodeMessage on the equivalent expanded Message, truncation included.
 util::Bytes EncodeMessage(const MessageView& message, std::size_t max_size = 0);
 
 util::Result<Message> DecodeMessage(std::span<const std::uint8_t> wire);

@@ -171,6 +171,11 @@ class ByteWriter {
     data_.at(offset + 1) = static_cast<std::uint8_t>(v);
   }
 
+  // Drops everything written after the first `size` bytes.
+  void Truncate(std::size_t size) {
+    if (size < data_.size()) data_.resize(size);
+  }
+
  private:
   Bytes data_;
 };

@@ -104,6 +104,25 @@ ZoneSnapshot::Entry ZoneSnapshot::MakeEntry(const Page& page, std::size_t i) {
 void ZoneSnapshot::FinishInit() {
   record_count_ = 0;
   for (const auto& e : index_) record_count_ += e.set->rdata_count;
+
+  // Canonical order keeps each owner's RRsets adjacent: the owners are the
+  // runs of equal names in index_.
+  owner_starts_.reserve(index_.size() + 1);
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    if (i == 0 || !(index_[i].set->name == index_[i - 1].set->name)) {
+      owner_starts_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  const auto owners = static_cast<std::uint32_t>(owner_starts_.size());
+  owner_starts_.push_back(static_cast<std::uint32_t>(index_.size()));
+  const auto hash_of = [this](std::uint32_t k) -> std::uint64_t {
+    return index_[owner_starts_[k]].set->name.Hash();
+  };
+  owner_index_.Reserve(owners);
+  for (std::uint32_t k = 0; k < owners; ++k) {
+    owner_index_.Insert(hash_of(k), k, hash_of);
+  }
+
   serial_ = 0;
   if (const Entry* s = FindEntry(apex_, RRType::kSOA);
       s != nullptr && s->set->rdata_count > 0) {
@@ -213,15 +232,25 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
     return CompareKey(a.set->name, a.set->type, a.set->rrclass, b.set->name,
                       b.set->type, b.set->rrclass);
   };
+  // `erased` iterates in index order (RRsetKey orders like CompareKey), so
+  // one forward cursor tells whether each base entry was removed, without
+  // building a key per entry.
+  auto ei = erased.begin();
+  auto keep_base = [&](const Entry& e) {
+    auto cmp = [&] {
+      return CompareKey(ei->name, ei->type, ei->rrclass, e.set->name,
+                        e.set->type, e.set->rrclass);
+    };
+    while (ei != erased.end() && cmp() < 0) ++ei;
+    if (ei == erased.end() || cmp() != 0) snap->index_.push_back(e);
+  };
   while (bi != base->index_.end() || di != delta_entries.end()) {
     if (bi == base->index_.end()) {
       snap->index_.push_back(*di++);
       continue;
     }
     if (di == delta_entries.end()) {
-      const RRsetKey key{bi->set->name, bi->set->type, bi->set->rrclass};
-      if (erased.count(key) == 0) snap->index_.push_back(*bi);
-      ++bi;
+      keep_base(*bi++);
       continue;
     }
     const auto c = entry_cmp(*bi, *di);
@@ -229,9 +258,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
       snap->index_.push_back(*di++);  // delta overrides the parent entry
       ++bi;
     } else if (c < 0) {
-      const RRsetKey key{bi->set->name, bi->set->type, bi->set->rrclass};
-      if (erased.count(key) == 0) snap->index_.push_back(*bi);
-      ++bi;
+      keep_base(*bi++);
     } else {
       snap->index_.push_back(*di++);
     }
@@ -243,28 +270,30 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
   return SnapshotPtr(std::move(snap));
 }
 
+ZoneSnapshot::Run ZoneSnapshot::OwnerRun(const dns::NameView& name,
+                                         std::uint64_t hash) const {
+  const std::uint32_t k = owner_index_.Find(hash, [&](std::uint32_t owner) {
+    return index_[owner_starts_[owner]].set->name == name;
+  });
+  if (k == util::FlatHashIndex::kNpos) return {};
+  return Run(index_.data() + owner_starts_[k],
+             owner_starts_[k + 1] - owner_starts_[k]);
+}
+
+const ZoneSnapshot::Entry* ZoneSnapshot::FindType(Run run, RRType type) {
+  for (const Entry& e : run) {
+    if (e.set->type == type && e.set->rrclass == dns::RRClass::kIN) return &e;
+  }
+  return nullptr;
+}
+
 const ZoneSnapshot::Entry* ZoneSnapshot::FindEntry(const Name& name,
                                                    RRType type) const {
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), nullptr, [&](const Entry& e, std::nullptr_t) {
-        return CompareKey(e.set->name, e.set->type, e.set->rrclass, name, type,
-                          dns::RRClass::kIN) < 0;
-      });
-  if (it == index_.end()) return nullptr;
-  if (it->set->type != type || it->set->rrclass != dns::RRClass::kIN ||
-      !(it->set->name == name)) {
-    return nullptr;
-  }
-  return &*it;
+  return FindType(OwnerRun(name), type);
 }
 
 bool ZoneSnapshot::HasName(const Name& name) const {
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), nullptr, [&](const Entry& e, std::nullptr_t) {
-        return CompareKey(e.set->name, e.set->type, e.set->rrclass, name,
-                          static_cast<RRType>(0), dns::RRClass::kIN) < 0;
-      });
-  return it != index_.end() && it->set->name == name;
+  return !OwnerRun(name).empty();
 }
 
 std::optional<RRsetView> ZoneSnapshot::Find(const Name& name,
@@ -278,36 +307,40 @@ std::optional<RRsetView> ZoneSnapshot::soa() const {
   return Find(apex_, RRType::kSOA);
 }
 
-const ZoneSnapshot::Entry* ZoneSnapshot::FindDelegation(
-    const Name& name) const {
-  if (!name.IsSubdomainOf(apex_) || name == apex_) return nullptr;
-  Name current = name;
-  const Entry* found = nullptr;
-  while (current != apex_) {
-    const Entry* ns = FindEntry(current, RRType::kNS);
-    // Keep the *highest* (closest-to-apex) delegation point below the apex:
-    // a zone cut hides everything beneath it.
-    if (ns != nullptr) found = ns;
-    if (current.is_root()) break;
-    current = current.Parent();
+ZoneSnapshot::Run ZoneSnapshot::FindDelegation(const Name& name,
+                                               Run own) const {
+  // Only names strictly below the apex can sit under a cut. Probe from the
+  // first label below the apex downwards: the *highest* delegation point
+  // wins, because a zone cut hides everything beneath it.
+  const std::size_t labels = name.label_count();
+  for (std::size_t k = apex_.label_count() + 1; k < labels; ++k) {
+    const dns::NameView suffix = name.SuffixView(k);
+    const Run run = OwnerRun(suffix, suffix.Hash());
+    if (FindType(run, RRType::kNS) != nullptr) return run;
   }
-  return found;
+  if (labels > apex_.label_count() && FindType(own, RRType::kNS) != nullptr) {
+    return own;
+  }
+  return {};
 }
 
 void ZoneSnapshot::AppendGlue(const RRsetView& ns_set, LookupView& out) const {
   for (const auto& rd : ns_set.rdatas) {
     const Name& target = std::get<NsData>(rd).nameserver;
     if (!target.IsSubdomainOf(apex_)) continue;
-    if (auto a = Find(target, RRType::kA)) out.additional.push_back(*a);
-    if (auto aaaa = Find(target, RRType::kAAAA)) {
-      out.additional.push_back(*aaaa);
+    const Run run = OwnerRun(target);
+    if (const Entry* a = FindType(run, RRType::kA)) {
+      out.additional.push_back(ViewOf(*a));
+    }
+    if (const Entry* aaaa = FindType(run, RRType::kAAAA)) {
+      out.additional.push_back(ViewOf(*aaaa));
     }
   }
 }
 
-void ZoneSnapshot::AppendRrsig(const Name& name, RRType covered,
-                               std::vector<RRsetView>& out) const {
-  const Entry* sigs = FindEntry(name, RRType::kRRSIG);
+void ZoneSnapshot::AppendRrsig(Run run, RRType covered,
+                               std::vector<RRsetView>& out) {
+  const Entry* sigs = FindType(run, RRType::kRRSIG);
   if (sigs == nullptr) return;
   for (std::uint32_t i = 0; i < sigs->set->sig_count; ++i) {
     const SigGroup& g = sigs->sig_groups[i];
@@ -328,54 +361,58 @@ void ZoneSnapshot::Lookup(const Name& qname, RRType qtype, bool include_dnssec,
     return;
   }
 
+  // One owner-index probe serves the qtype, CNAME and NODATA-vs-NXDOMAIN
+  // checks below (and the last step of the cut search).
+  const Run own = OwnerRun(qname);
+
   // Delegation check first: a zone cut takes precedence over data below it —
   // except at the cut point itself where a DS query is answered
   // authoritatively.
-  const Entry* delegation = FindDelegation(qname);
-  const bool ds_at_cut = delegation != nullptr &&
-                         qname == delegation->set->name &&
-                         qtype == RRType::kDS;
-  if (delegation != nullptr && !ds_at_cut) {
+  const Run cut = FindDelegation(qname, own);
+  const bool ds_at_cut =
+      !cut.empty() && cut.data() == own.data() && qtype == RRType::kDS;
+  if (!cut.empty() && !ds_at_cut) {
     out.disposition = LookupDisposition::kReferral;
-    out.authority.push_back(ViewOf(*delegation));
+    out.authority.push_back(ViewOf(*FindType(cut, RRType::kNS)));
     if (include_dnssec) {
       // DS proves (or its absence disproves) the child's chain of trust.
-      if (auto ds = Find(delegation->set->name, RRType::kDS)) {
-        out.authority.push_back(*ds);
-        AppendRrsig(delegation->set->name, RRType::kDS, out.authority);
+      if (const Entry* ds = FindType(cut, RRType::kDS)) {
+        out.authority.push_back(ViewOf(*ds));
+        AppendRrsig(cut, RRType::kDS, out.authority);
       }
     }
     AppendGlue(out.authority.front(), out);
     return;
   }
 
-  if (const Entry* match = FindEntry(qname, qtype)) {
+  if (const Entry* match = FindType(own, qtype)) {
     out.disposition = LookupDisposition::kAnswer;
     out.answers.push_back(ViewOf(*match));
-    if (include_dnssec) AppendRrsig(qname, qtype, out.answers);
+    if (include_dnssec) AppendRrsig(own, qtype, out.answers);
     return;
   }
 
   // CNAME at the owner redirects any type (except CNAME itself, handled
   // above when qtype == kCNAME).
-  if (const Entry* cname = FindEntry(qname, RRType::kCNAME)) {
+  if (const Entry* cname = FindType(own, RRType::kCNAME)) {
     out.disposition = LookupDisposition::kAnswer;
     out.answers.push_back(ViewOf(*cname));
-    if (include_dnssec) AppendRrsig(qname, RRType::kCNAME, out.answers);
+    if (include_dnssec) AppendRrsig(own, RRType::kCNAME, out.answers);
     return;
   }
 
-  out.disposition = HasName(qname) ? LookupDisposition::kNoData
-                                   : LookupDisposition::kNxDomain;
-  if (auto s = soa()) {
-    out.authority.push_back(*s);
-    if (include_dnssec) AppendRrsig(apex_, RRType::kSOA, out.authority);
+  out.disposition = own.empty() ? LookupDisposition::kNxDomain
+                                : LookupDisposition::kNoData;
+  const Run apex_run = OwnerRun(apex_);
+  if (const Entry* s = FindType(apex_run, RRType::kSOA)) {
+    out.authority.push_back(ViewOf(*s));
+    if (include_dnssec) AppendRrsig(apex_run, RRType::kSOA, out.authority);
   }
   if (include_dnssec && out.disposition == LookupDisposition::kNxDomain) {
     // Authenticated denial: attach the covering NSEC and its signature.
     if (const Entry* nsec = FindCoveringNsec(qname)) {
       out.authority.push_back(ViewOf(*nsec));
-      AppendRrsig(nsec->set->name, RRType::kNSEC, out.authority);
+      AppendRrsig(OwnerRun(nsec->set->name), RRType::kNSEC, out.authority);
     }
   }
 }

@@ -15,6 +15,17 @@
 // makes the paper's §5.2 every-two-days refresh cheap at population scale:
 // a fleet of simulated resolvers swaps a pointer, not a zone copy.
 //
+// Owner index: beside the canonical sorted index (which AXFR order, the Apply
+// merge, DiffSnapshots, SameContent and the covering-NSEC search walk), every
+// snapshot carries a util::FlatHashIndex from an owner name's case-folded
+// Name::Hash() to that owner's contiguous run of index entries. Exact-name
+// reads (Find, HasName, glue, RRSIG attach) are one hash probe plus a scan of
+// a run of a few entries; the zone-cut search probes borrowed suffix views
+// (NameView hashes equal Name hashes) from the first label below the apex
+// down, with no Parent() copies. The index is rebuilt in O(index) by both
+// Build and Apply and is read-only afterwards, so one snapshot serves any
+// number of threads.
+//
 // Lookup() mirrors zone::Zone::Lookup decision-for-decision (answer /
 // referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC) so the two
 // paths are behaviourally interchangeable; zone_snapshot_test checks parity.
@@ -24,9 +35,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dns/rr.h"
+#include "util/flat_hash.h"
 #include "util/result.h"
 #include "zone/zone.h"
 #include "zone/zone_diff.h"
@@ -162,6 +175,9 @@ class ZoneSnapshot {
     const dns::Rdata* arena = nullptr;       // page arena base (sig offsets)
   };
 
+  // Every RRset of one owner: a contiguous slice of index_ in type order.
+  using Run = std::span<const Entry>;
+
   static dns::RRsetView ViewOf(const Entry& e) {
     return dns::RRsetView{&e.set->name, e.set->type, e.set->rrclass,
                           e.set->ttl,
@@ -169,12 +185,23 @@ class ZoneSnapshot {
                                                       e.set->rdata_count)};
   }
 
+  // The owner's run (empty if the name owns nothing): one owner-index probe
+  // with `hash` = the name's Name::Hash().
+  Run OwnerRun(const dns::NameView& name, std::uint64_t hash) const;
+  Run OwnerRun(const dns::Name& name) const {
+    return OwnerRun(dns::NameView(name), name.Hash());  // hash is cached
+  }
+  // The run's class-IN RRset of `type`, or nullptr.
+  static const Entry* FindType(Run run, dns::RRType type);
+
   const Entry* FindEntry(const dns::Name& name, dns::RRType type) const;
-  const Entry* FindDelegation(const dns::Name& name) const;
+  // The run of the highest owner strictly below the apex, at or above
+  // `name`, that holds an NS RRset; `own` is `name`'s own run.
+  Run FindDelegation(const dns::Name& name, Run own) const;
   const Entry* FindCoveringNsec(const dns::Name& qname) const;
   void AppendGlue(const dns::RRsetView& ns_set, LookupView& out) const;
-  void AppendRrsig(const dns::Name& name, dns::RRType covered,
-                   std::vector<dns::RRsetView>& out) const;
+  static void AppendRrsig(Run run, dns::RRType covered,
+                          std::vector<dns::RRsetView>& out);
 
   // Copies `set` into `page` (sig groups included). Returns nothing; the
   // entry pointers are fixed up later, after the page's vectors are final.
@@ -182,13 +209,20 @@ class ZoneSnapshot {
   // Builds the Entry for page->rrsets[i] once the page is finalized.
   static Entry MakeEntry(const Page& page, std::size_t i);
 
-  void FinishInit();  // caches serial / record count after index_ is built
+  // Builds the owner index and caches serial / record count; called once
+  // index_ is final.
+  void FinishInit();
 
   dns::Name apex_;
   std::uint32_t serial_ = 0;
   std::size_t record_count_ = 0;
   std::vector<std::shared_ptr<const Page>> pages_;
   std::vector<Entry> index_;  // canonical (name, type, class) order
+  // Owner k's run is index_[owner_starts_[k], owner_starts_[k + 1]); the
+  // last element is index_.size().
+  std::vector<std::uint32_t> owner_starts_;
+  // Owner name's Name::Hash() → owner number k.
+  util::FlatHashIndex owner_index_;
 };
 
 // Computes new - old by lockstep walk over the two sorted indexes; produces

@@ -1,11 +1,17 @@
 // Tests for rdata presentation/wire forms and the message codec.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "crypto/dnssec.h"
 #include "dns/message.h"
 #include "dns/rdata.h"
 #include "dns/rr.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "zone/evolution.h"
+#include "zone/sign.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::dns {
 namespace {
@@ -236,6 +242,104 @@ TEST(Message, TruncationDropsRecordsAndSetsTc) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->header.tc);
   EXPECT_LT(decoded->record_count(), m.record_count());
+}
+
+// The back-to-front re-encode loop EncodeMessage used before it learned to
+// cut a single encoding at a record boundary, kept as the truncation oracle:
+// encode everything; while the wire is over `max_size`, drop the last record
+// (additional, then authority, then answers) and re-encode with TC set.
+util::Bytes ReencodeTruncation(const Message& m, std::size_t max_size) {
+  const auto encode = [&](std::size_t an, std::size_t ns, std::size_t ar,
+                          bool tc) {
+    Message prefix = m;
+    prefix.header.tc = false;
+    prefix.answers.erase(prefix.answers.begin() + an, prefix.answers.end());
+    prefix.authority.erase(prefix.authority.begin() + ns,
+                           prefix.authority.end());
+    prefix.additional.erase(prefix.additional.begin() + ar,
+                            prefix.additional.end());
+    util::Bytes wire = EncodeMessage(prefix);
+    if (tc) wire[2] |= 0x02;
+    return wire;
+  };
+  std::size_t an = m.answers.size(), ns = m.authority.size(),
+              ar = m.additional.size();
+  util::Bytes wire = encode(an, ns, ar, false);
+  if (max_size == 0 || wire.size() <= max_size) return wire;
+  while (an + ns + ar > 0) {
+    if (ar > 0) --ar;
+    else if (ns > 0) --ns;
+    else --an;
+    wire = encode(an, ns, ar, true);
+    if (wire.size() <= max_size) return wire;
+  }
+  return wire;
+}
+
+// Both encoders against the oracle at every size limit, on real responses
+// from the signed model root zone: a DNSSEC referral (NS, DS, RRSIG, glue),
+// an NXDOMAIN (SOA, NSEC and their RRSIGs) and the `. DNSKEY` answer, each
+// with the OPT echo last in additional as the server sends it. The query's
+// TC bit is set: the encoder must clear it whenever nothing is dropped.
+TEST(Message, OnePassTruncationMatchesReencodeOracle) {
+  const zone::RootZoneModel model;
+  util::Rng rng(7);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(
+      zone::SignZone(model.Snapshot({2018, 4, 11}), zsk, {0, 2'000'000'000}));
+  const Name root;
+  const Rdata opt_rdata = RawData{};
+
+  const std::pair<const char*, RRType> cases[] = {
+      {"www.com.", RRType::kA},
+      {"no-such-tld-xyzzy.", RRType::kA},
+      {".", RRType::kDNSKEY},
+  };
+  for (const auto& [qname, qtype] : cases) {
+    SCOPED_TRACE(qname);
+    const zone::LookupView lookup = snapshot->Lookup(N(qname), qtype, true);
+    MessageView view;
+    view.header.id = 0xBEEF;
+    view.header.qr = true;
+    view.header.tc = true;
+    view.header.rd = true;
+    view.questions.push_back({N(qname), qtype, RRClass::kIN});
+    view.answers = lookup.answers;
+    view.authority = lookup.authority;
+    view.additional = lookup.additional;
+    view.additional.push_back(RRsetView{&root, RRType::kOPT,
+                                        static_cast<RRClass>(1232), 0,
+                                        std::span<const Rdata>(&opt_rdata, 1)});
+
+    Message owned;
+    owned.header = view.header;
+    owned.questions = view.questions;
+    const auto expand = [](const std::vector<RRsetView>& sets,
+                           std::vector<ResourceRecord>& out) {
+      for (const auto& set : sets) {
+        for (const auto& rd : set.rdatas) {
+          out.push_back({*set.name, set.type, set.rrclass, set.ttl, rd});
+        }
+      }
+    };
+    expand(view.answers, owned.answers);
+    expand(view.authority, owned.authority);
+    expand(view.additional, owned.additional);
+
+    const util::Bytes full = ReencodeTruncation(owned, 0);
+    ASSERT_EQ(full[2] & 0x02, 0);
+    ASSERT_GE(owned.record_count(), 3u);
+    std::size_t truncated = 0;
+    for (std::size_t max = 12; max <= full.size() + 1; ++max) {
+      const util::Bytes want = ReencodeTruncation(owned, max);
+      ASSERT_EQ(EncodeMessage(owned, max), want) << "max_size=" << max;
+      ASSERT_EQ(EncodeMessage(view, max), want) << "max_size=" << max;
+      if (want[2] & 0x02) ++truncated;
+    }
+    EXPECT_EQ(EncodeMessage(owned), full);
+    EXPECT_EQ(EncodeMessage(view), full);
+    EXPECT_EQ(truncated, full.size() - 12);  // every limit below full drops
+  }
 }
 
 TEST(Message, DecodeRejectsGarbage) {

@@ -1,15 +1,22 @@
 // Tests for the immutable arena-backed zone snapshot layer: lookup parity
 // with zone::Zone, structural sharing under Apply, serialization parity,
-// DiffSnapshots equivalence, and the zero-copy MessageView wire path.
+// DiffSnapshots equivalence, the zero-copy MessageView wire path, and
+// concurrent reads of one shared snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/dnssec.h"
 #include "dns/message.h"
+#include "util/rng.h"
 #include "zone/evolution.h"
 #include "zone/sign.h"
 #include "zone/snapshot.h"
@@ -25,18 +32,125 @@ using dns::RRType;
 
 Name N(std::string_view s) { return *Name::Parse(s); }
 
-// Materializes both sides of a lookup and compares section by section.
+bool SameSection(const std::vector<dns::RRsetView>& got,
+                 const std::vector<RRset>& want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                    [](const dns::RRsetView& g, const RRset& w) {
+                      return *g.name == w.name && g.type == w.type &&
+                             g.rrclass == w.rrclass && g.ttl == w.ttl &&
+                             std::equal(g.rdatas.begin(), g.rdatas.end(),
+                                        w.rdatas.begin(), w.rdatas.end());
+                    });
+}
+
+// Compares both sides of a lookup section by section (materializing the
+// snapshot's views only to report a mismatch).
 void ExpectLookupParity(const Zone& zone, const ZoneSnapshot& snapshot,
                         const Name& qname, RRType qtype,
                         bool include_dnssec = false) {
   const LookupResult want = zone.Lookup(qname, qtype, include_dnssec);
-  const LookupResult got =
-      snapshot.Lookup(qname, qtype, include_dnssec).Materialize();
-  SCOPED_TRACE(qname.ToString());
+  const LookupView view = snapshot.Lookup(qname, qtype, include_dnssec);
+  if (view.disposition == want.disposition &&
+      SameSection(view.answers, want.answers) &&
+      SameSection(view.authority, want.authority) &&
+      SameSection(view.additional, want.additional)) {
+    return;
+  }
+  const LookupResult got = view.Materialize();
+  SCOPED_TRACE(qname.ToString() + " " + dns::RRTypeToString(qtype) +
+               (include_dnssec ? " +dnssec" : ""));
   EXPECT_EQ(got.disposition, want.disposition);
   EXPECT_EQ(got.answers, want.answers);
   EXPECT_EQ(got.authority, want.authority);
   EXPECT_EQ(got.additional, want.additional);
+}
+
+// The model root zone of `date`, signed with a fixed key.
+Zone SignedModelZone(const RootZoneModel& model, const util::CivilDate& date) {
+  util::Rng rng(7);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  return SignZone(model.Snapshot(date), zsk, {0, 2'000'000'000});
+}
+
+// Every owner name of `zone` with the types it owns.
+std::map<Name, std::vector<RRType>> OwnersOf(const Zone& zone) {
+  std::map<Name, std::vector<RRType>> owners;
+  for (const auto& [key, set] : zone.rrset_map()) {
+    owners[key.name].push_back(key.type);
+  }
+  return owners;
+}
+
+// `name` with each letter's case flipped by a coin toss (DNS 0x20).
+Name RandomCase(const Name& name, util::Rng& rng) {
+  std::string text = name.ToString();
+  for (char& c : text) {
+    if (std::isalpha(static_cast<unsigned char>(c)) && rng.Chance(0.5)) {
+      c = static_cast<char>(c ^ 0x20);
+    }
+  }
+  return N(text);
+}
+
+// Differential lookup sweep with Zone::Lookup as the oracle: every owner of
+// `zone` and of `also_owners_of` × {the types it owns, A, NS, DS, CNAME, TXT}
+// × DNSSEC off/on, each name spelled as stored and in random 0x20 case. Then
+// the same for names that own nothing: before the first TLD, right after
+// each TLD's subtree (between owners), after the last owner, below every
+// cut, and under every glue-only owner (addresses, but no NS; the signed
+// model zone also gives those their NSEC and RRSIG).
+void ExpectLookupSweep(const Zone& zone, const ZoneSnapshot& snapshot,
+                       const Zone* also_owners_of = nullptr) {
+  std::map<Name, std::vector<RRType>> owners = OwnersOf(zone);
+  if (also_owners_of != nullptr) {
+    for (const auto& [name, types] : OwnersOf(*also_owners_of)) {
+      auto& all = owners[name];
+      all.insert(all.end(), types.begin(), types.end());
+    }
+  }
+  util::Rng rng(0x20);
+  const auto sweep = [&](const Name& name, std::vector<RRType> types) {
+    types.insert(types.end(), {RRType::kA, RRType::kNS, RRType::kDS,
+                               RRType::kCNAME, RRType::kTXT});
+    std::sort(types.begin(), types.end());
+    types.erase(std::unique(types.begin(), types.end()), types.end());
+    for (const Name& spelling : {name, RandomCase(name, rng)}) {
+      for (const RRType type : types) {
+        ExpectLookupParity(zone, snapshot, spelling, type, false);
+        ExpectLookupParity(zone, snapshot, spelling, type, true);
+      }
+    }
+  };
+
+  std::vector<Name> absent = {N("0."), N("-first."), N("zzzzzzzzzzzz."),
+                              N("a.zzzzzzzzzzzz.")};
+  std::size_t cuts = 0, glue_only = 0;
+  for (const auto& [name, types] : owners) {
+    sweep(name, types);
+    if (name.is_root()) continue;
+    const std::string text = name.ToString();
+    if (std::find(types.begin(), types.end(), RRType::kNS) != types.end()) {
+      ++cuts;
+      absent.push_back(N("www." + text));
+      absent.push_back(N("a.b." + text));
+    }
+    const auto is_address = [](RRType t) {
+      return t == RRType::kA || t == RRType::kAAAA;
+    };
+    if (std::any_of(types.begin(), types.end(), is_address) &&
+        std::all_of(types.begin(), types.end(), [&](RRType t) {
+          return is_address(t) || t == RRType::kNSEC || t == RRType::kRRSIG;
+        })) {
+      ++glue_only;
+      absent.push_back(N("x." + text));
+    }
+    if (name.label_count() == 1) {
+      absent.push_back(N(std::string(name.label(0)) + "0."));
+    }
+  }
+  ASSERT_GT(cuts, 1000u);
+  ASSERT_GT(glue_only, 100u);
+  for (const Name& name : absent) sweep(name, {});
 }
 
 TEST(ZoneSnapshot, BuildPreservesContent) {
@@ -109,6 +223,83 @@ TEST(ZoneSnapshot, LookupParitySigned) {
                        RRType::kA, dnssec);
     ExpectLookupParity(signed_zone, *snapshot, N("zzz-not-there."),
                        RRType::kNS, dnssec);
+  }
+}
+
+TEST(ZoneSnapshot, LookupSweepMatchesZone) {
+  const RootZoneModel model;
+  const Zone signed_zone = SignedModelZone(model, {2018, 4, 11});
+  ExpectLookupSweep(signed_zone, *ZoneSnapshot::Build(signed_zone));
+}
+
+// Apply must leave an owner index describing the merged index, not the
+// base's: the sweep runs against the next day's zone (and over the owners
+// the diff removed), so a stale index answers from the wrong run. The day
+// pair is the first after the DITL day whose diff adds and removes RRsets
+// (a rotating-NS TLD renames its glue hosts), which shifts owner runs.
+TEST(ZoneSnapshot, LookupSweepMatchesZoneAfterApply) {
+  const RootZoneModel model;
+  const Zone today = SignedModelZone(model, {2018, 4, 21});
+  const Zone tomorrow = SignedModelZone(model, {2018, 4, 22});
+  const ZoneDiff diff = DiffZones(today, tomorrow);
+  ASSERT_FALSE(diff.added.empty());
+  ASSERT_FALSE(diff.removed.empty());
+  auto applied = ZoneSnapshot::Apply(ZoneSnapshot::Build(today), diff);
+  ASSERT_TRUE(applied.ok());
+  ExpectLookupSweep(tomorrow, **applied, &today);
+}
+
+// Frontend workers and replay shards read one snapshot from several threads.
+// The owner index (and the Name hash cache in the arena) must be read-only
+// after Build: four threads answering the same queries must each produce
+// exactly the wires of a single-threaded pass over another snapshot.
+TEST(ZoneSnapshot, ConcurrentLookupsMatchSingleThreaded) {
+  const RootZoneModel model;
+  const Zone signed_zone = SignedModelZone(model, {2018, 4, 11});
+
+  std::vector<dns::Question> questions;
+  util::Rng rng(4);
+  for (const Name& child : signed_zone.DelegatedChildren()) {
+    const std::string tld = child.ToString();
+    questions.push_back({N("www." + tld), RRType::kA, dns::RRClass::kIN});
+    questions.push_back({RandomCase(child, rng), RRType::kDS,
+                         dns::RRClass::kIN});
+    questions.push_back({N("no-such-" + tld.substr(0, tld.size() - 1) + "."),
+                         RRType::kAAAA, dns::RRClass::kIN});
+  }
+  questions.push_back({N("."), RRType::kDNSKEY, dns::RRClass::kIN});
+
+  const auto answer_all = [&](const ZoneSnapshot& snapshot) {
+    std::vector<util::Bytes> wires;
+    LookupView lookup;
+    dns::MessageView response;
+    for (std::size_t i = 0; i < questions.size(); ++i) {
+      const dns::Question& q = questions[i];
+      snapshot.Lookup(q.name, q.type, /*include_dnssec=*/true, lookup);
+      response.clear();
+      response.header.id = static_cast<std::uint16_t>(i);
+      response.header.qr = true;
+      response.questions.push_back(q);
+      response.answers = lookup.answers;
+      response.authority = lookup.authority;
+      response.additional = lookup.additional;
+      wires.push_back(dns::EncodeMessage(response, i % 2 == 0 ? 512 : 1232));
+    }
+    return wires;
+  };
+
+  const std::vector<util::Bytes> want =
+      answer_all(*ZoneSnapshot::Build(signed_zone));
+  const SnapshotPtr shared = ZoneSnapshot::Build(signed_zone);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<util::Bytes>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { got[t] = answer_all(*shared); });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(got[t] == want) << "thread " << t;
   }
 }
 
