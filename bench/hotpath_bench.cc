@@ -283,23 +283,18 @@ double BenchCachePutCold() {
 
 // ------------------------------------------------ snapshot-layer benches
 
-// Referral answers through the authoritative server's wire path, three ways:
+// Referral answers through the authoritative server's wire path, two ways:
 //   answer_cache_hit_ns    AnswerWire on a warm answer cache (probe + copy of
 //                          the memoized wire);
 //   snapshot_answer_ns     AnswerWire with answer_cache_entries = 0, so every
 //                          query pays Lookup into borrowed RRsetViews plus
-//                          the wire encode straight from the arena;
-//   referral_build_copy_ns the materializing path the view refactor replaced
-//                          (expand views into owned ResourceRecords, then
-//                          encode), on the same cache-less server.
-// Also reports allocations per query for the two uncached paths, counted via
-// the global operator-new hook above.
+//                          the wire encode straight from the arena.
+// Also reports allocations per query for the uncached path, counted via the
+// global operator-new hook above.
 struct AnswerBenchResult {
   double cache_hit_ns = 0;
   double snapshot_ns = 0;
-  double copy_ns = 0;
   double snapshot_allocs = 0;
-  double copy_allocs = 0;
 };
 
 AnswerBenchResult BenchReferralAnswers() {
@@ -339,27 +334,14 @@ AnswerBenchResult BenchReferralAnswers() {
       sink += server.AnswerWire(queries[i & 255]).size();
     }
   });
-  // The materializing path the view refactor replaced: build an owned
-  // Message (one ResourceRecord per rdata), then encode it.
-  result.copy_ns = MeasureNsPerOp([&](std::uint64_t iters) {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      sink += dns::EncodeMessage(server.Answer(queries[i & 255]), 1232).size();
-    }
-  });
   if (sink == 1) std::printf("impossible\n");
 
   constexpr std::uint64_t kAllocIters = 20000;
-  std::uint64_t before = g_allocs;
+  const std::uint64_t before = g_allocs;
   for (std::uint64_t i = 0; i < kAllocIters; ++i) {
     (void)server.AnswerWire(queries[i & 255]);
   }
   result.snapshot_allocs =
-      static_cast<double>(g_allocs - before) / static_cast<double>(kAllocIters);
-  before = g_allocs;
-  for (std::uint64_t i = 0; i < kAllocIters; ++i) {
-    (void)dns::EncodeMessage(server.Answer(queries[i & 255]), 1232);
-  }
-  result.copy_allocs =
       static_cast<double>(g_allocs - before) / static_cast<double>(kAllocIters);
   return result;
 }
@@ -726,9 +708,7 @@ int main(int argc, char** argv) {
   const AnswerBenchResult answers = BenchReferralAnswers();
   run("answer_cache_hit_ns", answers.cache_hit_ns);
   run("snapshot_answer_ns", answers.snapshot_ns);
-  run("referral_build_copy_ns", answers.copy_ns);
   run("snapshot_answer_allocs", answers.snapshot_allocs);
-  run("referral_build_copy_allocs", answers.copy_allocs);
   const ZoneSwapBenchResult swap = BenchZoneSwap();
   run("zone_swap_ns", swap.apply_ns);
   run("zone_build_ns", swap.build_ns);

@@ -87,7 +87,8 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
       r.SetRootFleet(&fleet);
       break;
     case resolver::RootMode::kLoopbackAuth:
-      loopback = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+      loopback = std::make_unique<rootsrv::AuthServer>(
+          &net, root_snapshot, rootsrv::AuthServer::Options{});
       topology.PlaceNode(loopback->node(), where);
       r.SetLoopbackNode(loopback->node());
       r.SetLocalZone(root_snapshot);

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     if (mode == resolver::RootMode::kRootServers) {
       r.SetRootFleet(&fleet);
     } else if (mode == resolver::RootMode::kLoopbackAuth) {
-      loopback = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+      loopback = std::make_unique<rootsrv::AuthServer>(
+          &net, root_snapshot, rootsrv::AuthServer::Options{});
       topology.PlaceNode(loopback->node(), where);
       r.SetLoopbackNode(loopback->node());
       r.SetLocalZone(root_snapshot);

@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
                                                        root_snapshot);
     r.SetRootFleet(fleet.get());
   } else if (mode == resolver::RootMode::kLoopbackAuth) {
-    loopback = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+    loopback = std::make_unique<rootsrv::AuthServer>(
+        &net, root_snapshot, rootsrv::AuthServer::Options{});
     topology.PlaceNode(loopback->node(), where);
     r.SetLoopbackNode(loopback->node());
     r.SetLocalZone(root_snapshot);

@@ -13,19 +13,7 @@ namespace {
 constexpr std::size_t kEventBatch = 64;
 }  // namespace
 
-std::unique_ptr<EventLoop> EventLoop::Create(Backend backend) {
-#if defined(ROOTLESS_IOURING) && ROOTLESS_IOURING
-  if (backend == Backend::kUring) {
-    auto loop = MakeUringLoop();
-    if (loop != nullptr && loop->ok()) return loop;
-  }
-#else
-  (void)backend;
-#endif
-  return std::make_unique<EpollLoop>();
-}
-
-EpollLoop::EpollLoop() {
+EventLoop::EventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ < 0 || wake_fd_ < 0) return;
@@ -36,12 +24,12 @@ EpollLoop::EpollLoop() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 }
 
-EpollLoop::~EpollLoop() {
+EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
-util::Status EpollLoop::Add(int fd, std::uint32_t events, FdHandler handler) {
+util::Status EventLoop::Add(int fd, std::uint32_t events, FdHandler handler) {
   struct epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -53,7 +41,7 @@ util::Status EpollLoop::Add(int fd, std::uint32_t events, FdHandler handler) {
   return util::Status::Ok();
 }
 
-util::Status EpollLoop::Modify(int fd, std::uint32_t events) {
+util::Status EventLoop::Modify(int fd, std::uint32_t events) {
   struct epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -64,18 +52,18 @@ util::Status EpollLoop::Modify(int fd, std::uint32_t events) {
   return util::Status::Ok();
 }
 
-void EpollLoop::Remove(int fd) {
+void EventLoop::Remove(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   handlers_.erase(fd);
 }
 
-void EpollLoop::DrainWake() {
+void EventLoop::DrainWake() {
   std::uint64_t value = 0;
   while (::read(wake_fd_, &value, sizeof(value)) > 0) {
   }
 }
 
-int EpollLoop::PollOnce(int timeout_ms) {
+int EventLoop::PollOnce(int timeout_ms) {
   const int n = ::epoll_wait(epoll_fd_, events_.data(),
                              static_cast<int>(events_.size()), timeout_ms);
   if (n < 0) return errno == EINTR ? 0 : -1;
@@ -96,7 +84,7 @@ int EpollLoop::PollOnce(int timeout_ms) {
   return dispatched;
 }
 
-void EpollLoop::Wake() {
+void EventLoop::Wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }

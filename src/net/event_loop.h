@@ -1,22 +1,15 @@
-// Minimal non-blocking event loop behind one seam, two backends.
+// Minimal non-blocking epoll event loop.
 //
 // One loop per serving thread: fds register a handler for readiness events,
-// PollOnce() waits and dispatches one batch, Run() loops until Stop().
-// Stop() is the only cross-thread entry point (it wakes a blocked wait via
-// an eventfd); everything else — Add/Modify/Remove, the handlers — runs on
-// the polling thread, which is what keeps the servers lock-free.
+// PollOnce() waits (epoll_wait, level-triggered) and dispatches one batch,
+// Run() loops until Stop(). Stop() is the only cross-thread entry point (it
+// wakes a blocked wait via an eventfd); everything else — Add/Modify/Remove,
+// the handlers — runs on the polling thread, which is what keeps the servers
+// lock-free.
 //
 // Handlers may Add/Remove fds (including their own) during dispatch: the
 // loop re-checks registration per event, so a handler that tears down a
 // sibling fd mid-batch just causes the sibling's stale event to be skipped.
-//
-// Backends:
-//   * EpollLoop — epoll_wait, level-triggered. The default, CI-verified.
-//   * io_uring  — oneshot POLL_ADD readiness (compiled only with
-//     -DROOTLESS_IOURING; see event_loop_uring.cc). Same handler contract:
-//     a oneshot poll re-armed after dispatch behaves level-triggered.
-// Create() picks a backend and falls back to epoll when the requested one
-// is unavailable (not compiled in, or the kernel refuses io_uring_setup).
 #pragma once
 
 #include <atomic>
@@ -34,34 +27,35 @@ namespace rootless::net {
 
 class EventLoop {
  public:
-  // `events` is the epoll event mask (EPOLLIN | EPOLLOUT | ...). The
-  // io_uring backend translates it to the equivalent poll mask (the bits
-  // coincide for IN/OUT/ERR/HUP).
+  // `events` is the epoll event mask (EPOLLIN | EPOLLOUT | ...).
   using FdHandler = std::function<void(std::uint32_t events)>;
 
-  enum class Backend { kEpoll, kUring };
-
-  virtual ~EventLoop() = default;
+  EventLoop();
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // False if backend resource creation failed (construction error state).
-  virtual bool ok() const = 0;
-  virtual Backend backend() const = 0;
+  // Heap-allocated loop, for owners that keep it behind a pointer.
+  static std::unique_ptr<EventLoop> Create() {
+    return std::make_unique<EventLoop>();
+  }
+
+  // False if the epoll or eventfd descriptor could not be created.
+  bool ok() const { return epoll_fd_ >= 0 && wake_fd_ >= 0; }
 
   // Registers `fd` for `events`; the handler fires with the ready mask.
   // The caller keeps ownership of the fd.
-  virtual util::Status Add(int fd, std::uint32_t events, FdHandler handler) = 0;
+  util::Status Add(int fd, std::uint32_t events, FdHandler handler);
   // Changes the interest mask of a registered fd.
-  virtual util::Status Modify(int fd, std::uint32_t events) = 0;
+  util::Status Modify(int fd, std::uint32_t events);
   // Unregisters; pending events for the fd in the current batch are skipped.
-  virtual void Remove(int fd) = 0;
+  void Remove(int fd);
 
   // Waits up to `timeout_ms` (-1 = forever) and dispatches one batch.
   // Returns the number of events dispatched (0 on timeout), -1 on error.
-  virtual int PollOnce(int timeout_ms) = 0;
+  int PollOnce(int timeout_ms);
 
-  virtual std::size_t fd_count() const = 0;
+  std::size_t fd_count() const { return handlers_.size(); }
 
   // Dispatches until Stop(). Equivalent to `while (!stopped) PollOnce(-1)`.
   void Run() {
@@ -78,48 +72,15 @@ class EventLoop {
     Wake();
   }
 
-  // Backend factory. kUring silently degrades to epoll when the uring
-  // backend is not compiled in or its setup fails — callers get a working
-  // loop either way and can inspect backend() to see what they got.
-  static std::unique_ptr<EventLoop> Create(Backend backend = Backend::kEpoll);
-
- protected:
-  EventLoop() = default;
-
-  // Cross-thread wakeup primitive for Stop() (both backends use an eventfd).
-  virtual void Wake() = 0;
-
-  std::atomic<bool> stop_{false};
-};
-
-// The epoll backend — the default and the reference behaviour.
-class EpollLoop final : public EventLoop {
- public:
-  EpollLoop();
-  ~EpollLoop() override;
-
-  bool ok() const override { return epoll_fd_ >= 0 && wake_fd_ >= 0; }
-  Backend backend() const override { return Backend::kEpoll; }
-
-  util::Status Add(int fd, std::uint32_t events, FdHandler handler) override;
-  util::Status Modify(int fd, std::uint32_t events) override;
-  void Remove(int fd) override;
-  int PollOnce(int timeout_ms) override;
-  std::size_t fd_count() const override { return handlers_.size(); }
-
  private:
-  void Wake() override;
+  void Wake();
   void DrainWake();
 
+  std::atomic<bool> stop_{false};
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::unordered_map<int, FdHandler> handlers_;
   std::vector<struct ::epoll_event> events_;  // dispatch scratch
 };
-
-#if defined(ROOTLESS_IOURING) && ROOTLESS_IOURING
-// Defined in event_loop_uring.cc; nullptr if io_uring_setup fails.
-std::unique_ptr<EventLoop> MakeUringLoop();
-#endif
 
 }  // namespace rootless::net

@@ -42,7 +42,7 @@ util::Status DnsFrontend::Start() {
     auto worker = std::make_unique<Worker>();
     worker->registry = std::make_unique<obs::Registry>();
     worker->registry->set_instance_namespace("w" + std::to_string(i) + ".");
-    worker->loop = EventLoop::Create(options_.loop_backend);
+    worker->loop = EventLoop::Create();
     if (!worker->loop->ok()) {
       return util::Error(ErrorCode::kUnavailable,
                          "frontend: event loop setup failed");
@@ -173,57 +173,23 @@ void DnsFrontend::Stop() {
 rootsrv::AuthServerStats DnsFrontend::stats() const {
   rootsrv::AuthServerStats total;
   for (const auto& worker : workers_) {
-    for (const rootsrv::AuthServer* auth :
-         {worker->auth.get(), worker->tcp_auth.get()}) {
-      if (auth == nullptr) continue;
-      const rootsrv::AuthServerStats s = auth->stats();
-      total.queries += s.queries;
-      total.answers += s.answers;
-      total.referrals += s.referrals;
-      total.nxdomain += s.nxdomain;
-      total.nodata += s.nodata;
-      total.refused += s.refused;
-      total.malformed += s.malformed;
-      total.truncated += s.truncated;
-      total.edns_queries += s.edns_queries;
-      total.cache_hits += s.cache_hits;
-      total.bytes_in += s.bytes_in;
-      total.bytes_out += s.bytes_out;
-    }
+    total += worker->auth->stats();
+    if (worker->tcp_auth) total += worker->tcp_auth->stats();
   }
   return total;
 }
 
 rootsrv::FastLaneStats DnsFrontend::fast_lane_stats() const {
   rootsrv::FastLaneStats total;
-  for (const auto& worker : workers_) {
-    if (worker->auth == nullptr) continue;
-    const rootsrv::FastLaneStats s = worker->auth->fast_lane_stats();
-    total.hits += s.hits;
-    total.parse_fallbacks += s.parse_fallbacks;
-    total.cache_misses += s.cache_misses;
-    total.slips += s.slips;
-    total.drops += s.drops;
-  }
+  for (const auto& worker : workers_) total += worker->auth->fast_lane_stats();
   return total;
 }
 
 rootsrv::PipelineStats DnsFrontend::pipeline_stats() const {
   rootsrv::PipelineStats total;
   for (const auto& worker : workers_) {
-    for (const rootsrv::AuthServer* auth :
-         {worker->auth.get(), worker->tcp_auth.get()}) {
-      if (auth == nullptr) continue;
-      const rootsrv::PipelineStats s = auth->pipeline_stats();
-      total.screen_diverted += s.screen_diverted;
-      total.rrl_checked += s.rrl_checked;
-      total.rrl_dropped += s.rrl_dropped;
-      total.rrl_slipped += s.rrl_slipped;
-      total.cache_probes += s.cache_probes;
-      total.cache_insertions += s.cache_insertions;
-      total.cache_evictions += s.cache_evictions;
-      total.snapshot_answers += s.snapshot_answers;
-    }
+    total += worker->auth->pipeline_stats();
+    if (worker->tcp_auth) total += worker->tcp_auth->pipeline_stats();
   }
   return total;
 }

@@ -100,9 +100,6 @@ struct FrontendOptions {
   // plain per-datagram syscalls AND strict FIFO response order — the fuzz
   // parity tests rely on that ordering to pair responses with probes.
   bool segmentation_offload = true;
-  // Event-loop backend per worker. kUring degrades to epoll when not
-  // compiled in (see EventLoop::Create).
-  EventLoop::Backend loop_backend = EventLoop::Backend::kEpoll;
   obs::Registry* registry = nullptr;  // merge target at Stop (default: global)
 };
 

@@ -1,7 +1,5 @@
 #include "rootsrv/auth_server.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -11,6 +9,7 @@
 namespace rootless::rootsrv {
 
 using dns::Message;
+using zone::LookupDisposition;
 
 void FastLaneCounters::Register(obs::Registry& reg) {
   const obs::Labels labels{reg.NextInstance("rootsrv.fastlane"), "", ""};
@@ -21,34 +20,15 @@ void FastLaneCounters::Register(obs::Registry& reg) {
   drops = reg.counter("rootsrv.fastlane.drops", labels);
 }
 
-namespace {
-
-AuthServer::Options LegacyOptions(bool include_dnssec,
-                                  std::size_t max_udp_size) {
-  AuthServer::Options options;
-  options.include_dnssec = include_dnssec;
-  options.edns.default_udp_payload = max_udp_size;
-  return options;
-}
-
-std::uint64_t SteadyNowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 AuthServer::AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
                        Options options)
     : transport_(transport),
       snapshot_(std::move(snapshot)),
       options_(std::move(options)),
       screen_stage_(options_.edns, c_, pc_),
-      rrl_stage_(c_, pc_),
+      rrl_stage_(options_.rrl, options_.shared_rrl, options_.clock, c_, pc_),
       cache_stage_(options_.answer_cache_entries, c_, pc_),
-      answer_stage_(&snapshot_, options_.include_dnssec, c_, pc_) {
+      answer_stage_(options_.include_dnssec, c_, pc_) {
   if (transport_ != nullptr) {
     node_ = transport_->AddNode(
         [this](const net::Packet& packet) { HandleDatagram(packet); });
@@ -58,133 +38,94 @@ AuthServer::AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
   c_.Register(reg);
   pc_.Register(reg);
   flc_.Register(reg);
-
-  if (options_.shared_rrl != nullptr) {
-    rrl_stage_.SetLimiter(options_.shared_rrl);
-    rrl_view_ = options_.shared_rrl;
-  } else if (options_.rrl.enabled) {
-    owned_rrl_ = std::make_unique<ResponseRateLimiter>(options_.rrl);
-    rrl_stage_.SetLimiter(owned_rrl_.get());
-    rrl_view_ = owned_rrl_.get();
-  }
-  if (rrl_stage_.active() && !options_.clock) {
-    options_.clock = SteadyNowMicros;
-  }
-
-  pipeline_.Append(&screen_stage_);
-  pipeline_.Append(&rrl_stage_);
-  pipeline_.Append(&cache_stage_);
-  pipeline_.Append(&answer_stage_);
-}
-
-AuthServer::AuthServer(net::Transport& transport, zone::SnapshotPtr snapshot,
-                       bool include_dnssec, std::size_t max_udp_size)
-    : AuthServer(&transport, std::move(snapshot),
-                 LegacyOptions(include_dnssec, max_udp_size)) {}
-
-AuthServer::AuthServer(net::Transport& transport,
-                       std::shared_ptr<const zone::Zone> zone,
-                       bool include_dnssec, std::size_t max_udp_size)
-    : AuthServer(&transport, zone::ZoneSnapshot::Build(*zone),
-                 LegacyOptions(include_dnssec, max_udp_size)) {}
-
-Message AuthServer::Answer(const Message& query) {
-  c_.queries.Inc();
-  QueryContext ctx;
-  ctx.query = &query;
-  ctx.channel = Channel::kUdp;
-  ctx.wire_path = false;
-  pipeline_.Admit(ctx);  // unattributed: the chain cannot drop this query
-
-  const dns::ResourceRecord opt_record{
-      opt_owner_, dns::RRType::kOPT,
-      static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
-      opt_rdata_};
-  if (ctx.screened) {
-    Message response = MakeResponse(query, ctx.screen_rcode);
-    if (ctx.echo_opt) response.additional.push_back(opt_record);
-    return response;
-  }
-  Message response = MakeResponse(query, ctx.rcode);
-  response.header.aa = ctx.aa;
-  auto append = [](const std::vector<dns::RRsetView>& sets,
-                   std::vector<dns::ResourceRecord>& out) {
-    for (const auto& s : sets) {
-      for (const auto& rd : s.rdatas) {
-        out.push_back(
-            dns::ResourceRecord{*s.name, s.type, s.rrclass, s.ttl, rd});
-      }
-    }
-  };
-  append(ctx.lookup->answers, response.answers);
-  append(ctx.lookup->authority, response.authority);
-  append(ctx.lookup->additional, response.additional);
-  if (ctx.echo_opt) response.additional.push_back(opt_record);
-  return response;
 }
 
 util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
                                        std::uint64_t client) {
   c_.queries.Inc();
-  QueryContext ctx;
-  ctx.query = &query;
-  ctx.channel = channel;
-  ctx.client = client;
-  ctx.wire_path = true;
-  if (rrl_stage_.active() && client != QueryContext::kUnattributed &&
-      options_.clock) {
-    ctx.now_us = options_.clock();
-  }
-  const StageVerdict verdict = pipeline_.Admit(ctx);
-  if (verdict == StageVerdict::kDrop) return {};
-
-  if (ctx.screened) {
-    Message response = MakeResponse(query, ctx.screen_rcode);
-    if (ctx.echo_opt) {
+  EdnsReply edns;
+  const dns::RCode screened = screen_stage_.Admit(query, channel, edns);
+  if (screened != dns::RCode::kNoError) {
+    Message response = MakeResponse(query, screened);
+    if (edns.echo_opt) {
       response.additional.push_back(dns::ResourceRecord{
           opt_owner_, dns::RRType::kOPT,
           static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
           opt_rdata_});
     }
-    return dns::EncodeMessage(response, ctx.payload_limit);
+    return dns::EncodeMessage(response, edns.payload_limit);
   }
-  if (ctx.rrl_slip) {
+
+  const RateLimitStage::Verdict verdict = rrl_stage_.Charge(channel, client);
+  if (verdict == RateLimitStage::Verdict::kDrop) return {};
+  if (verdict == RateLimitStage::Verdict::kSlip) {
     // Minimal TC|REFUSED: an honest client behind the limited address
     // retries over TCP; a spoofed-source flood reflects 12 bytes, not an
     // amplified answer. Never cached.
     Message response = MakeResponse(query, dns::RCode::kRefused);
-    util::Bytes wire = dns::EncodeMessage(response, ctx.payload_limit);
+    util::Bytes wire = dns::EncodeMessage(response, edns.payload_limit);
     // EncodeMessage derives TC from size alone; a slip is forced truncation.
     if (wire.size() > 2) wire[2] |= 0x02;
     return wire;
   }
-  if (ctx.cache_hit) return std::move(ctx.cached_wire);
 
   const dns::Question& q = query.questions.front();
+  AnswerCacheStage::WireKey key;
+  std::uint64_t key_hash = 0;
+  if (cache_stage_.enabled()) {
+    key.qname = q.name.flat();
+    key.name_hash = q.name.Hash();
+    key.type = q.type;
+    key.flags = AnswerCacheStage::Flags(query.header.tc, query.header.rd);
+    key.echo_opt = edns.echo_opt;
+    key.payload_limit = edns.payload_limit;
+    key_hash = AnswerCacheStage::KeyHash(key);
+    AnswerCacheStage::Hit hit;
+    const bool found = cache_stage_.Probe(key, key_hash, hit);
+    cache_stage_.CountProbe(found ? &hit : nullptr);
+    if (found) {
+      util::Bytes wire(hit.wire, hit.wire + hit.size);
+      wire[0] = static_cast<std::uint8_t>(query.header.id >> 8);
+      wire[1] = static_cast<std::uint8_t>(query.header.id);
+      return wire;
+    }
+  }
+
+  const zone::LookupView& lookup = answer_stage_.Answer(*snapshot_, q);
+  const LookupDisposition disposition = lookup.disposition;
+  dns::RCode rcode = dns::RCode::kNoError;
+  if (disposition == LookupDisposition::kNxDomain) {
+    rcode = dns::RCode::kNXDomain;
+  } else if (disposition == LookupDisposition::kOutOfZone) {
+    rcode = dns::RCode::kRefused;
+  }
   dns::MessageView& response = response_scratch_;
   response.clear();
   response.header = query.header;
   response.header.qr = true;
   response.header.ra = false;
-  response.header.rcode = ctx.rcode;
-  response.header.aa = ctx.aa;
+  response.header.rcode = rcode;
+  response.header.aa = disposition == LookupDisposition::kAnswer ||
+                       disposition == LookupDisposition::kNoData ||
+                       disposition == LookupDisposition::kNxDomain;
   response.questions.push_back(q);
-  response.answers = ctx.lookup->answers;
-  response.authority = ctx.lookup->authority;
-  response.additional = ctx.lookup->additional;
-  if (ctx.echo_opt) {
+  response.answers = lookup.answers;
+  response.authority = lookup.authority;
+  response.additional = lookup.additional;
+  if (edns.echo_opt) {
     // The OPT echo rides last in additional, so under truncation it is the
-    // first record dropped — whole-record truncation keeps the encoder
-    // byte-identical to the owning-Message path.
+    // first record dropped.
     response.additional.push_back(dns::RRsetView{
         &opt_owner_, dns::RRType::kOPT,
         static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
         std::span<const dns::Rdata>(&opt_rdata_, 1)});
   }
-  util::Bytes wire = dns::EncodeMessage(response, ctx.payload_limit);
+  util::Bytes wire = dns::EncodeMessage(response, edns.payload_limit);
   const bool truncated = wire.size() > 2 && (wire[2] & 0x02);
   if (truncated) c_.truncated.Inc();
-  pipeline_.OnResponse(ctx, wire, truncated);
+  if (cache_stage_.enabled()) {
+    cache_stage_.Insert(key, key_hash, disposition, truncated, wire);
+  }
   return wire;
 }
 
@@ -244,54 +185,40 @@ net::FastVerdict AuthServer::TryFastLane(std::span<const std::uint8_t> dgram,
     flc_.parse_fallbacks.Inc();
     return net::FastVerdict::kMiss;
   }
-  // Effective EDNS policy — what ScreenStage would compute from the decoded
-  // message (the shallow parse pinned everything else screen checks, so a
-  // cache hit below implies the pipeline would have passed screen too).
-  std::size_t payload_limit = options_.edns.default_udp_payload;
-  bool echo_opt = false;
-  if (probe.has_opt) {
-    payload_limit =
-        std::clamp<std::size_t>(probe.opt_payload, options_.edns.min_udp_payload,
-                                options_.edns.max_udp_payload);
-    echo_opt = options_.edns.echo_opt;
-  }
+  // The shallow parse pinned everything else Screen checks, so a cache hit
+  // below implies the slow path would have passed Screen too.
+  const EdnsReply edns = ApplyEdns(options_.edns, probe.has_opt,
+                                   probe.opt_payload, Channel::kUdp);
   AnswerCacheStage::WireKey key;
   key.qname = probe.qname;
   key.name_hash = util::simd::NameHash(probe.qname.data(), probe.qname.size());
   key.type = probe.qtype;
-  key.flags =
-      static_cast<std::uint8_t>((probe.tc ? 2 : 0) | (probe.rd ? 1 : 0));
-  key.echo_opt = echo_opt;
-  key.payload_limit = payload_limit;
-  AnswerCacheStage::FastHit hit;
+  key.flags = AnswerCacheStage::Flags(probe.tc, probe.rd);
+  key.echo_opt = edns.echo_opt;
+  key.payload_limit = edns.payload_limit;
+  AnswerCacheStage::Hit hit;
   if (!cache_stage_.Probe(key, AnswerCacheStage::KeyHash(key), hit) ||
       hit.size > capacity) {
     flc_.cache_misses.Inc();
     return net::FastVerdict::kMiss;
   }
 
-  // Committed: from here every counter bump and the limiter charge mirror
-  // the slow path exactly (bytes_in → queries → edns → RRL → disposition →
-  // bytes_out). The probe above was side-effect free, so a kMiss return
-  // never happens past this point — falling back now would double-charge.
+  // Committed: from here every counter bump and the limiter charge are the
+  // slow path's own (bytes_in → queries → edns → RRL → cache → bytes_out).
+  // The probe above was side-effect free, so a kMiss return never happens
+  // past this point — falling back now would double-charge.
   c_.bytes_in.Inc(dgram.size());
   c_.queries.Inc();
   if (probe.has_opt) c_.edns_queries.Inc();
-  StageVerdict verdict = StageVerdict::kPass;
-  if (rrl_stage_.active()) {
-    std::uint64_t now_us = 0;
-    if (client != QueryContext::kUnattributed && options_.clock) {
-      now_us = options_.clock();
-    }
-    verdict = rrl_stage_.AdmitFast(client, now_us);
-  }
-  if (verdict == StageVerdict::kDrop) {
+  const RateLimitStage::Verdict verdict =
+      rrl_stage_.Charge(Channel::kUdp, client);
+  if (verdict == RateLimitStage::Verdict::kDrop) {
     flc_.drops.Inc();
     return net::FastVerdict::kDropped;
   }
-  if (verdict == StageVerdict::kRespond) {
+  if (verdict == RateLimitStage::Verdict::kSlip) {
     // RRL slip: TC|REFUSED echoing the question — byte-identical to the
-    // pipeline's EncodeMessage(MakeResponse(query, kRefused), limit) with
+    // slow path's EncodeMessage(MakeResponse(query, kRefused), limit) with
     // the TC bit forced: id/aa/rd copied from the query (opcode is known
     // zero), qr+tc set, ra/z/ad/cd cleared, rcode REFUSED, the question
     // section echoed verbatim from the datagram (uncompressed, exact case —
@@ -312,10 +239,7 @@ net::FastVerdict AuthServer::TryFastLane(std::span<const std::uint8_t> dgram,
     return net::FastVerdict::kResponded;
   }
   // Cache hit: memcpy the cached wire into the transmit ring, patch the id.
-  pc_.cache_probes.Inc();
-  CountDisposition(c_, hit.disposition);
-  if (hit.truncated) c_.truncated.Inc();
-  c_.cache_hits.Inc();
+  cache_stage_.CountProbe(&hit);
   std::memcpy(out, hit.wire, hit.size);
   out[0] = dgram[0];
   out[1] = dgram[1];

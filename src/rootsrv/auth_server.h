@@ -4,19 +4,20 @@
 // queries, applies the zone's lookup logic, and answers with referrals /
 // answers / NXDOMAIN exactly as a root or TLD server would.
 //
-// All serving paths — Answer (owning Message, sim/local-root), AnswerWire
-// (zero-copy wire), HandleDatagram (full UDP/TCP datagram path) — drive the
-// same rootsrv::QueryPipeline stage chain (see pipeline.h): Screen →
-// RateLimit → AnswerCache → SnapshotAnswer. The server owns the stages and
-// renders whatever the chain decides; there is exactly one EDNS-clamp /
-// truncation implementation, one FORMERR/NOTIMP/REFUSED policy, one cache
-// probe, and one defense hook across both transports.
+// Every answer is wire bytes built by one path: AnswerWire (a decoded
+// query) and AnswerDatagram / HandleDatagram (a raw UDP or TCP payload) call
+// the stages of pipeline.h directly, in one fixed order: Screen →
+// RateLimit → AnswerCache → SnapshotAnswer. There is exactly one
+// EDNS-clamp / truncation implementation, one FORMERR/NOTIMP/REFUSED
+// policy, one cache lookup, and one defense hook across both transports.
+// The UDP fast lane (TryFastLane) serves answer-cache hits straight off the
+// receive ring, calling the same EDNS, rate-limit and hit-accounting code.
 //
 // The serving path is zero-copy: a query is answered by assembling borrowed
 // RRset views out of the shared zone::ZoneSnapshot arena and encoding them
-// straight to the wire (AnswerWire), reusing per-server scratch buffers — no
-// RRset is copied per query. Anycast instances share one SnapshotPtr, so a
-// fleet costs one zone copy total, and a zone update is a pointer swap.
+// straight to the wire, reusing per-server scratch buffers — no RRset is
+// copied per query. Anycast instances share one SnapshotPtr, so a fleet
+// costs one zone copy total, and a zone update is a pointer swap.
 //
 // Real packets are hostile, so the wire-facing behaviour is explicit:
 //   * malformed input decodes to a coded util::Result (kTruncated /
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "dns/message.h"
@@ -43,7 +43,6 @@
 #include "rootsrv/pipeline.h"
 #include "rootsrv/rrl.h"
 #include "util/bytes.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::rootsrv {
@@ -70,6 +69,15 @@ struct FastLaneStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t slips = 0;
   std::uint64_t drops = 0;
+
+  FastLaneStats& operator+=(const FastLaneStats& o) {
+    hits += o.hits;
+    parse_fallbacks += o.parse_fallbacks;
+    cache_misses += o.cache_misses;
+    slips += o.slips;
+    drops += o.drops;
+    return *this;
+  }
 };
 
 // Snapshot view of a server's registry-backed counters (module
@@ -87,13 +95,30 @@ struct AuthServerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
+
+  AuthServerStats& operator+=(const AuthServerStats& o) {
+    queries += o.queries;
+    answers += o.answers;
+    referrals += o.referrals;
+    nxdomain += o.nxdomain;
+    nodata += o.nodata;
+    refused += o.refused;
+    malformed += o.malformed;
+    truncated += o.truncated;
+    edns_queries += o.edns_queries;
+    cache_hits += o.cache_hits;
+    bytes_in += o.bytes_in;
+    bytes_out += o.bytes_out;
+    return *this;
+  }
+  bool operator==(const AuthServerStats&) const = default;
 };
 
 class AuthServer {
  public:
   struct Options {
     bool include_dnssec = false;
-    EdnsConfig edns;
+    EdnsConfig edns{};
     // Answer FORMERR (id echoed, empty question section) when a query fails
     // to decode but a 12-byte header is readable. Off by default: the
     // simulator's historical behaviour is to drop garbage, and the fault
@@ -108,32 +133,23 @@ class AuthServer {
     // workers; shared_rrl wins when both are set). Disabled by default —
     // the serving path is then byte-identical to a server without the
     // stage.
-    RrlConfig rrl;
+    RrlConfig rrl{};
     ResponseRateLimiter* shared_rrl = nullptr;
-    // Microsecond clock sampled per attributed wire query while RRL is
-    // active. Defaults to std::chrono::steady_clock; the simulator passes
-    // sim time so attack replays stay deterministic.
-    std::function<std::uint64_t()> clock;
+    // Microsecond clock sampled once per rate-limited query (attributed,
+    // UDP) while RRL is active. Defaults to std::chrono::steady_clock; the
+    // simulator passes sim time so attack replays stay deterministic.
+    std::function<std::uint64_t()> clock{};
     // Metrics registry; nullptr = process default.
     obs::Registry* registry = nullptr;
   };
 
   // The snapshot is shared between anycast instances (refcounted).
-  // `transport` may be null for a detached server: Answer()/AnswerWire()
-  // work normally, but there is no endpoint (node() is meaningless) — used
-  // by front-ends that drive the server directly (e.g. the TCP query path)
-  // and by parity tests.
+  // `transport` may be null for a detached server: AnswerWire() and
+  // AnswerDatagram() work normally, but there is no endpoint (node() is
+  // meaningless) — used by front-ends that drive the server directly (e.g.
+  // the TCP query path) and by parity tests.
   AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
              Options options);
-
-  // Legacy convenience constructors; `max_udp_size` becomes
-  // edns.default_udp_payload (the historical truncation behaviour).
-  AuthServer(net::Transport& transport, zone::SnapshotPtr snapshot,
-             bool include_dnssec = false, std::size_t max_udp_size = 1232);
-  // Convenience for hand-built zones (tests, single-server setups):
-  // snapshots the zone first. Fleets should build one snapshot and share it.
-  AuthServer(net::Transport& transport, std::shared_ptr<const zone::Zone> zone,
-             bool include_dnssec = false, std::size_t max_udp_size = 1232);
 
   net::EndpointId node() const { return node_; }
   // Snapshot of the registry-backed counters.
@@ -156,7 +172,7 @@ class AuthServer {
   const zone::SnapshotPtr& snapshot() const { return snapshot_; }
   const EdnsConfig& edns() const { return options_.edns; }
   // The active rate limiter (shared or private), nullptr when RRL is off.
-  const ResponseRateLimiter* rrl() const { return rrl_view_; }
+  const ResponseRateLimiter* rrl() const { return rrl_stage_.limiter(); }
   std::size_t answer_cache_size() const { return cache_stage_.size(); }
 
   // Swaps in a new zone version (e.g. the daily root zone update) — a
@@ -168,23 +184,15 @@ class AuthServer {
     snapshot_ = std::move(snapshot);
     cache_stage_.Drop();
   }
-  void SetZone(std::shared_ptr<const zone::Zone> zone) {
-    snapshot_ = zone::ZoneSnapshot::Build(*zone);
-    cache_stage_.Drop();
-  }
 
-  // Builds the response message for a query (exposed for tests and for the
-  // local-root path, which answers without the network round trip).
-  // Materializes owning records; the datagram path uses AnswerWire instead.
-  dns::Message Answer(const dns::Message& query);
-
-  // Zero-copy serving path: lookup → borrowed views → wire bytes, with TC
-  // truncation at the channel's payload limit. Byte-identical to encoding
-  // Answer()'s message; reuses this server's scratch buffers (not
-  // reentrant). No client attribution → the rate limiter never drops it.
+  // The serving path: screen → rate limit → answer cache → lookup into
+  // borrowed views → wire bytes, with TC truncation at the channel's
+  // payload limit (kTcp never truncates). Reuses this server's scratch
+  // buffers (not reentrant). No client attribution → the rate limiter
+  // never drops it.
   util::Bytes AnswerWire(const dns::Message& query,
                          Channel channel = Channel::kUdp) {
-    return AnswerWireFrom(query, channel, QueryContext::kUnattributed);
+    return AnswerWireFrom(query, channel, kUnattributed);
   }
 
   // AnswerWire with transport attribution: `client` feeds the rate-limit
@@ -217,8 +225,8 @@ class AuthServer {
   // provably servable or the answer is not memoized; the caller must then
   // run the normal path, which re-counts from scratch — the probe-first
   // ordering is what keeps fast and slow runs counter-identical. On a hit
-  // the committed sequence mirrors the pipeline exactly: RRL charge (slip
-  // rendered in place, drop silent), disposition counters, bytes in/out.
+  // it runs the slow path's own EDNS, limiter-charge and hit-accounting
+  // code (slip rendered in place, drop silent), plus bytes in/out.
   net::FastVerdict TryFastLane(std::span<const std::uint8_t> datagram,
                                std::uint64_t client, std::uint8_t* out,
                                std::size_t capacity, std::size_t& out_size);
@@ -244,16 +252,11 @@ class AuthServer {
   AuthCounters c_;
   PipelineCounters pc_;
   FastLaneCounters flc_;
-  // Privately-owned limiter when Options::rrl.enabled without shared_rrl.
-  std::unique_ptr<ResponseRateLimiter> owned_rrl_;
-  const ResponseRateLimiter* rrl_view_ = nullptr;
-  // The stage chain, in admission order. The server owns the stages; the
-  // pipeline holds the order.
+  // The stages, in call order.
   ScreenStage screen_stage_;
   RateLimitStage rrl_stage_;
   AnswerCacheStage cache_stage_;
   SnapshotAnswerStage answer_stage_;
-  QueryPipeline pipeline_;
   // Per-query scratch (capacity retained across queries).
   dns::MessageView response_scratch_;
   // Storage backing the OPT record echoed on EDNS responses (the response

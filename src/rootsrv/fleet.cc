@@ -1,5 +1,7 @@
 #include "rootsrv/fleet.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace rootless::rootsrv {
@@ -8,17 +10,8 @@ RootServerFleet::RootServerFleet(sim::Network& network,
                                  topo::Topology& topology,
                                  zone::SnapshotPtr root_zone,
                                  bool include_dnssec)
-    : topology_(&topology) {
-  for (const auto& instance : topology.instances()) {
-    auto server = std::make_unique<AuthServer>(network, root_zone,
-                                               include_dnssec);
-    topology.PlaceNode(server->node(), instance.location);
-    by_letter_[topo::IndexForLetter(instance.letter)].push_back(
-        instances_.size());
-    instances_.push_back(
-        InstanceInfo{instance.letter, instance.location, std::move(server)});
-  }
-}
+    : RootServerFleet(network, topology, std::move(root_zone),
+                      AuthServer::Options{.include_dnssec = include_dnssec}) {}
 
 RootServerFleet::RootServerFleet(sim::Network& network,
                                  topo::Topology& topology,
@@ -76,35 +69,14 @@ void RootServerFleet::SetZone(zone::SnapshotPtr root_zone) {
 
 AuthServerStats RootServerFleet::TotalStats() const {
   AuthServerStats total;
-  for (const auto& instance : instances_) {
-    const auto& s = instance.server->stats();
-    total.queries += s.queries;
-    total.answers += s.answers;
-    total.referrals += s.referrals;
-    total.nxdomain += s.nxdomain;
-    total.nodata += s.nodata;
-    total.refused += s.refused;
-    total.malformed += s.malformed;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-  }
+  for (const auto& instance : instances_) total += instance.server->stats();
   return total;
 }
 
 AuthServerStats RootServerFleet::LetterStats(char letter) const {
   AuthServerStats total;
   for (const auto& instance : instances_) {
-    if (instance.letter != letter) continue;
-    const auto& s = instance.server->stats();
-    total.queries += s.queries;
-    total.answers += s.answers;
-    total.referrals += s.referrals;
-    total.nxdomain += s.nxdomain;
-    total.nodata += s.nodata;
-    total.refused += s.refused;
-    total.malformed += s.malformed;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
+    if (instance.letter == letter) total += instance.server->stats();
   }
   return total;
 }

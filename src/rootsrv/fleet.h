@@ -17,18 +17,18 @@ namespace rootless::rootsrv {
 class RootServerFleet {
  public:
   // Creates one AuthServer node per instance `topology` reports for its
-  // deployment date, placing each node at its site. Every instance serves
-  // the same refcounted snapshot — the whole fleet holds one zone copy
-  // regardless of its size. The topology must outlive the fleet (catchment
-  // queries route through it).
-  RootServerFleet(sim::Network& network, topo::Topology& topology,
-                  zone::SnapshotPtr root_zone, bool include_dnssec = false);
-  // Full-options variant: every instance is built with `options` (snapshot
-  // taken from `root_zone`) — this is how the attack benches arm the fleet
-  // with a shared response-rate limiter and a sim-time clock.
+  // deployment date, placing each node at its site; every instance is built
+  // with `options` (this is how the attack benches arm the fleet with a
+  // shared response-rate limiter and a sim-time clock). Every instance
+  // serves the same refcounted snapshot — the whole fleet holds one zone
+  // copy regardless of its size. The topology must outlive the fleet
+  // (catchment queries route through it).
   RootServerFleet(sim::Network& network, topo::Topology& topology,
                   zone::SnapshotPtr root_zone,
                   const AuthServer::Options& options);
+  // Default options, DNSSEC records on request.
+  RootServerFleet(sim::Network& network, topo::Topology& topology,
+                  zone::SnapshotPtr root_zone, bool include_dnssec = false);
   // Convenience: snapshots the zone once, then shares it as above.
   RootServerFleet(sim::Network& network, topo::Topology& topology,
                   std::shared_ptr<const zone::Zone> root_zone,

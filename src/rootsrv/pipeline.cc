@@ -1,7 +1,8 @@
 #include "rootsrv/pipeline.h"
 
-#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <utility>
 
 namespace rootless::rootsrv {
 
@@ -9,8 +10,12 @@ using zone::LookupDisposition;
 
 namespace {
 
-// TCP DNS messages are bounded by the 2-byte length prefix, not EDNS.
-constexpr std::size_t kMaxTcpMessage = 0xFFFF;
+std::uint64_t SteadyNowMicros() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 }  // namespace
 
@@ -62,11 +67,8 @@ void CountDisposition(AuthCounters& c, LookupDisposition disposition) {
   }
 }
 
-StageVerdict ScreenStage::Admit(QueryContext& ctx) {
-  const dns::Message& query = *ctx.query;
-  ctx.payload_limit = edns_.default_udp_payload;
-  ctx.echo_opt = false;
-
+dns::RCode ScreenStage::Admit(const dns::Message& query, Channel channel,
+                              EdnsReply& reply) {
   // EDNS0 (RFC 6891): the OPT pseudo-record's CLASS field carries the
   // requestor's maximum UDP payload size.
   int opt_count = 0;
@@ -77,19 +79,12 @@ StageVerdict ScreenStage::Admit(QueryContext& ctx) {
       requestor_payload = static_cast<std::uint16_t>(rr.rrclass);
     }
   }
-  if (opt_count > 0) {
-    c_.edns_queries.Inc();
-    ctx.echo_opt = edns_.echo_opt;
-    ctx.payload_limit = std::clamp(requestor_payload, edns_.min_udp_payload,
-                                   edns_.max_udp_payload);
-  }
-  if (ctx.channel == Channel::kTcp) ctx.payload_limit = kMaxTcpMessage;
+  if (opt_count > 0) c_.edns_queries.Inc();
+  reply = ApplyEdns(edns_, opt_count > 0, requestor_payload, channel);
 
   const auto divert = [&](dns::RCode rcode) {
-    ctx.screened = true;
-    ctx.screen_rcode = rcode;
     pc_.screen_diverted.Inc();
-    return StageVerdict::kRespond;
+    return rcode;
   };
   // More than one OPT is a protocol violation (RFC 6891 §6.1.1).
   if (query.questions.size() != 1 || opt_count > 1) {
@@ -106,52 +101,42 @@ StageVerdict ScreenStage::Admit(QueryContext& ctx) {
     return divert(dns::RCode::kRefused);
   }
   // Zone transfers only over TCP (and only via the AXFR front-end glue).
-  if (q.type == dns::RRType::kAXFR && ctx.channel == Channel::kUdp) {
+  if (q.type == dns::RRType::kAXFR && channel == Channel::kUdp) {
     c_.refused.Inc();
     return divert(dns::RCode::kRefused);
   }
-  return StageVerdict::kPass;
+  return dns::RCode::kNoError;
 }
 
-StageVerdict RateLimitStage::Admit(QueryContext& ctx) {
-  // TCP queries already proved their source address; unattributed queries
-  // (the owning Answer() path, detached tests) have no client to charge.
-  if (limiter_ == nullptr || ctx.channel != Channel::kUdp ||
-      ctx.client == QueryContext::kUnattributed) {
-    return StageVerdict::kPass;
+RateLimitStage::RateLimitStage(const RrlConfig& config,
+                               ResponseRateLimiter* shared,
+                               std::function<std::uint64_t()> clock,
+                               AuthCounters& c, PipelineCounters& pc)
+    : clock_(std::move(clock)), c_(c), pc_(pc) {
+  if (shared != nullptr) {
+    limiter_ = shared;
+  } else if (config.enabled) {
+    owned_ = std::make_unique<ResponseRateLimiter>(config);
+    limiter_ = owned_.get();
   }
-  pc_.rrl_checked.Inc();
-  switch (limiter_->Admit(ctx.client, ctx.now_us)) {
-    case ResponseRateLimiter::Decision::kAllow:
-      return StageVerdict::kPass;
-    case ResponseRateLimiter::Decision::kSlip:
-      pc_.rrl_slipped.Inc();
-      c_.refused.Inc();
-      ctx.rrl_slip = true;
-      return StageVerdict::kRespond;
-    case ResponseRateLimiter::Decision::kDrop:
-      break;
-  }
-  pc_.rrl_dropped.Inc();
-  return StageVerdict::kDrop;
+  if (limiter_ != nullptr && !clock_) clock_ = SteadyNowMicros;
 }
 
-std::uint32_t AnswerCacheStage::FindSlot(const WireKey& key,
-                                         std::uint64_t key_hash) const {
-  return index_.Find(key_hash, [&](std::uint32_t s) {
+bool AnswerCacheStage::Probe(const WireKey& key, std::uint64_t key_hash,
+                             Hit& hit) const {
+  if (capacity_ == 0 || entries_.empty()) return false;
+  const std::uint32_t slot = index_.Find(key_hash, [&](std::uint32_t s) {
     const CachedAnswer& e = entries_[s];
+    // Root-owner answers have an empty qname, whose data() may be null:
+    // compare sizes first and never hand memcmp a null pointer.
     return e.hash == key_hash && e.type == key.type && e.flags == key.flags &&
            e.echo_opt == key.echo_opt &&
            e.payload_limit == key.payload_limit &&
            e.name.size() == key.qname.size() &&
-           std::memcmp(e.name.data(), key.qname.data(), key.qname.size()) == 0;
+           (key.qname.empty() ||
+            std::memcmp(e.name.data(), key.qname.data(), key.qname.size()) ==
+                0);
   });
-}
-
-bool AnswerCacheStage::Probe(const WireKey& key, std::uint64_t key_hash,
-                             FastHit& hit) const {
-  if (capacity_ == 0 || entries_.empty()) return false;
-  const std::uint32_t slot = FindSlot(key, key_hash);
   if (slot == util::FlatHashIndex::kNpos) return false;
   const CachedAnswer& e = entries_[slot];
   hit.wire = e.wire.data();
@@ -161,63 +146,17 @@ bool AnswerCacheStage::Probe(const WireKey& key, std::uint64_t key_hash,
   return true;
 }
 
-StageVerdict AnswerCacheStage::Admit(QueryContext& ctx) {
-  // Only the wire path is cache-eligible (the owning-Message path has no
-  // wire to memoize).
-  if (!ctx.wire_path || capacity_ == 0) return StageVerdict::kPass;
-  const dns::Question& q = ctx.query->questions.front();
-
-  // The key covers every query property that can shape the response bytes
-  // other than the id: the exact-case qname (the question echo preserves
-  // case), qtype, the header flag bits copied into the response (tc, rd —
-  // opcode and class are pinned by the screen stage), the effective payload
-  // limit (which also folds in the channel and the EDNS clamp), and whether
-  // an OPT record is echoed. Name::Hash() is case-folded, so different-case
-  // spellings share a hash and are split by the exact-byte equality check.
-  WireKey key;
-  key.qname = q.name.flat();
-  key.name_hash = q.name.Hash();
-  key.type = q.type;
-  key.flags = static_cast<std::uint8_t>(
-      (ctx.query->header.tc ? 2 : 0) | (ctx.query->header.rd ? 1 : 0));
-  key.echo_opt = ctx.echo_opt;
-  key.payload_limit = ctx.payload_limit;
-  ctx.cache_key_hash = KeyHash(key);
-  ctx.cache_probed = true;
-  pc_.cache_probes.Inc();
-
-  const std::uint32_t slot = FindSlot(key, ctx.cache_key_hash);
-  if (slot == util::FlatHashIndex::kNpos) return StageVerdict::kPass;
-
-  const CachedAnswer& e = entries_[slot];
-  CountDisposition(c_, e.disposition);
-  if (e.truncated) c_.truncated.Inc();
-  c_.cache_hits.Inc();
-  ctx.cached_wire = e.wire;
-  ctx.cached_wire[0] = static_cast<std::uint8_t>(ctx.query->header.id >> 8);
-  ctx.cached_wire[1] = static_cast<std::uint8_t>(ctx.query->header.id);
-  ctx.cache_hit = true;
-  return StageVerdict::kRespond;
-}
-
-void AnswerCacheStage::OnResponse(QueryContext& ctx, const util::Bytes& wire,
-                                  bool truncated) {
-  // Insert only live lookups the probe missed: cache_probed excludes the
-  // screened / cache-off / owning-Message paths, lookup excludes defense
-  // slips (which never reached the answerer).
-  if (!ctx.cache_probed || ctx.cache_hit || ctx.lookup == nullptr) return;
-  const dns::Question& q = ctx.query->questions.front();
-  const std::span<const std::uint8_t> qname = q.name.flat();
-
+void AnswerCacheStage::Insert(const WireKey& key, std::uint64_t key_hash,
+                              LookupDisposition disposition, bool truncated,
+                              const util::Bytes& wire) {
   CachedAnswer entry;
-  entry.hash = ctx.cache_key_hash;
-  entry.name.assign(qname.begin(), qname.end());
-  entry.type = q.type;
-  entry.flags = static_cast<std::uint8_t>(
-      (ctx.query->header.tc ? 2 : 0) | (ctx.query->header.rd ? 1 : 0));
-  entry.echo_opt = ctx.echo_opt;
-  entry.payload_limit = static_cast<std::uint32_t>(ctx.payload_limit);
-  entry.disposition = ctx.lookup->disposition;
+  entry.hash = key_hash;
+  entry.name.assign(key.qname.begin(), key.qname.end());
+  entry.type = key.type;
+  entry.flags = key.flags;
+  entry.echo_opt = key.echo_opt;
+  entry.payload_limit = static_cast<std::uint32_t>(key.payload_limit);
+  entry.disposition = disposition;
   entry.truncated = truncated;
   entry.wire = wire;
   entry.wire[0] = 0;
@@ -243,24 +182,12 @@ void AnswerCacheStage::OnResponse(QueryContext& ctx, const util::Bytes& wire,
   pc_.cache_insertions.Inc();
 }
 
-StageVerdict SnapshotAnswerStage::Admit(QueryContext& ctx) {
-  const dns::Question& q = ctx.query->questions.front();
-  (*snapshot_)->Lookup(q.name, q.type, include_dnssec_, scratch_);
+const zone::LookupView& SnapshotAnswerStage::Answer(
+    const zone::ZoneSnapshot& snapshot, const dns::Question& question) {
+  snapshot.Lookup(question.name, question.type, include_dnssec_, scratch_);
   pc_.snapshot_answers.Inc();
-
   CountDisposition(c_, scratch_.disposition);
-  dns::RCode rcode = dns::RCode::kNoError;
-  if (scratch_.disposition == LookupDisposition::kNxDomain) {
-    rcode = dns::RCode::kNXDomain;
-  } else if (scratch_.disposition == LookupDisposition::kOutOfZone) {
-    rcode = dns::RCode::kRefused;
-  }
-  ctx.aa = scratch_.disposition == LookupDisposition::kAnswer ||
-           scratch_.disposition == LookupDisposition::kNoData ||
-           scratch_.disposition == LookupDisposition::kNxDomain;
-  ctx.rcode = rcode;
-  ctx.lookup = &scratch_;
-  return StageVerdict::kRespond;
+  return scratch_;
 }
 
 }  // namespace rootless::rootsrv

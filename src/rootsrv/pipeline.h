@@ -1,5 +1,5 @@
-// The auth server's query-processing pipeline: an ordered chain of
-// composable stages that every serving path drives identically.
+// The auth server's query-processing stages, called in one fixed order by
+// AuthServer (auth_server.cc):
 //
 //   Screen        — header policy: EDNS clamp, FORMERR/NOTIMP/REFUSED.
 //   RateLimit     — per-client response rate limiting / resolver quota
@@ -8,13 +8,14 @@
 //   SnapshotAnswer— the zone lookup + classification that produces a live
 //                   answer when nothing earlier resolved the query.
 //
-// AuthServer::Answer (the owning-Message sim path), AuthServer::AnswerWire
-// (the zero-copy wire path) and the net:: TCP/UDP datagram handlers all run
-// the *same* chain — one EDNS-clamp/truncation implementation, one error
-// policy, one cache probe, one defense hook — and only differ in how the
-// resulting QueryContext is rendered. A stage stops the chain by returning
-// kRespond (the context describes the response) or kDrop (silence); kPass
-// hands the query to the next stage.
+// AuthServer::AnswerWire and the net:: TCP/UDP datagram handlers run every
+// stage; the UDP fast lane (AuthServer::TryFastLane) serves answer-cache
+// hits without decoding, and shares the policy code below with the slow
+// path instead of mirroring it: one EDNS payload-limit/OPT-echo function
+// (ApplyEdns), one limiter charge with its clock sample
+// (RateLimitStage::Charge), and one cache lookup (AnswerCacheStage::Probe)
+// plus hit accounting (AnswerCacheStage::CountProbe). Whatever the hit lane
+// calls is inline here, except the probe itself and CountDisposition.
 //
 // Counter layout: the per-disposition serving counters stay in module
 // "rootsrv.auth" (AuthCounters, unchanged names — the byte/counter parity
@@ -22,8 +23,11 @@
 // module "rootsrv.pipeline" (PipelineCounters).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,6 +45,13 @@ namespace rootless::rootsrv {
 // extra.
 enum class Channel { kUdp, kTcp };
 
+// TCP DNS messages are bounded by the 2-byte length prefix, not EDNS.
+inline constexpr std::size_t kMaxTcpMessage = 0xFFFF;
+
+// No transport peer to attribute a query to (detached tests, AnswerWire);
+// the rate limiter passes these through.
+inline constexpr std::uint64_t kUnattributed = ~0ULL;
+
 // EDNS0 (RFC 6891) response-size policy.
 struct EdnsConfig {
   // Truncation limit for queries WITHOUT an OPT record. RFC 1035 says 512;
@@ -56,6 +67,28 @@ struct EdnsConfig {
   // Echo an OPT record in responses to EDNS queries.
   bool echo_opt = true;
 };
+
+// What EDNS makes of one query: the response's truncation limit and whether
+// it echoes an OPT record.
+struct EdnsReply {
+  std::size_t payload_limit = 0;
+  bool echo_opt = false;
+};
+
+// The one EDNS policy function, for decoded (Screen) and shallow-parsed
+// (fast lane) queries alike. `requestor_payload` is the OPT CLASS field, the
+// requestor's maximum UDP payload size; it is ignored without an OPT.
+inline EdnsReply ApplyEdns(const EdnsConfig& edns, bool has_opt,
+                           std::size_t requestor_payload, Channel channel) {
+  EdnsReply reply{edns.default_udp_payload, false};
+  if (has_opt) {
+    reply.echo_opt = edns.echo_opt;
+    reply.payload_limit = std::clamp(requestor_payload, edns.min_udp_payload,
+                                     edns.max_udp_payload);
+  }
+  if (channel == Channel::kTcp) reply.payload_limit = kMaxTcpMessage;
+  return reply;
+}
 
 // Pre-resolved registry handles for the serving counters (module
 // "rootsrv.auth", one instance per server).
@@ -83,7 +116,7 @@ struct PipelineCounters {
   obs::Counter rrl_checked;       // queries evaluated by the rate limiter
   obs::Counter rrl_dropped;
   obs::Counter rrl_slipped;
-  obs::Counter cache_probes;      // wire-path queries that reached the cache
+  obs::Counter cache_probes;      // queries that reached the answer cache
   obs::Counter cache_insertions;
   obs::Counter cache_evictions;
   obs::Counter snapshot_answers;  // live lookup+encode executions
@@ -102,102 +135,36 @@ struct PipelineStats {
   std::uint64_t cache_insertions = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t snapshot_answers = 0;
-};
 
-// Everything one query carries through the chain. The owning AuthServer
-// fills the input block, the stages fill their output blocks, and the
-// caller renders whichever output block the final verdict points at.
-struct QueryContext {
-  // No transport peer to attribute the query to (the owning Answer() path
-  // and detached tests); the rate limiter passes these through.
-  static constexpr std::uint64_t kUnattributed = ~0ULL;
-
-  // ---- input ----------------------------------------------------------
-  const dns::Message* query = nullptr;
-  Channel channel = Channel::kUdp;
-  std::uint64_t client = kUnattributed;  // transport source endpoint
-  std::uint64_t now_us = 0;              // defense clock sample
-  bool wire_path = false;  // AnswerWire/HandleDatagram: cache-eligible
-
-  // ---- Screen outputs -------------------------------------------------
-  bool screened = false;  // diverted to an error response
-  dns::RCode screen_rcode = dns::RCode::kNoError;
-  std::size_t payload_limit = 0;
-  bool echo_opt = false;
-
-  // ---- RateLimit outputs ----------------------------------------------
-  bool rrl_slip = false;  // respond TC|REFUSED instead of dropping
-
-  // ---- AnswerCache outputs --------------------------------------------
-  bool cache_hit = false;
-  bool cache_probed = false;
-  std::uint64_t cache_key_hash = 0;
-  util::Bytes cached_wire;  // hit: response bytes, id already patched
-
-  // ---- SnapshotAnswer outputs -----------------------------------------
-  const zone::LookupView* lookup = nullptr;
-  dns::RCode rcode = dns::RCode::kNoError;
-  bool aa = false;
-};
-
-enum class StageVerdict {
-  kPass,     // hand the query to the next stage
-  kRespond,  // stop: the context describes the response to render
-  kDrop,     // stop: no response at all
-};
-
-class QueryStage {
- public:
-  virtual ~QueryStage() = default;
-  virtual const char* name() const = 0;
-  // Admission: runs in chain order until a stage returns kRespond/kDrop.
-  virtual StageVerdict Admit(QueryContext& ctx) = 0;
-  // Post-render hook (wire path only): observes the final response bytes of
-  // a live answer. Default no-op; the cache stage inserts here.
-  virtual void OnResponse(QueryContext& ctx, const util::Bytes& wire,
-                          bool truncated) {
-    (void)ctx;
-    (void)wire;
-    (void)truncated;
+  PipelineStats& operator+=(const PipelineStats& o) {
+    screen_diverted += o.screen_diverted;
+    rrl_checked += o.rrl_checked;
+    rrl_dropped += o.rrl_dropped;
+    rrl_slipped += o.rrl_slipped;
+    cache_probes += o.cache_probes;
+    cache_insertions += o.cache_insertions;
+    cache_evictions += o.cache_evictions;
+    snapshot_answers += o.snapshot_answers;
+    return *this;
   }
-};
-
-// The ordered chain. Owns nothing; the AuthServer owns the stages and their
-// registration order fixes the policy (screen before defense before cache
-// before answer).
-class QueryPipeline {
- public:
-  void Append(QueryStage* stage) { stages_.push_back(stage); }
-  StageVerdict Admit(QueryContext& ctx) {
-    for (QueryStage* stage : stages_) {
-      const StageVerdict verdict = stage->Admit(ctx);
-      if (verdict != StageVerdict::kPass) return verdict;
-    }
-    return StageVerdict::kRespond;
-  }
-  void OnResponse(QueryContext& ctx, const util::Bytes& wire, bool truncated) {
-    for (QueryStage* stage : stages_) stage->OnResponse(ctx, wire, truncated);
-  }
-  const std::vector<QueryStage*>& stages() const { return stages_; }
-
- private:
-  std::vector<QueryStage*> stages_;
 };
 
 // Bumps the per-disposition serving counter; shared by the live lookup path
 // and the cache-hit replay so cached and uncached serving count identically.
 void CountDisposition(AuthCounters& c, zone::LookupDisposition disposition);
 
-// ---- stage implementations ---------------------------------------------
+// ---- stages, in call order ---------------------------------------------
 
 // Header-level screening: EDNS payload clamp, question/OPT cardinality,
 // opcode and class policy, AXFR-over-UDP refusal.
-class ScreenStage : public QueryStage {
+class ScreenStage {
  public:
   ScreenStage(const EdnsConfig& edns, AuthCounters& c, PipelineCounters& pc)
       : edns_(edns), c_(c), pc_(pc) {}
-  const char* name() const override { return "screen"; }
-  StageVerdict Admit(QueryContext& ctx) override;
+  // Fills `reply` (a diverted query's error response needs it too) and
+  // returns the rcode to divert the query to, kNoError when it passes.
+  dns::RCode Admit(const dns::Message& query, Channel channel,
+                   EdnsReply& reply);
 
  private:
   const EdnsConfig& edns_;
@@ -208,41 +175,47 @@ class ScreenStage : public QueryStage {
 // Per-client response rate limiting (UDP only — TCP clients already proved
 // their source address). Inactive without a limiter, and passes queries the
 // transport could not attribute to a client.
-class RateLimitStage : public QueryStage {
+class RateLimitStage {
  public:
-  RateLimitStage(AuthCounters& c, PipelineCounters& pc) : c_(c), pc_(pc) {}
-  void SetLimiter(ResponseRateLimiter* limiter) { limiter_ = limiter; }
-  bool active() const { return limiter_ != nullptr; }
-  const char* name() const override { return "rate_limit"; }
-  StageVerdict Admit(QueryContext& ctx) override;
+  enum class Verdict { kPass, kSlip, kDrop };
 
-  // Fast-lane twin of Admit(): the same limiter charge and the same counter
-  // bumps, driven from shallow-parsed fields instead of a QueryContext
-  // (always a UDP query). kRespond means "slip a TC|REFUSED". The charge is
-  // stateful — the caller must already hold a committed outcome (a cache
-  // hit), because charging here and then falling back to the pipeline would
-  // bill the client twice for one query.
-  StageVerdict AdmitFast(std::uint64_t client, std::uint64_t now_us) {
-    if (limiter_ == nullptr || client == QueryContext::kUnattributed) {
-      return StageVerdict::kPass;
+  // Limits with `shared` when set, else with a private limiter built from
+  // `config` when it is enabled, else not at all. `clock` (microseconds) is
+  // sampled once per charged query; null means std::chrono::steady_clock.
+  RateLimitStage(const RrlConfig& config, ResponseRateLimiter* shared,
+                 std::function<std::uint64_t()> clock, AuthCounters& c,
+                 PipelineCounters& pc);
+  const ResponseRateLimiter* limiter() const { return limiter_; }
+
+  // The one limiter charge, for the slow path and the fast lane alike. The
+  // charge is stateful: the fast lane calls it only once it holds a
+  // committed outcome (a cache hit), because charging and then falling back
+  // to the slow path would bill the client twice for one query. kSlip means
+  // "respond TC|REFUSED"; kDrop means silence.
+  Verdict Charge(Channel channel, std::uint64_t client) {
+    if (limiter_ == nullptr || channel != Channel::kUdp ||
+        client == kUnattributed) {
+      return Verdict::kPass;
     }
     pc_.rrl_checked.Inc();
-    switch (limiter_->Admit(client, now_us)) {
+    switch (limiter_->Admit(client, clock_())) {
       case ResponseRateLimiter::Decision::kAllow:
-        return StageVerdict::kPass;
+        return Verdict::kPass;
       case ResponseRateLimiter::Decision::kSlip:
         pc_.rrl_slipped.Inc();
         c_.refused.Inc();
-        return StageVerdict::kRespond;
+        return Verdict::kSlip;
       case ResponseRateLimiter::Decision::kDrop:
         break;
     }
     pc_.rrl_dropped.Inc();
-    return StageVerdict::kDrop;
+    return Verdict::kDrop;
   }
 
  private:
+  std::unique_ptr<ResponseRateLimiter> owned_;
   ResponseRateLimiter* limiter_ = nullptr;
+  std::function<std::uint64_t()> clock_;
   AuthCounters& c_;
   PipelineCounters& pc_;
 };
@@ -255,12 +228,19 @@ class RateLimitStage : public QueryStage {
 // capacity, a miss evicts the oldest inserted entry (FIFO clock) — a
 // random-qname water-torture storm churns the cache instead of pinning its
 // first fill forever, and the eviction counter makes the churn observable.
-class AnswerCacheStage : public QueryStage {
+class AnswerCacheStage {
  public:
-  // The full cache key, assembled either from a decoded Message (Admit) or
-  // straight from raw datagram bytes by the UDP fast lane (wire_probe.h).
-  // `name_hash` must equal dns::Name::Hash() of the qname — compute it with
-  // util::simd::NameHash over the flat label bytes.
+  // The full cache key, assembled either from a decoded Message or straight
+  // from raw datagram bytes by the UDP fast lane (wire_probe.h). It covers
+  // every query property that can shape the response bytes other than the
+  // id: the exact-case qname (the question echo preserves case), qtype, the
+  // header flag bits copied into the response (tc, rd — opcode and class
+  // are pinned by the screen stage), the effective payload limit (which
+  // also folds in the channel and the EDNS clamp), and whether an OPT
+  // record is echoed. `name_hash` must equal dns::Name::Hash() of the qname
+  // (util::simd::NameHash over the flat label bytes): it is case-folded, so
+  // different-case spellings share a hash and are split by the exact-byte
+  // equality check.
   struct WireKey {
     std::span<const std::uint8_t> qname;  // flat, exact case, no root octet
     std::uint64_t name_hash = 0;
@@ -269,15 +249,18 @@ class AnswerCacheStage : public QueryStage {
     bool echo_opt = false;
     std::size_t payload_limit = 0;
   };
-  // Borrowed view of a cached hit; valid until the next insert or Drop().
-  struct FastHit {
+  static std::uint8_t Flags(bool tc, bool rd) {
+    return static_cast<std::uint8_t>((tc ? 2 : 0) | (rd ? 1 : 0));
+  }
+  // Borrowed view of a cached answer; valid until the next Insert or Drop().
+  struct Hit {
     const std::uint8_t* wire = nullptr;  // id bytes zeroed
     std::size_t size = 0;
     zone::LookupDisposition disposition = zone::LookupDisposition::kAnswer;
     bool truncated = false;
   };
-  // One key-hash formula for Admit and the fast lane: the name hash salted
-  // with every other response-shaping property.
+  // The key-hash formula: the name hash salted with every other
+  // response-shaping property.
   static std::uint64_t KeyHash(const WireKey& key) {
     const std::uint64_t salt =
         (static_cast<std::uint64_t>(key.type) << 32) |
@@ -288,15 +271,28 @@ class AnswerCacheStage : public QueryStage {
 
   AnswerCacheStage(std::size_t capacity, AuthCounters& c, PipelineCounters& pc)
       : capacity_(capacity), c_(c), pc_(pc) {}
-  const char* name() const override { return "answer_cache"; }
-  StageVerdict Admit(QueryContext& ctx) override;
-  void OnResponse(QueryContext& ctx, const util::Bytes& wire,
-                  bool truncated) override;
+  bool enabled() const { return capacity_ != 0; }
 
-  // Side-effect-free lookup for the fast lane: no counters, no context —
-  // the caller only commits to serving (and counting) after a hit, so a
-  // miss leaves the pipeline's state exactly as the fallback path expects.
-  bool Probe(const WireKey& key, std::uint64_t key_hash, FastHit& hit) const;
+  // The lookup, side-effect free: no counters. The fast lane probes before
+  // it commits to serving, so a miss leaves the server's state exactly as
+  // the slow path expects.
+  bool Probe(const WireKey& key, std::uint64_t key_hash, Hit& hit) const;
+
+  // Counts one query that reached the cache — `hit` is null on a miss —
+  // replaying a hit's disposition and truncation so cached and uncached
+  // serving count identically.
+  void CountProbe(const Hit* hit) {
+    pc_.cache_probes.Inc();
+    if (hit == nullptr) return;
+    CountDisposition(c_, hit->disposition);
+    if (hit->truncated) c_.truncated.Inc();
+    c_.cache_hits.Inc();
+  }
+
+  // Memoizes the live answer to a query that missed.
+  void Insert(const WireKey& key, std::uint64_t key_hash,
+              zone::LookupDisposition disposition, bool truncated,
+              const util::Bytes& wire);
 
   void Drop() {
     entries_.clear();
@@ -318,8 +314,6 @@ class AnswerCacheStage : public QueryStage {
     util::Bytes wire;  // stored with the id bytes zeroed
   };
 
-  std::uint32_t FindSlot(const WireKey& key, std::uint64_t key_hash) const;
-
   std::size_t capacity_;
   AuthCounters& c_;
   PipelineCounters& pc_;
@@ -328,18 +322,19 @@ class AnswerCacheStage : public QueryStage {
   std::size_t clock_ = 0;  // next eviction victim once at capacity
 };
 
-// The snapshot answerer: zone lookup + disposition classification. Always
-// the last stage; never passes.
-class SnapshotAnswerStage : public QueryStage {
+// The snapshot answerer: zone lookup + disposition classification, for the
+// queries no earlier stage resolved.
+class SnapshotAnswerStage {
  public:
-  SnapshotAnswerStage(const zone::SnapshotPtr* snapshot, bool include_dnssec,
-                      AuthCounters& c, PipelineCounters& pc)
-      : snapshot_(snapshot), include_dnssec_(include_dnssec), c_(c), pc_(pc) {}
-  const char* name() const override { return "snapshot_answer"; }
-  StageVerdict Admit(QueryContext& ctx) override;
+  SnapshotAnswerStage(bool include_dnssec, AuthCounters& c,
+                      PipelineCounters& pc)
+      : include_dnssec_(include_dnssec), c_(c), pc_(pc) {}
+  // The returned view borrows `snapshot`'s arena and this stage's scratch;
+  // it is valid until the next Answer().
+  const zone::LookupView& Answer(const zone::ZoneSnapshot& snapshot,
+                                 const dns::Question& question);
 
  private:
-  const zone::SnapshotPtr* snapshot_;  // the owning server's swappable slot
   bool include_dnssec_;
   AuthCounters& c_;
   PipelineCounters& pc_;

@@ -16,8 +16,7 @@
 //     the F-ROOT study's regimes (good-coverage regions see ~tens of ms to
 //     the root; poor-coverage regions see several times that).
 //   * The node→location table and pairwise latency function the simulated
-//     network uses (absorbing GeoRegistry, which remains as a deprecated
-//     adapter over this class for one release).
+//     network uses.
 //
 // Everything here is a deterministic function of TopologyOptions; two
 // Topology objects built from equal options agree on every query.
@@ -140,7 +139,7 @@ class Topology {
   // RTT-based root selector sees.
   RttDistribution RegionRootRtt(int region, int samples = 64) const;
 
-  // --- node placement and network latency (absorbs GeoRegistry) -------
+  // --- node placement and network latency ------------------------------
   void PlaceNode(sim::NodeId node, const GeoPoint& location);
   GeoPoint LocationOf(sim::NodeId node) const;
   sim::SimTime Latency(sim::NodeId a, sim::NodeId b) const;

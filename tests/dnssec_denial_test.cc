@@ -190,8 +190,9 @@ struct AttackEnv {
     net.set_latency_fn(registry.LatencyFn());
     signed_zone = std::make_shared<zone::Zone>(keys.signed_zone);
     signed_snapshot = zone::ZoneSnapshot::Build(*signed_zone);
-    root = std::make_unique<rootsrv::AuthServer>(net, signed_snapshot,
-                                                 /*include_dnssec=*/true);
+    root = std::make_unique<rootsrv::AuthServer>(
+        &net, signed_snapshot,
+        rootsrv::AuthServer::Options{.include_dnssec = true});
     registry.PlaceNode(root->node(), {40, -74});
     farm = std::make_unique<rootsrv::TldFarm>(net, registry, *signed_snapshot,
                                               9);

@@ -60,16 +60,19 @@ TEST(AuthServerEdge, ServesSignedZoneWithDnssecSections) {
                   .AddRecord({N("com."), RRType::kDS, RRClass::kIN, 86400,
                               dns::DsData{1, 8, 2, {0xAB}}})
                   .ok());
-  auto signed_zone =
-      std::make_shared<zone::Zone>(zone::SignZone(plain, zsk, {0, 10000}));
-
-  sim::Simulator sim;
-  sim::Network net(sim, 2);
-  rootsrv::AuthServer server(net, signed_zone, /*include_dnssec=*/true);
+  const zone::SnapshotPtr signed_zone =
+      zone::ZoneSnapshot::Build(zone::SignZone(plain, zsk, {0, 10000}));
+  rootsrv::AuthServer server(nullptr, signed_zone, {.include_dnssec = true});
+  // The whole answer, decoded: over TCP, so never truncated.
+  const auto ask = [&server](const dns::Message& query) {
+    auto decoded =
+        dns::DecodeMessage(server.AnswerWire(query, rootsrv::Channel::kTcp));
+    EXPECT_TRUE(decoded.ok());
+    return decoded.ok() ? *decoded : dns::Message{};
+  };
 
   // Referral carries DS + RRSIG(DS).
-  const auto referral =
-      server.Answer(dns::MakeQuery(1, N("www.x.com."), RRType::kA));
+  const auto referral = ask(dns::MakeQuery(1, N("www.x.com."), RRType::kA));
   bool has_ds = false, has_rrsig = false;
   for (const auto& rr : referral.authority) {
     has_ds |= rr.type == RRType::kDS;
@@ -79,8 +82,7 @@ TEST(AuthServerEdge, ServesSignedZoneWithDnssecSections) {
   EXPECT_TRUE(has_rrsig);
 
   // NXDOMAIN carries a signed covering NSEC.
-  const auto denial =
-      server.Answer(dns::MakeQuery(2, N("junk.bogus."), RRType::kA));
+  const auto denial = ask(dns::MakeQuery(2, N("junk.bogus."), RRType::kA));
   EXPECT_EQ(denial.header.rcode, dns::RCode::kNXDomain);
   bool has_nsec = false;
   for (const auto& rr : denial.authority) has_nsec |= rr.type == RRType::kNSEC;

@@ -167,7 +167,7 @@ class TcpClient {
 };
 
 TEST(EventLoop, DispatchesAndWakes) {
-  EpollLoop loop;
+  EventLoop loop;
   ASSERT_TRUE(loop.ok());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -195,7 +195,7 @@ TEST(EventLoop, DispatchesAndWakes) {
 }
 
 TEST(EventLoop, StopWakesABlockedRun) {
-  EpollLoop loop;
+  EventLoop loop;
   ASSERT_TRUE(loop.ok());
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);

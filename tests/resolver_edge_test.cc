@@ -55,7 +55,8 @@ struct Env {
 
   Env() {
     net.set_latency_fn(registry.LatencyFn());
-    root = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+    root = std::make_unique<rootsrv::AuthServer>(
+        &net, root_snapshot, rootsrv::AuthServer::Options{});
     registry.PlaceNode(root->node(), {40, -74});
     farm = std::make_unique<rootsrv::TldFarm>(net, registry, *root_snapshot,
                                               3);

@@ -248,7 +248,8 @@ struct E2E {
         r->SetLocalZone(root_snapshot);
         break;
       case RootMode::kLoopbackAuth:
-        loopback = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+        loopback = std::make_unique<rootsrv::AuthServer>(
+            &net, root_snapshot, rootsrv::AuthServer::Options{});
         registry.PlaceNode(loopback->node(), where);
         r->SetLoopbackNode(loopback->node());
         r->SetLocalZone(root_snapshot);  // loopback operators hold a copy

@@ -47,13 +47,25 @@ struct Fixture {
                                  dns::AData{*dns::Ipv4::Parse("192.0.2.1")}})
                     .ok());
   }
+
+  zone::SnapshotPtr Snapshot() const {
+    return zone::ZoneSnapshot::Build(*root_zone);
+  }
 };
+
+// The answer to `query`, decoded; over TCP by default, so never truncated.
+dns::Message Ask(AuthServer& server, const dns::Message& query,
+                 Channel channel = Channel::kTcp) {
+  auto decoded = dns::DecodeMessage(server.AnswerWire(query, channel));
+  EXPECT_TRUE(decoded.ok());
+  return decoded.ok() ? *decoded : dns::Message{};
+}
 
 TEST(AuthServer, AnswersReferral) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   const auto query = dns::MakeQuery(7, N("www.example.com."), RRType::kA);
-  const auto response = server.Answer(query);
+  const auto response = Ask(server, query);
   EXPECT_EQ(response.header.rcode, dns::RCode::kNoError);
   EXPECT_FALSE(response.header.aa);
   ASSERT_FALSE(response.authority.empty());
@@ -64,9 +76,9 @@ TEST(AuthServer, AnswersReferral) {
 
 TEST(AuthServer, AnswersNxdomainForBogusTld) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   const auto response =
-      server.Answer(dns::MakeQuery(8, N("foo.bogus-junk."), RRType::kA));
+      Ask(server, dns::MakeQuery(8, N("foo.bogus-junk."), RRType::kA));
   EXPECT_EQ(response.header.rcode, dns::RCode::kNXDomain);
   EXPECT_TRUE(response.header.aa);
   ASSERT_FALSE(response.authority.empty());
@@ -76,7 +88,7 @@ TEST(AuthServer, AnswersNxdomainForBogusTld) {
 
 TEST(AuthServer, RespondsOverNetwork) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   dns::Message got;
   const sim::NodeId client = f.net.AddNode([&](const sim::Datagram& d) {
     auto m = dns::DecodeMessage(d.payload);
@@ -97,7 +109,7 @@ TEST(AuthServer, RespondsOverNetwork) {
 
 TEST(AuthServer, DropsMalformedQueries) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   const sim::NodeId client = f.net.AddNode(nullptr);
   f.net.Send(client, server.node(), util::Bytes{1, 2, 3});
   f.sim.Run();
@@ -106,19 +118,45 @@ TEST(AuthServer, DropsMalformedQueries) {
 
 TEST(AuthServer, ZoneSwapTakesEffect) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   auto new_zone = std::make_shared<zone::Zone>(*f.root_zone);
   ASSERT_TRUE(new_zone
                   ->AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
                                172800, dns::NsData{N("ns.nic.dev.")}})
                   .ok());
-  EXPECT_EQ(server.Answer(dns::MakeQuery(1, N("a.dev."), RRType::kA))
+  EXPECT_EQ(Ask(server, dns::MakeQuery(1, N("a.dev."), RRType::kA))
                 .header.rcode,
             dns::RCode::kNXDomain);
-  server.SetZone(new_zone);
-  EXPECT_EQ(server.Answer(dns::MakeQuery(2, N("a.dev."), RRType::kA))
+  server.SetZone(zone::ZoneSnapshot::Build(*new_zone));
+  EXPECT_EQ(Ask(server, dns::MakeQuery(2, N("a.dev."), RRType::kA))
                 .header.rcode,
             dns::RCode::kNoError);
+}
+
+// Root-owner answers (". SOA", ". NS") have an empty qname, so their cache
+// entries are compared without memcmp: an empty name's data() may be null.
+// Every hit, through AnswerWire or the fast lane, replays the miss's bytes.
+TEST(AuthServer, RootOwnerAnswersHitTheCacheByteForByte) {
+  Fixture f;
+  zone::Zone zone = *f.root_zone;
+  ASSERT_TRUE(zone.AddRecord({Name(), RRType::kNS, dns::RRClass::kIN, 518400,
+                              dns::NsData{N("a.root-servers.net.")}})
+                  .ok());
+  AuthServer server(nullptr, zone::ZoneSnapshot::Build(zone), {});
+  for (const RRType type : {RRType::kSOA, RRType::kNS}) {
+    const auto query = dns::MakeQuery(0x0101, Name(), type);
+    const util::Bytes miss = server.AnswerWire(query);
+    ASSERT_GE(miss.size(), 12u);
+    EXPECT_EQ(server.AnswerWire(query), miss);
+    const util::Bytes datagram = dns::EncodeMessage(query);
+    std::uint8_t out[1232];
+    std::size_t out_size = 0;
+    ASSERT_EQ(server.TryFastLane(datagram, 0, out, sizeof(out), out_size),
+              net::FastVerdict::kResponded);
+    EXPECT_EQ(util::Bytes(out, out + out_size), miss);
+  }
+  EXPECT_EQ(server.stats().cache_hits, 4u);
+  EXPECT_EQ(server.pipeline_stats().cache_insertions, 2u);
 }
 
 // ---- EDNS0 / truncation / preflight / answer cache --------------------
@@ -188,7 +226,7 @@ TEST(AuthServerEdns, HonorsRequestorPayloadTiers) {
 
 TEST(AuthServerEdns, EchoesOptWhenResponseFits) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   const auto wire = server.AnswerWire(
       WithOpt(dns::MakeQuery(1, N("www.com."), RRType::kA), 1232));
   EXPECT_FALSE(TcBit(wire));
@@ -230,35 +268,38 @@ TEST(AuthServerEdns, TcpNeverTruncates) {
 
 TEST(AuthServerPreflight, ScreensProtocolViolations) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
+  const auto rcode = [&](const dns::Message& query) {
+    return Ask(server, query, Channel::kUdp).header.rcode;
+  };
 
   // Two questions: FORMERR.
   auto two_questions = dns::MakeQuery(1, N("a.com."), RRType::kA);
   two_questions.questions.push_back({N("b.com."), RRType::kA,
                                      dns::RRClass::kIN});
-  EXPECT_EQ(server.Answer(two_questions).header.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(rcode(two_questions), dns::RCode::kFormErr);
 
   // Two OPT records: FORMERR (RFC 6891 §6.1.1).
   const auto two_opts =
       WithOpt(WithOpt(dns::MakeQuery(2, N("a.com."), RRType::kA), 1232), 1232);
-  EXPECT_EQ(server.Answer(two_opts).header.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(rcode(two_opts), dns::RCode::kFormErr);
 
   // Non-query opcode: NOTIMP.
   auto notify = dns::MakeQuery(3, N("a.com."), RRType::kA);
   notify.header.opcode = dns::Opcode::kNotify;
-  EXPECT_EQ(server.Answer(notify).header.rcode, dns::RCode::kNotImp);
+  EXPECT_EQ(rcode(notify), dns::RCode::kNotImp);
 
   // Non-IN class: REFUSED.
   auto chaos = dns::MakeQuery(4, N("version.bind."), RRType::kTXT);
   chaos.questions.front().rrclass = dns::RRClass::kCH;
-  EXPECT_EQ(server.Answer(chaos).header.rcode, dns::RCode::kRefused);
+  EXPECT_EQ(rcode(chaos), dns::RCode::kRefused);
 
-  // AXFR over UDP: REFUSED (TCP front-ends divert AXFR before the server).
+  // AXFR over UDP: REFUSED (TCP front-ends divert AXFR before the server),
+  // and never memoized: the second answer is screened again.
   const auto axfr = dns::MakeQuery(5, Name(), RRType::kAXFR);
-  const auto axfr_answer = server.Answer(axfr);
-  EXPECT_EQ(axfr_answer.header.rcode, dns::RCode::kRefused);
+  EXPECT_EQ(rcode(axfr), dns::RCode::kRefused);
   EXPECT_EQ(server.AnswerWire(axfr, Channel::kUdp),
-            dns::EncodeMessage(axfr_answer));
+            dns::EncodeMessage(dns::MakeResponse(axfr, dns::RCode::kRefused)));
 
   EXPECT_EQ(server.stats().malformed, 2u);
   EXPECT_EQ(server.stats().refused, 4u);  // notimp + chaos + 2x axfr
@@ -266,7 +307,7 @@ TEST(AuthServerPreflight, ScreensProtocolViolations) {
 
 TEST(AuthServerCache, HitsAreByteIdenticalModuloId) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   const auto first =
       server.AnswerWire(dns::MakeQuery(0x1111, N("www.x.com."), RRType::kA));
   const auto second =
@@ -310,7 +351,7 @@ TEST(AuthServerCache, DistinguishesEveryKeyDimension) {
 
 TEST(AuthServerCache, SetZoneInvalidates) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.Snapshot(), {});
   EXPECT_EQ(server.AnswerWire(dns::MakeQuery(1, N("a.dev."), RRType::kA))[3] &
                 0x0F,
             static_cast<int>(dns::RCode::kNXDomain));
@@ -319,7 +360,7 @@ TEST(AuthServerCache, SetZoneInvalidates) {
                   ->AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
                                172800, dns::NsData{N("ns.nic.dev.")}})
                   .ok());
-  server.SetZone(new_zone);
+  server.SetZone(zone::ZoneSnapshot::Build(*new_zone));
   EXPECT_EQ(server.AnswerWire(dns::MakeQuery(2, N("a.dev."), RRType::kA))[3] &
                 0x0F,
             static_cast<int>(dns::RCode::kNoError));
@@ -330,8 +371,8 @@ TEST(AuthServerCache, DisabledServerStillAnswersIdentically) {
   Fixture f;
   AuthServer::Options options;
   options.answer_cache_entries = 0;
-  AuthServer cached(f.net, f.root_zone);
-  AuthServer plain(nullptr, zone::ZoneSnapshot::Build(*f.root_zone), options);
+  AuthServer cached(&f.net, f.Snapshot(), {});
+  AuthServer plain(nullptr, f.Snapshot(), options);
   for (int i = 0; i < 3; ++i) {
     const auto query =
         dns::MakeQuery(static_cast<std::uint16_t>(i), N("go.com."), RRType::kA);
@@ -385,6 +426,44 @@ TEST(Fleet, StatsAggregate) {
   EXPECT_EQ(fleet.LetterStats('j').queries, 5u);
   EXPECT_EQ(fleet.LetterStats('a').queries, 0u);
   EXPECT_EQ(fleet.TotalStats().nxdomain, 5u);
+}
+
+TEST(Fleet, TotalStatsSumsEveryField) {
+  Fixture f;
+  RootServerFleet fleet(f.net, f.registry, BigReferralSnapshot());
+  ASSERT_GE(fleet.instances().size(), 2u);
+  AuthServer& first = *fleet.instances().front().server;
+  AuthServer& last = *fleet.instances().back().server;
+  // EDNS, truncated, then a cache hit that replays the truncation.
+  const auto edns = WithOpt(dns::MakeQuery(1, N("www.big."), RRType::kA), 512);
+  EXPECT_TRUE(TcBit(first.AnswerWire(edns)));
+  EXPECT_TRUE(TcBit(first.AnswerWire(edns)));
+  EXPECT_TRUE(TcBit(last.AnswerWire(dns::MakeQuery(2, N("www.big."),
+                                                   RRType::kA))));
+  EXPECT_FALSE(TcBit(last.AnswerWire(
+      dns::MakeQuery(3, N("www.big."), RRType::kA), Channel::kTcp)));
+
+  AuthServerStats sum;
+  for (const auto& instance : fleet.instances()) {
+    const AuthServerStats s = instance.server->stats();
+    sum.queries += s.queries;
+    sum.answers += s.answers;
+    sum.referrals += s.referrals;
+    sum.nxdomain += s.nxdomain;
+    sum.nodata += s.nodata;
+    sum.refused += s.refused;
+    sum.malformed += s.malformed;
+    sum.truncated += s.truncated;
+    sum.edns_queries += s.edns_queries;
+    sum.cache_hits += s.cache_hits;
+    sum.bytes_in += s.bytes_in;
+    sum.bytes_out += s.bytes_out;
+  }
+  EXPECT_EQ(sum.queries, 4u);
+  EXPECT_EQ(sum.truncated, 3u);
+  EXPECT_EQ(sum.edns_queries, 2u);
+  EXPECT_EQ(sum.cache_hits, 1u);
+  EXPECT_TRUE(fleet.TotalStats() == sum);
 }
 
 TEST(TldFarm, BuildsFromRootZoneAndAnswers) {
