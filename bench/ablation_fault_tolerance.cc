@@ -90,7 +90,7 @@ LossPoint RunLossPoint(double loss, bool with_policy) {
                                     .max_backoff = 10 * sim::kSecond,
                                     .jitter = 0.3};
   } else {
-    config.max_retries = 0;  // single attempt per leg: the no-policy arm
+    config.retry = sim::RetryPolicy::None();  // the no-policy arm
   }
   const topo::GeoPoint where{40.71, -74.0};
   resolver::RecursiveResolver r(sim, net, {config, where, nullptr, &topology});

@@ -1,9 +1,8 @@
 // Hot-path perf harness: micro-benchmarks for the name/cache/simulator
 // layers plus a DITL-scale end-to-end replay, emitting BENCH_hotpath.json.
 //
-// Unlike the google-benchmark suites (micro_benchmarks.cc), this harness is
-// meant to be *run by the build* (the `bench_hotpath` target) and to leave a
-// machine-readable record of the repo's perf trajectory. Usage:
+// It is meant to be *run by the build* (the `bench_hotpath` target) and to
+// leave a machine-readable record of the repo's perf trajectory. Usage:
 //
 //   hotpath_bench [--out BENCH_hotpath.json] [--baseline old.json]
 //
@@ -22,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
+#include "distrib/rsync.h"
 #include "dns/message.h"
 #include "dns/name.h"
 #include "obs/export.h"
@@ -38,6 +39,9 @@
 #include "traffic/workload.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
+#include "zone/master_file.h"
+#include "zone/rzc.h"
+#include "zone/snapshot.h"
 #include "zone/zone_diff.h"
 #include "zone/zone_snapshot.h"
 
@@ -77,11 +81,12 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Runs `body(iters)` with growing iteration counts until it consumes at
-// least `min_seconds`, then reports nanoseconds per iteration.
+// Runs `body(iters)` with growing iteration counts, from `iters`, until it
+// consumes at least `min_seconds`, then reports nanoseconds per iteration.
+// Kernels that take milliseconds per call start at one iteration.
 template <typename Body>
-double MeasureNsPerOp(Body&& body, double min_seconds = 0.25) {
-  std::uint64_t iters = 1024;
+double MeasureNsPerOp(Body&& body, double min_seconds = 0.25,
+                      std::uint64_t iters = 1024) {
   for (;;) {
     const auto start = Clock::now();
     body(iters);
@@ -279,6 +284,104 @@ double BenchCachePutCold() {
       cache.Put(pool[i++ & (kPool - 1)], 0);
     }
   });
+}
+
+// ------------------------------------------- codec and transfer kernels
+
+// The referral a root server sends for www.example.com./A (.com's NS set
+// plus glue), as an owning Message.
+dns::Message ReferralMessage() {
+  const dns::Name qname = *dns::Name::Parse("www.example.com.");
+  const auto lookup = RootZone().Lookup(qname, dns::RRType::kA);
+  dns::Message m = dns::MakeQuery(42, qname, dns::RRType::kA);
+  m.header.qr = true;
+  for (const auto& s : lookup.authority) {
+    for (auto&& rr : s.ToRecords()) m.authority.push_back(std::move(rr));
+  }
+  for (const auto& s : lookup.additional) {
+    for (auto&& rr : s.ToRecords()) m.additional.push_back(std::move(rr));
+  }
+  return m;
+}
+
+double BenchMessageEncode() {
+  const dns::Message m = ReferralMessage();
+  return MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t bytes = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      bytes += dns::EncodeMessage(m).size();
+    }
+    if (bytes == 1) std::printf("impossible\n");
+  });
+}
+
+double BenchMessageDecode() {
+  const util::Bytes wire = dns::EncodeMessage(ReferralMessage());
+  return MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t records = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      records += dns::DecodeMessage(wire)->authority.size();
+    }
+    if (records == 1) std::printf("impossible\n");
+  });
+}
+
+// SHA-256 over `size` seeded random bytes.
+double BenchSha256(std::size_t size) {
+  util::Bytes data(size);
+  util::Rng rng(1);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Below(256));
+  return MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t acc = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      acc += crypto::Sha256::Hash(data)[0];
+    }
+    if (acc == 1) std::printf("impossible\n");
+  }, 0.25, 1);
+}
+
+// RZC over the whole root zone in master-file text, both directions.
+struct RzcBenchResult {
+  double compress_ns = 0;
+  double decompress_ns = 0;
+};
+
+RzcBenchResult BenchRzc() {
+  const std::string text = zone::SerializeMasterFile(RootZone().AllRecords());
+  const util::Bytes compressed = zone::RzcCompressText(text);
+  RzcBenchResult result;
+  result.compress_ns = MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t bytes = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      bytes += zone::RzcCompressText(text).size();
+    }
+    if (bytes == 1) std::printf("impossible\n");
+  }, 0.25, 1);
+  result.decompress_ns = MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t bytes = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      bytes += zone::RzcDecompressText(compressed)->size();
+    }
+    if (bytes == 1) std::printf("impossible\n");
+  }, 0.25, 1);
+  return result;
+}
+
+// The daily rsync delta: one day's serialized root zone against the
+// previous day's 2048-byte block signature.
+double BenchRsyncDailyDelta() {
+  const zone::RootZoneModel model;
+  const util::Bytes day1 = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
+  const util::Bytes day2 = zone::SerializeZone(model.Snapshot({2019, 4, 2}));
+  const distrib::FileSignature signature =
+      distrib::ComputeSignature(day1, 2048);
+  return MeasureNsPerOp([&](std::uint64_t iters) {
+    std::size_t ops = 0;
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      ops += distrib::ComputeDelta(signature, day2).ops.size();
+    }
+    if (ops == 1) std::printf("impossible\n");
+  }, 0.25, 1);
 }
 
 // ------------------------------------------------ snapshot-layer benches
@@ -701,6 +804,14 @@ int main(int argc, char** argv) {
   run("cache_probe_miss_ns", BenchCacheProbeMiss());
   run("cache_put_ns", BenchCachePut());
   run("cache_put_cold_ns", BenchCachePutCold());
+  run("message_encode_ns", BenchMessageEncode());
+  run("message_decode_ns", BenchMessageDecode());
+  run("sha256_1k_ns", BenchSha256(1024));
+  run("sha256_64k_ns", BenchSha256(64 * 1024));
+  const RzcBenchResult rzc = BenchRzc();
+  run("rzc_compress_ns", rzc.compress_ns);
+  run("rzc_decompress_ns", rzc.decompress_ns);
+  run("rsync_daily_delta_ns", BenchRsyncDailyDelta());
   run("sim_event_churn_ns", BenchSimEventChurn());
   run("sim_queue_500k_ns", BenchSimQueueMillion(sim::QueuePolicy::kBinaryHeap));
   run("sim_queue_500k_cal_ns",

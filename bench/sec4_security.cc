@@ -84,7 +84,7 @@ Outcome Run(resolver::RootMode mode, bool validate) {
   config.seed = 7;
   config.validate_denials = validate;
   config.validation_now = 1'000'000'000;
-  config.max_retries = 2;
+  config.retry.max_attempts = 3;
   config.negative_cache = false;  // isolate the attack effect
   const topo::GeoPoint where{35.68, 139.69};  // Tokyo
   resolver::RecursiveResolver r(sim, net, {config, where, nullptr, &topology});

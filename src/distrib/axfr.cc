@@ -39,12 +39,7 @@ AxfrServer::AxfrServer(net::Transport& network, ZoneProvider provider,
       chunk_size_(chunk_size) {
   node_ = network_.AddNode(
       [this](const sim::Datagram& d) { HandleDatagram(d); });
-  obs::Registry& reg = registry ? *registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("distrib.axfr.server"), "", ""};
-  requests_ = reg.counter("distrib.axfr.server.requests", labels);
-  uptodate_ = reg.counter("distrib.axfr.server.uptodate", labels);
-  chunks_sent_ = reg.counter("distrib.axfr.server.chunks_sent", labels);
-  bytes_sent_ = reg.counter("distrib.axfr.server.bytes_sent", labels);
+  c_.Register(registry, "distrib.axfr.server");
 }
 
 void AxfrServer::HandleDatagram(const sim::Datagram& datagram) {
@@ -53,12 +48,12 @@ void AxfrServer::HandleDatagram(const sim::Datagram& datagram) {
   if (!ReadHeader(r, tag)) return;
 
   if (tag == kReq) {
-    requests_.Inc();
+    c_.requests.Inc();
     std::uint32_t have_serial = 0;
     if (!r.ReadU32(have_serial)) return;
     zone::SnapshotPtr current = provider_();
     if (current->Serial() == have_serial) {
-      uptodate_.Inc();
+      c_.uptodate.Inc();
       ByteWriter w;
       WriteHeader(kUpToDate, w);
       w.WriteU32(have_serial);
@@ -95,8 +90,8 @@ void AxfrServer::HandleDatagram(const sim::Datagram& datagram) {
     w.WriteU32(index);
     w.WriteVarint(len);
     w.WriteBytes(std::span(cached_snapshot_).subspan(offset, len));
-    chunks_sent_.Inc();
-    bytes_sent_.Inc(len);
+    c_.chunks_sent.Inc();
+    c_.bytes_sent.Inc(len);
     network_.Send(node_, datagram.src, w.TakeData());
   }
 }
@@ -112,14 +107,7 @@ AxfrClient::AxfrClient(sim::Simulator& sim, net::Transport& network,
       rng_(options.seed) {
   node_ = network_.AddNode(
       [this](const sim::Datagram& d) { HandleDatagram(d); });
-  obs::Registry& reg =
-      options.registry ? *options.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("distrib.axfr.client"), "", ""};
-  transfers_ = reg.counter("distrib.axfr.client.transfers", labels);
-  uptodate_ = reg.counter("distrib.axfr.client.uptodate", labels);
-  chunks_received_ = reg.counter("distrib.axfr.client.chunks_received", labels);
-  retransmits_ = reg.counter("distrib.axfr.client.retransmits", labels);
-  failures_ = reg.counter("distrib.axfr.client.failures", labels);
+  c_.Register(options.registry, "distrib.axfr.client");
 }
 
 void AxfrClient::Fetch(sim::NodeId server, std::uint32_t have_serial,
@@ -144,7 +132,7 @@ void AxfrClient::ArmMetaTimeout(std::uint32_t have_serial,
       FinishError(ErrorCode::kTimeout, "axfr: no response to transfer request");
       return;
     }
-    retransmits_.Inc();
+    c_.retransmits.Inc();
     const sim::SimTime backoff =
         sim::JitteredBackoff(retry_, transfer_->meta_retries + 1, rng_);
     if (backoff == 0) {
@@ -207,7 +195,7 @@ void AxfrClient::ArmChunkTimeout(std::uint32_t index,
                   "axfr: chunk " + std::to_string(index) + " lost");
       return;
     }
-    retransmits_.Inc();
+    c_.retransmits.Inc();
     const sim::SimTime backoff =
         sim::JitteredBackoff(retry_, it->second + 1, rng_);
     if (backoff == 0) {
@@ -237,7 +225,7 @@ void AxfrClient::HandleDatagram(const sim::Datagram& datagram) {
   Transfer& t = *transfer_;
 
   if (tag == kUpToDate) {
-    uptodate_.Inc();
+    c_.uptodate.Inc();
     auto callback = std::move(t.callback);
     transfer_.reset();
     callback(zone::SnapshotPtr(nullptr));
@@ -269,7 +257,7 @@ void AxfrClient::HandleDatagram(const sim::Datagram& datagram) {
     Bytes bytes;
     if (!r.ReadBytes(len, bytes)) return;
     if (t.chunks.emplace(index, std::move(bytes)).second) {
-      chunks_received_.Inc();
+      c_.chunks_received.Inc();
     }
     t.retries.erase(index);
     if (t.chunks.size() == t.chunk_count) {
@@ -288,10 +276,10 @@ void AxfrClient::FinishSuccess() {
   }
   auto callback = std::move(t.callback);
   transfer_.reset();
-  transfers_.Inc();
+  c_.transfers.Inc();
   auto zone = zone::DeserializeSnapshot(snapshot);
   if (!zone.ok()) {
-    failures_.Inc();
+    c_.failures.Inc();
     callback(util::Error(ErrorCode::kCorrupted,
                          "axfr: snapshot decode failed: " +
                              zone.error().message()));
@@ -301,7 +289,7 @@ void AxfrClient::FinishSuccess() {
 }
 
 void AxfrClient::FinishError(ErrorCode code, const std::string& message) {
-  failures_.Inc();
+  c_.failures.Inc();
   auto callback = std::move(transfer_->callback);
   transfer_.reset();
   callback(util::Error(code, message));

@@ -18,7 +18,7 @@
 #include <memory>
 
 #include "net/transport.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "sim/network.h"
 #include "sim/retry.h"
 #include "sim/simulator.h"
@@ -28,14 +28,15 @@
 
 namespace rootless::distrib {
 
-// Snapshot view of the server's registry-backed counters (module
-// "distrib.axfr.server"); assembled by stats().
-struct AxfrServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t uptodate = 0;
-  std::uint64_t chunks_sent = 0;
-  std::uint64_t bytes_sent = 0;
-};
+// The server's counters (module "distrib.axfr.server"): AxfrServerStats is
+// the snapshot stats() reads, AxfrServerCounters the registry handles.
+#define ROOTLESS_AXFR_SERVER_COUNTERS(X) \
+  X(requests)                            \
+  X(uptodate)                            \
+  X(chunks_sent)                         \
+  X(bytes_sent)
+ROOTLESS_COUNTER_SET(AxfrServerStats, AxfrServerCounters,
+                     ROOTLESS_AXFR_SERVER_COUNTERS);
 
 class AxfrServer {
  public:
@@ -48,10 +49,7 @@ class AxfrServer {
 
   sim::NodeId node() const { return node_; }
   // Snapshot of the registry-backed counters.
-  AxfrServerStats stats() const {
-    return AxfrServerStats{requests_.value(), uptodate_.value(),
-                           chunks_sent_.value(), bytes_sent_.value()};
-  }
+  AxfrServerStats stats() const { return c_.Read(); }
 
  private:
   void HandleDatagram(const sim::Datagram& datagram);
@@ -63,22 +61,19 @@ class AxfrServer {
   // Serialized snapshot cache, keyed by serial (rebuilt when it changes).
   std::uint32_t cached_serial_ = 0;
   util::Bytes cached_snapshot_;
-  // Registry handles (module "distrib.axfr.server").
-  obs::Counter requests_;
-  obs::Counter uptodate_;
-  obs::Counter chunks_sent_;
-  obs::Counter bytes_sent_;
+  AxfrServerCounters c_;
 };
 
-// Snapshot view of the client's registry-backed counters (module
-// "distrib.axfr.client"); assembled by stats().
-struct AxfrClientStats {
-  std::uint64_t transfers = 0;
-  std::uint64_t uptodate = 0;
-  std::uint64_t chunks_received = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t failures = 0;
-};
+// The client's counters (module "distrib.axfr.client"): AxfrClientStats is
+// the snapshot stats() reads, AxfrClientCounters the registry handles.
+#define ROOTLESS_AXFR_CLIENT_COUNTERS(X) \
+  X(transfers)                           \
+  X(uptodate)                            \
+  X(chunks_received)                     \
+  X(retransmits)                         \
+  X(failures)
+ROOTLESS_COUNTER_SET(AxfrClientStats, AxfrClientCounters,
+                     ROOTLESS_AXFR_CLIENT_COUNTERS);
 
 class AxfrClient {
  public:
@@ -107,11 +102,7 @@ class AxfrClient {
 
   sim::NodeId node() const { return node_; }
   // Snapshot of the registry-backed counters.
-  AxfrClientStats stats() const {
-    return AxfrClientStats{transfers_.value(), uptodate_.value(),
-                           chunks_received_.value(), retransmits_.value(),
-                           failures_.value()};
-  }
+  AxfrClientStats stats() const { return c_.Read(); }
 
   // Starts a transfer; one at a time per client.
   void Fetch(sim::NodeId server, std::uint32_t have_serial,
@@ -150,12 +141,7 @@ class AxfrClient {
   util::Rng rng_;
   sim::NodeId node_;
   std::unique_ptr<Transfer> transfer_;
-  // Registry handles (module "distrib.axfr.client").
-  obs::Counter transfers_;
-  obs::Counter uptodate_;
-  obs::Counter chunks_received_;
-  obs::Counter retransmits_;
-  obs::Counter failures_;
+  AxfrClientCounters c_;
 };
 
 }  // namespace rootless::distrib

@@ -11,15 +11,7 @@ ZoneFetchService::ZoneFetchService(sim::Simulator& sim, Options options)
       config_(options.config),
       provider_(std::move(options.provider)),
       rng_(config_.seed) {
-  obs::Registry& reg =
-      options.registry ? *options.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("distrib.fetch"), "", ""};
-  fetches_ = reg.counter("distrib.fetch.fetches", labels);
-  failures_ = reg.counter("distrib.fetch.failures", labels);
-  validation_failures_ = reg.counter("distrib.fetch.validation_failures",
-                                     labels);
-  bytes_served_ = reg.counter("distrib.fetch.bytes_served", labels);
-  retries_ = reg.counter("distrib.fetch.retries", labels);
+  c_.Register(options.registry, "distrib.fetch");
 }
 
 void ZoneFetchService::Fetch(FetchCallback callback) {
@@ -33,13 +25,13 @@ void ZoneFetchService::Fetch(FetchCallback callback) {
 
 void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
                                FetchCallback callback, obs::SpanId span) {
-  fetches_.Inc();
+  c_.fetches.Inc();
   if (InOutage(sim_.now())) {
-    failures_.Inc();
+    c_.failures.Inc();
     // Failure is detected after a timeout-ish delay.
     const sim::SimTime detect = config_.base_latency * 4;
     if (schedule->CanAttempt()) {
-      retries_.Inc();
+      c_.retries.Inc();
       const sim::SimTime backoff = schedule->NextDelay(rng_);
       sim_.Schedule(detect + backoff,
                     [this, schedule = std::move(schedule), span,
@@ -60,7 +52,7 @@ void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
   }
   zone::SnapshotPtr z = provider_();
   const std::size_t size = SerializeSnapshot(*z).size();
-  bytes_served_.Inc(size);
+  c_.bytes_served.Inc(size);
   const sim::SimTime transfer =
       config_.base_latency +
       static_cast<sim::SimTime>(static_cast<double>(size) /
@@ -75,7 +67,7 @@ void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
           z->AllRRsets(), dnskey_, store_, config_.validation_now);
       ROOTLESS_SPAN_END(sim_.tracer(), vspan);
       if (!validated.ok()) {
-        validation_failures_.Inc();
+        c_.validation_failures.Inc();
         ROOTLESS_SPAN_END(sim_.tracer(), span);
         callback(util::Error(ErrorCode::kVerifyFailed,
                              "fetch: validation failed: " +

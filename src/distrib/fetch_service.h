@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "crypto/dnssec.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "obs/trace.h"
 #include "sim/retry.h"
 #include "sim/simulator.h"
@@ -36,15 +36,16 @@ struct FetchServiceConfig {
   std::uint64_t seed = 0xF37C;  // jitter stream for the retry backoff
 };
 
-// Snapshot view of the service's registry-backed counters (module
-// "distrib.fetch"); assembled by stats().
-struct FetchServiceStats {
-  std::uint64_t fetches = 0;
-  std::uint64_t failures = 0;           // outage-window failures
-  std::uint64_t validation_failures = 0;
-  std::uint64_t bytes_served = 0;
-  std::uint64_t retries = 0;            // backoff re-attempts
-};
+// The service's counters (module "distrib.fetch"): FetchServiceStats is the
+// snapshot stats() reads, FetchServiceCounters the registry handles.
+#define ROOTLESS_FETCH_COUNTERS(X)                         \
+  X(fetches)                                               \
+  X(failures)             /* outage-window failures */     \
+  X(validation_failures)                                   \
+  X(bytes_served)                                          \
+  X(retries)              /* backoff re-attempts */
+ROOTLESS_COUNTER_SET(FetchServiceStats, FetchServiceCounters,
+                     ROOTLESS_FETCH_COUNTERS);
 
 class ZoneFetchService {
  public:
@@ -78,11 +79,7 @@ class ZoneFetchService {
   void Fetch(FetchCallback callback);
 
   // Snapshot of the registry-backed counters.
-  FetchServiceStats stats() const {
-    return FetchServiceStats{fetches_.value(), failures_.value(),
-                             validation_failures_.value(),
-                             bytes_served_.value(), retries_.value()};
-  }
+  FetchServiceStats stats() const { return c_.Read(); }
 
  private:
   struct Outage {
@@ -108,12 +105,7 @@ class ZoneFetchService {
   dns::DnskeyData dnskey_;
   crypto::KeyStore store_;
   util::Rng rng_;
-  // Registry handles (module "distrib.fetch").
-  obs::Counter fetches_;
-  obs::Counter failures_;
-  obs::Counter validation_failures_;
-  obs::Counter bytes_served_;
-  obs::Counter retries_;
+  FetchServiceCounters c_;
 };
 
 }  // namespace rootless::distrib

@@ -4,6 +4,7 @@
 
 #include "distrib/axfr_stream.h"
 #include "dns/message.h"
+#include "obs/counter_set.h"
 
 namespace rootless::net {
 
@@ -162,8 +163,7 @@ void DnsFrontend::Stop() {
   }
   if (!merged_ && !workers_.empty()) {
     merged_ = true;
-    obs::Registry& target =
-        options_.registry ? *options_.registry : obs::Registry::Default();
+    obs::Registry& target = obs::RegistryOrDefault(options_.registry);
     // Worker order keeps merged dumps deterministic (same rule as the
     // parallel replay engine's shard merge).
     for (auto& worker : workers_) worker->registry->MergeInto(target);

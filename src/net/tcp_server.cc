@@ -66,15 +66,7 @@ util::Result<std::unique_ptr<TcpServer>> TcpServer::Listen(EventLoop& loop,
 
 TcpServer::TcpServer(EventLoop& loop, Options options)
     : loop_(loop), options_(options) {
-  obs::Registry& reg =
-      options_.registry ? *options_.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("net.tcp"), "", ""};
-  c_.accepted = reg.counter("net.tcp.accepted", labels);
-  c_.closed = reg.counter("net.tcp.closed", labels);
-  c_.messages_in = reg.counter("net.tcp.messages_in", labels);
-  c_.messages_out = reg.counter("net.tcp.messages_out", labels);
-  c_.bytes_in = reg.counter("net.tcp.bytes_in", labels);
-  c_.bytes_out = reg.counter("net.tcp.bytes_out", labels);
+  c_.Register(options_.registry, "net.tcp");
 }
 
 TcpServer::~TcpServer() {

@@ -20,7 +20,7 @@
 
 #include "net/event_loop.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -82,15 +82,15 @@ class TcpServer final : public Transport {
   std::size_t live_connections_ = 0;
   Packet rx_packet_;  // reused delivery packet
 
-  struct Counters {
-    obs::Counter accepted;
-    obs::Counter closed;
-    obs::Counter messages_in;
-    obs::Counter messages_out;
-    obs::Counter bytes_in;
-    obs::Counter bytes_out;
-  };
-  Counters c_;
+#define ROOTLESS_TCP_COUNTERS(X) \
+  X(accepted)                    \
+  X(closed)                      \
+  X(messages_in)                 \
+  X(messages_out)                \
+  X(bytes_in)                    \
+  X(bytes_out)
+  ROOTLESS_COUNTER_SET(Stats, Counters, ROOTLESS_TCP_COUNTERS);
+  Counters c_;  // module "net.tcp"
 };
 
 }  // namespace rootless::net

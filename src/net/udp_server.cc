@@ -114,17 +114,9 @@ util::Result<std::unique_ptr<UdpServer>> UdpServer::Bind(EventLoop& loop,
 
 UdpServer::UdpServer(EventLoop& loop, Options options)
     : loop_(loop), options_(options) {
-  obs::Registry& reg =
-      options_.registry ? *options_.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("net.udp"), "", ""};
-  c_.rx_datagrams = reg.counter("net.udp.rx_datagrams", labels);
-  c_.tx_datagrams = reg.counter("net.udp.tx_datagrams", labels);
-  c_.rx_batches = reg.counter("net.udp.rx_batches", labels);
-  c_.tx_batches = reg.counter("net.udp.tx_batches", labels);
-  c_.bytes_in = reg.counter("net.udp.bytes_in", labels);
-  c_.bytes_out = reg.counter("net.udp.bytes_out", labels);
-  c_.dropped = reg.counter("net.udp.dropped", labels);
-  c_.batch_size = reg.histogram("net.udp.rx_batch_size", labels);
+  obs::Registry& reg = obs::RegistryOrDefault(options_.registry);
+  const obs::Labels labels = c_.Register(&reg, "net.udp");
+  batch_size_ = reg.histogram("net.udp.rx_batch_size", labels);
 }
 
 void UdpServer::InitRings() {
@@ -244,7 +236,7 @@ void UdpServer::OnReadable() {
                              static_cast<unsigned>(asked), 0, nullptr);
     if (n <= 0) break;  // EAGAIN (or error): level-triggered epoll re-arms
     c_.rx_batches.Inc();
-    c_.batch_size.Record(static_cast<std::uint64_t>(n));
+    batch_size_.Record(static_cast<std::uint64_t>(n));
     std::uint64_t datagrams = 0;
     for (int i = 0; i < n; ++i) {
       const std::size_t got = rx_msgs_[i].msg_len;

@@ -31,7 +31,7 @@
 
 #include "net/event_loop.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -195,17 +195,17 @@ class UdpServer final : public Transport {
   // (counted) — a full socket buffer must not grow the heap without bound.
   static constexpr std::size_t kMaxTxQueue = 4096;
 
-  struct Counters {
-    obs::Counter rx_datagrams;
-    obs::Counter tx_datagrams;
-    obs::Counter rx_batches;
-    obs::Counter tx_batches;
-    obs::Counter bytes_in;
-    obs::Counter bytes_out;
-    obs::Counter dropped;
-    obs::Histogram batch_size;
-  };
-  Counters c_;
+#define ROOTLESS_UDP_COUNTERS(X) \
+  X(rx_datagrams)                \
+  X(tx_datagrams)                \
+  X(rx_batches)                  \
+  X(tx_batches)                  \
+  X(bytes_in)                    \
+  X(bytes_out)                   \
+  X(dropped)
+  ROOTLESS_COUNTER_SET(Stats, Counters, ROOTLESS_UDP_COUNTERS);
+  Counters c_;  // module "net.udp"
+  obs::Histogram batch_size_;
 };
 
 }  // namespace rootless::net

@@ -31,14 +31,7 @@ inline void AssignSet(dns::RRset& dst, const dns::RRsetView& src) {
 
 DnsCache::DnsCache(std::size_t capacity, obs::Registry* registry)
     : capacity_(capacity) {
-  obs::Registry& reg = registry ? *registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("resolver.cache"), "", ""};
-  hits_ = reg.counter("resolver.cache.hits", labels);
-  misses_ = reg.counter("resolver.cache.misses", labels);
-  expired_ = reg.counter("resolver.cache.expired", labels);
-  insertions_ = reg.counter("resolver.cache.insertions", labels);
-  evictions_ = reg.counter("resolver.cache.evictions", labels);
-  swept_ = reg.counter("resolver.cache.swept", labels);
+  c_.Register(registry, "resolver.cache");
   if (capacity_ != 0) {
     slots_.reserve(capacity_);
     index_.Reserve(capacity_);
@@ -61,16 +54,16 @@ const dns::RRset* DnsCache::GetImpl(const KeyLike& key, sim::SimTime now) {
   const std::uint64_t hash = dns::RRsetKeyHash{}(key);
   const std::uint32_t s = FindSlot(hash, key);
   if (s == kNil) {
-    misses_.Inc();
+    c_.misses.Inc();
     return nullptr;
   }
   Slot& slot = slots_[s];
   if (slot.expiry <= now) {
-    expired_.Inc();
+    c_.expired.Inc();
     EraseSlot(s);
     return nullptr;
   }
-  hits_.Inc();
+  c_.hits.Inc();
   MoveToFront(s);
   return &slot.rrset;
 }
@@ -122,7 +115,7 @@ void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime expiry,
     MoveToFront(found);
     return;
   }
-  insertions_.Inc();
+  c_.insertions.Inc();
   const auto hash_of = [this](std::uint32_t s) { return slots_[s].hash; };
   if (capacity_ != 0 && index_.size() >= capacity_ && lru_tail_ != kNil) {
     // At capacity a new key means insert+evict. Reuse the victim's slot in
@@ -133,7 +126,7 @@ void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime expiry,
     Slot& slot = slots_[victim];
     Unlink(victim);
     index_.Erase(slot.hash, [victim](std::uint32_t s) { return s == victim; });
-    evictions_.Inc();
+    c_.evictions.Inc();
     AssignSet(slot.rrset, rrset);
     slot.expiry = expiry;
     slot.hash = hash;
@@ -238,7 +231,7 @@ void DnsCache::EraseSlot(std::uint32_t s) {
 void DnsCache::EvictIfNeeded() {
   while (capacity_ != 0 && index_.size() > capacity_ && lru_tail_ != kNil) {
     EraseSlot(lru_tail_);
-    evictions_.Inc();
+    c_.evictions.Inc();
   }
 }
 
@@ -250,7 +243,7 @@ void DnsCache::SweepStep(sim::SimTime now) {
     sweep_cursor_ = slots_[s].lru_prev;  // advance toward the head
     if (slots_[s].expiry <= now) {
       EraseSlot(s);
-      swept_.Inc();
+      c_.swept.Inc();
     }
   }
 }

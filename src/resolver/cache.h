@@ -19,24 +19,26 @@
 #include <vector>
 
 #include "dns/rr.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "sim/simulator.h"
 #include "util/flat_hash.h"
 
 namespace rootless::resolver {
 
-// Snapshot view of the cache's registry-backed counters (module
-// "resolver.cache"). The counters themselves live in the obs::Registry; this
-// struct is what stats() assembles for callers, so existing call sites and
-// tests keep reading plain fields.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t expired = 0;    // lookups that found only a stale entry
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;  // capacity evictions (LRU)
-  std::uint64_t swept = 0;      // stale entries removed by the lazy sweep
+// The cache's counters (module "resolver.cache"): CacheCounts is the plain
+// snapshot, CacheCounters the pre-resolved registry handles (a bump on the
+// hot path is one 64-bit add through the handle's pointer).
+#define ROOTLESS_CACHE_COUNTERS(X)                                     \
+  X(hits)                                                              \
+  X(misses)                                                            \
+  X(expired)     /* lookups that found only a stale entry */           \
+  X(insertions)                                                        \
+  X(evictions)   /* capacity evictions (LRU) */                        \
+  X(swept)       /* stale entries removed by the lazy sweep */
+ROOTLESS_COUNTER_SET(CacheCounts, CacheCounters, ROOTLESS_CACHE_COUNTERS);
 
+// What stats() returns: the counts plus the derived hit rate.
+struct CacheStats : CacheCounts {
   double hit_rate() const {
     const std::uint64_t total = hits + misses + expired;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
@@ -45,11 +47,11 @@ struct CacheStats {
 
 class DnsCache {
  public:
-  // capacity = maximum number of RRsets held (0 = unlimited). Counters
-  // register in `registry` (default: obs::Registry::Default()) under
-  // "resolver.cache.*" with an auto-assigned instance label. A nonzero
-  // capacity pre-sizes both the slot array and the hash index, so a bounded
-  // cache never rehashes for growth.
+  // capacity = maximum number of RRsets held (0 = unlimited). The counters
+  // register in `registry`, or in obs::Registry::Default() when it is null,
+  // as "resolver.cache.<name>" under the next "resolver.cache" instance
+  // label. A nonzero capacity pre-sizes both the slot array and the hash
+  // index, so a bounded cache never rehashes for growth.
   explicit DnsCache(std::size_t capacity = 0,
                     obs::Registry* registry = nullptr);
 
@@ -85,19 +87,8 @@ class DnsCache {
   std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return capacity_; }
   // Snapshot of the registry-backed counters (cheap: six slot reads).
-  CacheStats stats() const {
-    return CacheStats{hits_.value(),       misses_.value(),
-                      expired_.value(),    insertions_.value(),
-                      evictions_.value(),  swept_.value()};
-  }
-  void ResetStats() {
-    hits_.Reset();
-    misses_.Reset();
-    expired_.Reset();
-    insertions_.Reset();
-    evictions_.Reset();
-    swept_.Reset();
-  }
+  CacheStats stats() const { return CacheStats{c_.Read()}; }
+  void ResetStats() { c_.Reset(); }
   void Clear();
 
   // Number of cached RRsets whose owner is a TLD (single non-root label) —
@@ -148,14 +139,7 @@ class DnsCache {
   std::uint32_t lru_head_ = kNil;    // most recent
   std::uint32_t lru_tail_ = kNil;    // least recent
   std::uint32_t sweep_cursor_ = kNil;
-  // Pre-resolved registry handles: a stats bump on the hot path is one
-  // 64-bit add through the handle's pointer.
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter expired_;
-  obs::Counter insertions_;
-  obs::Counter evictions_;
-  obs::Counter swept_;
+  CacheCounters c_;
 };
 
 }  // namespace rootless::resolver

@@ -1,5 +1,7 @@
 #include "resolver/recursive.h"
 
+#include <optional>
+
 #include "util/check.h"
 #include "util/strings.h"
 
@@ -35,27 +37,8 @@ RecursiveResolver::RecursiveResolver(sim::Simulator& sim,
   if (options.topology != nullptr) {
     options.topology->PlaceNode(node_, location_);
   }
-  obs::Registry& reg =
-      options.registry ? *options.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("resolver"), "", ""};
-  c_.resolutions = reg.counter("resolver.resolutions", labels);
-  c_.answered_from_cache = reg.counter("resolver.answered_from_cache", labels);
-  c_.root_transactions = reg.counter("resolver.root_transactions", labels);
-  c_.local_root_lookups = reg.counter("resolver.local_root_lookups", labels);
-  c_.tld_transactions = reg.counter("resolver.tld_transactions", labels);
-  c_.full_qname_exposures =
-      reg.counter("resolver.full_qname_exposures", labels);
-  c_.handshakes = reg.counter("resolver.handshakes", labels);
-  c_.nxdomain = reg.counter("resolver.nxdomain", labels);
-  c_.negative_hits = reg.counter("resolver.negative_hits", labels);
-  c_.manipulation_detected =
-      reg.counter("resolver.manipulation_detected", labels);
-  c_.timeouts = reg.counter("resolver.timeouts", labels);
-  c_.failures = reg.counter("resolver.failures", labels);
-  c_.retries = reg.counter("resolver.retries", labels);
-  c_.glueless_referrals =
-      reg.counter("resolver.glueless_referrals", labels);
-  c_.chase_queries = reg.counter("resolver.chase_queries", labels);
+  obs::Registry& reg = obs::RegistryOrDefault(options.registry);
+  const obs::Labels labels = c_.Register(&reg, "resolver");
   latency_us_ = reg.histogram("resolver.resolution_latency_us", labels);
   attempts_per_success_ =
       reg.histogram("resolver.attempts_per_success", labels);
@@ -126,8 +109,7 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
   pending.qtype = qtype;
   pending.callback = cb;
   pending.start = sim_.now();
-  pending.retries_left =
-      config_.retry ? config_.retry->max_attempts - 1 : config_.max_retries;
+  pending.retries_left = config_.retry.max_attempts - 1;
   pending.is_chase = is_chase;
   pending.span = span;
   auto [it, inserted] = pending_.emplace(id, std::move(pending));
@@ -188,9 +170,7 @@ void RecursiveResolver::ReissueAfterBackoff(std::uint16_t id) {
   ++pending.attempt;
   c_.retries.Inc();
   const sim::SimTime backoff =
-      config_.retry ? sim::JitteredBackoff(*config_.retry, pending.attempt,
-                                           rng_)
-                    : 0;
+      sim::JitteredBackoff(config_.retry, pending.attempt, rng_);
   if (backoff == 0) {
     ReissueNow(id);
     return;
@@ -390,9 +370,7 @@ void RecursiveResolver::ArmTimeout(std::uint16_t id) {
   Pending& pending = pending_.at(id);
   pending.generation = next_generation_++;
   const std::uint64_t generation = pending.generation;
-  const sim::SimTime timeout =
-      config_.retry ? config_.retry->attempt_timeout : config_.query_timeout;
-  sim_.Schedule(timeout,
+  sim_.Schedule(config_.retry.attempt_timeout,
                 [this, id, generation]() { HandleTimeout(id, generation); });
 }
 

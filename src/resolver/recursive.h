@@ -17,13 +17,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "crypto/dnssec.h"
+#include "obs/counter_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/pool_allocator.h"
@@ -55,8 +55,6 @@ struct ResolverConfig {
   RootMode mode = RootMode::kRootServers;
   // QNAME minimization (RFC 7816): send only the TLD to the root.
   bool qname_minimization = false;
-  sim::SimTime query_timeout = 2 * sim::kSecond;
-  int max_retries = 3;
   std::size_t cache_capacity = 0;  // RRsets; 0 = unlimited
   // Local-store access latency for kOnDemandZoneFile (an indexed DB; the
   // paper's naive compressed-file scan would be ~37 ms).
@@ -84,13 +82,13 @@ struct ResolverConfig {
   // (default) keeps the historical behaviour bit-for-bit: the referral is
   // just a SERVFAIL.
   int max_glueless_chase = 0;
-  // Optional shared retry policy (sim/retry.h). When set, it supersedes
-  // query_timeout/max_retries: each attempt gets attempt_timeout, the
-  // attempt budget is max_attempts, and re-asks after a timeout or bad
-  // response wait out the policy's (jittered) exponential backoff instead
-  // of firing immediately. Unset preserves the historical immediate-retry
-  // behavior bit-for-bit.
-  std::optional<sim::RetryPolicy> retry = std::nullopt;
+  // Retry policy (sim/retry.h) for root and TLD queries: each attempt gets
+  // attempt_timeout, the attempt budget is max_attempts, and re-asks after a
+  // timeout or bad response wait out the policy's (jittered) exponential
+  // backoff. The default's zero backoff re-asks immediately, three times.
+  sim::RetryPolicy retry{.max_attempts = 4,
+                         .attempt_timeout = 2 * sim::kSecond,
+                         .initial_backoff = 0};
 };
 
 struct ResolutionResult {
@@ -102,30 +100,34 @@ struct ResolutionResult {
   bool failed = false;    // retries exhausted
 };
 
-// Snapshot view of the resolver's registry-backed counters (module
-// "resolver"); assembled by stats(), which existing call sites keep using.
-struct ResolverStats {
-  std::uint64_t resolutions = 0;
-  std::uint64_t answered_from_cache = 0;
-  std::uint64_t root_transactions = 0;       // packets to root servers
-  std::uint64_t local_root_lookups = 0;      // local-zone consultations
-  std::uint64_t tld_transactions = 0;
-  // Privacy accounting (Sec 4): root queries that exposed more of the qname
-  // than the TLD the root can act on (QNAME minimization avoids these;
-  // local-root modes never expose anything).
-  std::uint64_t full_qname_exposures = 0;
-  std::uint64_t handshakes = 0;  // encrypted-transport session setups
-  std::uint64_t nxdomain = 0;
-  std::uint64_t negative_hits = 0;          // NXDOMAIN answered from cache
-  std::uint64_t manipulation_detected = 0;  // denials failing validation
-  std::uint64_t timeouts = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t retries = 0;  // re-asks after timeout/bad response
-  // NXNS accounting: unusable glueless referrals seen, and the NS-target
-  // chase lookups they spawned (see ResolverConfig::max_glueless_chase).
-  std::uint64_t glueless_referrals = 0;
-  std::uint64_t chase_queries = 0;
-};
+// The resolver's counters (module "resolver", one instance label per
+// resolver): ResolverStats is the snapshot stats() reads, ResolverCounters
+// the pre-resolved registry handles (a bump is one 64-bit add through a
+// pointer).
+//   full_qname_exposures — privacy accounting (Sec 4): root queries that
+//     exposed more of the qname than the TLD the root can act on (QNAME
+//     minimization avoids these; local-root modes never expose anything).
+//   glueless_referrals, chase_queries — NXNS accounting: unusable glueless
+//     referrals seen, and the NS-target chase lookups they spawned (see
+//     ResolverConfig::max_glueless_chase).
+#define ROOTLESS_RESOLVER_COUNTERS(X)                                     \
+  X(resolutions)                                                          \
+  X(answered_from_cache)                                                  \
+  X(root_transactions)      /* packets to root servers */                 \
+  X(local_root_lookups)     /* local-zone consultations */                \
+  X(tld_transactions)                                                     \
+  X(full_qname_exposures)                                                 \
+  X(handshakes)             /* encrypted-transport session setups */      \
+  X(nxdomain)                                                             \
+  X(negative_hits)          /* NXDOMAIN answered from cache */            \
+  X(manipulation_detected)  /* denials failing validation */              \
+  X(timeouts)                                                             \
+  X(failures)                                                             \
+  X(retries)                /* re-asks after timeout/bad response */      \
+  X(glueless_referrals)                                                   \
+  X(chase_queries)
+ROOTLESS_COUNTER_SET(ResolverStats, ResolverCounters,
+                     ROOTLESS_RESOLVER_COUNTERS);
 
 class RecursiveResolver {
  public:
@@ -180,17 +182,7 @@ class RecursiveResolver {
   DnsCache& cache() { return cache_; }
   const DnsCache& cache() const { return cache_; }
   // Snapshot of the registry-backed counters.
-  ResolverStats stats() const {
-    return ResolverStats{
-        c_.resolutions.value(),       c_.answered_from_cache.value(),
-        c_.root_transactions.value(), c_.local_root_lookups.value(),
-        c_.tld_transactions.value(),  c_.full_qname_exposures.value(),
-        c_.handshakes.value(),        c_.nxdomain.value(),
-        c_.negative_hits.value(),     c_.manipulation_detected.value(),
-        c_.timeouts.value(),          c_.failures.value(),
-        c_.retries.value(),           c_.glueless_referrals.value(),
-        c_.chase_queries.value()};
-  }
+  ResolverStats stats() const { return c_.Read(); }
   const RootSelector& root_selector() const { return selector_; }
   const ResolverConfig& config() const { return config_; }
   const ZoneDb& zone_db() const { return db_; }
@@ -250,8 +242,8 @@ class RecursiveResolver {
                      const std::vector<dns::ResourceRecord>& authority);
   // Retry or fail after a bad (unvalidatable) response.
   void RetryAfterBadResponse(std::uint16_t id);
-  // Re-issues the current stage's query: immediately without a retry
-  // policy, after the policy's jittered backoff with one.
+  // Re-issues the current stage's query after the retry policy's jittered
+  // backoff (immediately when that is zero).
   void ReissueAfterBackoff(std::uint16_t id);
   void ReissueNow(std::uint16_t id);
   // Sends a query datagram, modelling the encrypted-transport handshake on
@@ -285,26 +277,7 @@ class RecursiveResolver {
   ZoneDb db_;
   RootSelector selector_;
   util::Rng rng_;
-  // Pre-resolved registry handles (module "resolver", one instance label per
-  // resolver): a stats bump is one 64-bit add through a pointer.
-  struct Counters {
-    obs::Counter resolutions;
-    obs::Counter answered_from_cache;
-    obs::Counter root_transactions;
-    obs::Counter local_root_lookups;
-    obs::Counter tld_transactions;
-    obs::Counter full_qname_exposures;
-    obs::Counter handshakes;
-    obs::Counter nxdomain;
-    obs::Counter negative_hits;
-    obs::Counter manipulation_detected;
-    obs::Counter timeouts;
-    obs::Counter failures;
-    obs::Counter retries;
-    obs::Counter glueless_referrals;
-    obs::Counter chase_queries;
-  };
-  Counters c_;
+  ResolverCounters c_;
   // Attempts consumed by each resolution that completed (cache hits and
   // other synchronous answers are not recorded).
   obs::Histogram attempts_per_success_;

@@ -14,18 +14,9 @@ RefreshDaemon::RefreshDaemon(sim::Simulator& sim, Options options)
   ROOTLESS_CHECK(config_.retry_interval > 0);
   ROOTLESS_CHECK(config_.max_staleness >= 0);
   ROOTLESS_CHECK(!sources_.empty());
-  obs::Registry& reg =
-      options.registry ? *options.registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("resolver.refresh"), "", ""};
-  fetch_attempts_ = reg.counter("resolver.refresh.fetch_attempts", labels);
-  fetch_failures_ = reg.counter("resolver.refresh.fetch_failures", labels);
-  refreshes_ = reg.counter("resolver.refresh.refreshes", labels);
-  expirations_ = reg.counter("resolver.refresh.expirations", labels);
+  obs::Registry& reg = obs::RegistryOrDefault(options.registry);
+  const obs::Labels labels = c_.Register(&reg, "resolver.refresh");
   stale_time_ = reg.gauge("resolver.refresh.stale_time_us", labels);
-  retries_ = reg.counter("resolver.refresh.retries", labels);
-  fallbacks_ = reg.counter("resolver.refresh.fallbacks", labels);
-  hard_expirations_ =
-      reg.counter("resolver.refresh.hard_expirations", labels);
   attempts_per_refresh_ =
       reg.histogram("resolver.refresh.attempts_per_refresh", labels);
 }
@@ -57,7 +48,7 @@ void RefreshDaemon::Attempt() {
 }
 
 void RefreshDaemon::IssueNow() {
-  fetch_attempts_.Inc();
+  c_.fetch_attempts.Inc();
   ++round_attempts_;
   sources_[round_source_].fetch(
       [this](FetchResult result) { OnFetched(std::move(result)); });
@@ -65,17 +56,17 @@ void RefreshDaemon::IssueNow() {
 
 void RefreshDaemon::OnFetched(FetchResult result) {
   if (!result.ok()) {
-    fetch_failures_.Inc();
+    c_.fetch_failures.Inc();
     if (schedule_.CanAttempt()) {
       // Same source, next attempt, spaced by the policy's backoff.
-      retries_.Inc();
+      c_.retries.Inc();
       const sim::SimTime backoff = schedule_.NextDelay(rng_);
       sim_.Schedule(backoff, [this]() { IssueNow(); });
       return;
     }
     if (round_source_ + 1 < sources_.size()) {
       // Budget exhausted: fall down the ladder to the next source.
-      fallbacks_.Inc();
+      c_.fallbacks.Inc();
       ++round_source_;
       schedule_ = sim::RetrySchedule(config_.retry);
       (void)schedule_.NextDelay(rng_);
@@ -90,7 +81,7 @@ void RefreshDaemon::OnFetched(FetchResult result) {
     lapsed_since_ = -1;
   }
   hard_lapsed_ = false;
-  refreshes_.Inc();
+  c_.refreshes.Inc();
   attempts_per_refresh_.Record(static_cast<std::uint64_t>(round_attempts_));
   expiry_ = sim_.now() + config_.zone_validity;
   // The swap is atomic in sim time: mark it as an instant inside the span.
@@ -105,12 +96,12 @@ void RefreshDaemon::RoundFailed() {
   if (sim_.now() >= expiry_ && lapsed_since_ < 0) {
     // The copy lapsed while we were still failing to refresh: the §4
     // scenario where the out-of-band process ran out of runway.
-    expirations_.Inc();
+    c_.expirations.Inc();
     lapsed_since_ = expiry_;
   }
   if (sim_.now() >= expiry_ + config_.max_staleness && !hard_lapsed_) {
     // Aged past the serve-stale window too: the copy is now unusable.
-    hard_expirations_.Inc();
+    c_.hard_expirations.Inc();
     hard_lapsed_ = true;
   }
   ScheduleNextAttempt(config_.retry_interval);

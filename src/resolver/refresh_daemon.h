@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/counter_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/retry.h"
@@ -55,17 +56,22 @@ enum class ZoneState {
   kExpired,  // past max_staleness; unusable
 };
 
-// Snapshot view of the daemon's registry-backed metrics (module
-// "resolver.refresh"); assembled by stats().
-struct RefreshStats {
-  std::uint64_t fetch_attempts = 0;
-  std::uint64_t fetch_failures = 0;
-  std::uint64_t refreshes = 0;    // successful applies
-  std::uint64_t expirations = 0;  // times the copy lapsed before a refresh
-  sim::SimTime stale_time = 0;    // total simulated time spent expired
-  std::uint64_t retries = 0;      // extra same-source attempts within rounds
-  std::uint64_t fallbacks = 0;    // ladder steps to a lower-preference source
-  std::uint64_t hard_expirations = 0;  // copy aged past the serve-stale window
+// The daemon's counters (module "resolver.refresh"): RefreshCounts is the
+// plain snapshot, RefreshCounters the registry handles.
+#define ROOTLESS_REFRESH_COUNTERS(X)                                          \
+  X(fetch_attempts)                                                           \
+  X(fetch_failures)                                                           \
+  X(refreshes)         /* successful applies */                               \
+  X(expirations)       /* times the copy lapsed before a refresh */           \
+  X(retries)           /* extra same-source attempts within rounds */         \
+  X(fallbacks)         /* ladder steps to a lower-preference source */        \
+  X(hard_expirations)  /* copy aged past the serve-stale window */
+ROOTLESS_COUNTER_SET(RefreshCounts, RefreshCounters,
+                     ROOTLESS_REFRESH_COUNTERS);
+
+// What stats() returns: the counts plus the stale-time gauge.
+struct RefreshStats : RefreshCounts {
+  sim::SimTime stale_time = 0;  // total simulated time spent expired
 };
 
 class RefreshDaemon {
@@ -110,14 +116,8 @@ class RefreshDaemon {
   sim::SimTime expiry() const { return expiry_; }
   // Snapshot of the registry-backed metrics.
   RefreshStats stats() const {
-    return RefreshStats{fetch_attempts_.value(),
-                        fetch_failures_.value(),
-                        refreshes_.value(),
-                        expirations_.value(),
-                        static_cast<sim::SimTime>(stale_time_.value()),
-                        retries_.value(),
-                        fallbacks_.value(),
-                        hard_expirations_.value()};
+    return RefreshStats{c_.Read(),
+                        static_cast<sim::SimTime>(stale_time_.value())};
   }
 
  private:
@@ -141,14 +141,8 @@ class RefreshDaemon {
   sim::RetrySchedule schedule_;
   // Registry handles (module "resolver.refresh"). stale_time is a gauge:
   // it accumulates simulated microseconds, not a monotone event count.
-  obs::Counter fetch_attempts_;
-  obs::Counter fetch_failures_;
-  obs::Counter refreshes_;
-  obs::Counter expirations_;
+  RefreshCounters c_;
   obs::Gauge stale_time_;
-  obs::Counter retries_;
-  obs::Counter fallbacks_;
-  obs::Counter hard_expirations_;
   obs::Histogram attempts_per_refresh_;
   // Distribution-lifecycle span: covers attempt → applied (kNoSpan when the
   // sim has no tracer or the fetch succeeded synchronously between events).

@@ -11,15 +11,6 @@ namespace rootless::rootsrv {
 using dns::Message;
 using zone::LookupDisposition;
 
-void FastLaneCounters::Register(obs::Registry& reg) {
-  const obs::Labels labels{reg.NextInstance("rootsrv.fastlane"), "", ""};
-  hits = reg.counter("rootsrv.fastlane.hits", labels);
-  parse_fallbacks = reg.counter("rootsrv.fastlane.parse_fallbacks", labels);
-  cache_misses = reg.counter("rootsrv.fastlane.cache_misses", labels);
-  slips = reg.counter("rootsrv.fastlane.slips", labels);
-  drops = reg.counter("rootsrv.fastlane.drops", labels);
-}
-
 AuthServer::AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
                        Options options)
     : transport_(transport),
@@ -33,11 +24,9 @@ AuthServer::AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
     node_ = transport_->AddNode(
         [this](const net::Packet& packet) { HandleDatagram(packet); });
   }
-  obs::Registry& reg =
-      options_.registry ? *options_.registry : obs::Registry::Default();
-  c_.Register(reg);
-  pc_.Register(reg);
-  flc_.Register(reg);
+  c_.Register(options_.registry, "rootsrv.auth");
+  pc_.Register(options_.registry, "rootsrv.pipeline");
+  flc_.Register(options_.registry, "rootsrv.fastlane");
 }
 
 util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,

@@ -39,7 +39,7 @@
 
 #include "dns/message.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "rootsrv/pipeline.h"
 #include "rootsrv/rrl.h"
 #include "util/bytes.h"
@@ -47,72 +47,19 @@
 
 namespace rootless::rootsrv {
 
-// Fast-lane activity (module "rootsrv.fastlane"). These live in their own
-// module so the "rootsrv.auth" / "rootsrv.pipeline" counter deltas stay
-// byte-identical between a fast-lane and a pipeline-only run — the parity
-// suites compare those two modules, and observability of the lane itself
-// must not perturb them.
-struct FastLaneCounters {
-  obs::Counter hits;             // answered straight from the cache probe
-  obs::Counter parse_fallbacks;  // shallow parser punted to the pipeline
-  obs::Counter cache_misses;     // parsed fine, answer not memoized yet
-  obs::Counter slips;            // RRL slip rendered in the fast lane
-  obs::Counter drops;            // RRL drop decided in the fast lane
-
-  void Register(obs::Registry& registry);
-};
-
-// Snapshot view of FastLaneCounters (assembled by fast_lane_stats()).
-struct FastLaneStats {
-  std::uint64_t hits = 0;
-  std::uint64_t parse_fallbacks = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t slips = 0;
-  std::uint64_t drops = 0;
-
-  FastLaneStats& operator+=(const FastLaneStats& o) {
-    hits += o.hits;
-    parse_fallbacks += o.parse_fallbacks;
-    cache_misses += o.cache_misses;
-    slips += o.slips;
-    drops += o.drops;
-    return *this;
-  }
-};
-
-// Snapshot view of a server's registry-backed counters (module
-// "rootsrv.auth"); assembled by stats().
-struct AuthServerStats {
-  std::uint64_t queries = 0;
-  std::uint64_t answers = 0;
-  std::uint64_t referrals = 0;
-  std::uint64_t nxdomain = 0;
-  std::uint64_t nodata = 0;
-  std::uint64_t refused = 0;
-  std::uint64_t malformed = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t edns_queries = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-
-  AuthServerStats& operator+=(const AuthServerStats& o) {
-    queries += o.queries;
-    answers += o.answers;
-    referrals += o.referrals;
-    nxdomain += o.nxdomain;
-    nodata += o.nodata;
-    refused += o.refused;
-    malformed += o.malformed;
-    truncated += o.truncated;
-    edns_queries += o.edns_queries;
-    cache_hits += o.cache_hits;
-    bytes_in += o.bytes_in;
-    bytes_out += o.bytes_out;
-    return *this;
-  }
-  bool operator==(const AuthServerStats&) const = default;
-};
+// Fast-lane activity (module "rootsrv.fastlane"; fast_lane_stats() reads
+// the snapshot). These live in their own module so the "rootsrv.auth" /
+// "rootsrv.pipeline" counter deltas stay byte-identical between a fast-lane
+// and a pipeline-only run — the parity suites compare those two modules,
+// and observability of the lane itself must not perturb them.
+#define ROOTLESS_FASTLANE_COUNTERS(X)                                    \
+  X(hits)             /* answered straight from the cache probe */       \
+  X(parse_fallbacks)  /* shallow parser punted to the pipeline */        \
+  X(cache_misses)     /* parsed fine, answer not memoized yet */         \
+  X(slips)            /* RRL slip rendered in the fast lane */           \
+  X(drops)            /* RRL drop decided in the fast lane */
+ROOTLESS_COUNTER_SET(FastLaneStats, FastLaneCounters,
+                     ROOTLESS_FASTLANE_COUNTERS);
 
 class AuthServer {
  public:
@@ -152,23 +99,10 @@ class AuthServer {
              Options options);
 
   net::EndpointId node() const { return node_; }
-  // Snapshot of the registry-backed counters.
-  AuthServerStats stats() const {
-    return AuthServerStats{c_.queries.value(),   c_.answers.value(),
-                           c_.referrals.value(), c_.nxdomain.value(),
-                           c_.nodata.value(),    c_.refused.value(),
-                           c_.malformed.value(), c_.truncated.value(),
-                           c_.edns_queries.value(), c_.cache_hits.value(),
-                           c_.bytes_in.value(),  c_.bytes_out.value()};
-  }
+  // Snapshot of the registry-backed counters (module "rootsrv.auth").
+  AuthServerStats stats() const { return c_.Read(); }
   // Snapshot of the per-stage pipeline counters.
-  PipelineStats pipeline_stats() const {
-    return PipelineStats{
-        pc_.screen_diverted.value(),  pc_.rrl_checked.value(),
-        pc_.rrl_dropped.value(),      pc_.rrl_slipped.value(),
-        pc_.cache_probes.value(),     pc_.cache_insertions.value(),
-        pc_.cache_evictions.value(),  pc_.snapshot_answers.value()};
-  }
+  PipelineStats pipeline_stats() const { return pc_.Read(); }
   const zone::SnapshotPtr& snapshot() const { return snapshot_; }
   const EdnsConfig& edns() const { return options_.edns; }
   // The active rate limiter (shared or private), nullptr when RRL is off.
@@ -232,11 +166,7 @@ class AuthServer {
                                std::size_t capacity, std::size_t& out_size);
 
   // Snapshot of the fast-lane counters (module "rootsrv.fastlane").
-  FastLaneStats fast_lane_stats() const {
-    return FastLaneStats{flc_.hits.value(), flc_.parse_fallbacks.value(),
-                         flc_.cache_misses.value(), flc_.slips.value(),
-                         flc_.drops.value()};
-  }
+  FastLaneStats fast_lane_stats() const { return flc_.Read(); }
 
  private:
   // FORMERR wire response for an undecodable datagram (empty when even the

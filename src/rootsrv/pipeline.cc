@@ -19,34 +19,6 @@ std::uint64_t SteadyNowMicros() {
 
 }  // namespace
 
-void AuthCounters::Register(obs::Registry& reg) {
-  const obs::Labels labels{reg.NextInstance("rootsrv.auth"), "", ""};
-  queries = reg.counter("rootsrv.auth.queries", labels);
-  answers = reg.counter("rootsrv.auth.answers", labels);
-  referrals = reg.counter("rootsrv.auth.referrals", labels);
-  nxdomain = reg.counter("rootsrv.auth.nxdomain", labels);
-  nodata = reg.counter("rootsrv.auth.nodata", labels);
-  refused = reg.counter("rootsrv.auth.refused", labels);
-  malformed = reg.counter("rootsrv.auth.malformed", labels);
-  truncated = reg.counter("rootsrv.auth.truncated", labels);
-  edns_queries = reg.counter("rootsrv.auth.edns_queries", labels);
-  cache_hits = reg.counter("rootsrv.auth.cache_hits", labels);
-  bytes_in = reg.counter("rootsrv.auth.bytes_in", labels);
-  bytes_out = reg.counter("rootsrv.auth.bytes_out", labels);
-}
-
-void PipelineCounters::Register(obs::Registry& reg) {
-  const obs::Labels labels{reg.NextInstance("rootsrv.pipeline"), "", ""};
-  screen_diverted = reg.counter("rootsrv.pipeline.screen_diverted", labels);
-  rrl_checked = reg.counter("rootsrv.pipeline.rrl_checked", labels);
-  rrl_dropped = reg.counter("rootsrv.pipeline.rrl_dropped", labels);
-  rrl_slipped = reg.counter("rootsrv.pipeline.rrl_slipped", labels);
-  cache_probes = reg.counter("rootsrv.pipeline.cache_probes", labels);
-  cache_insertions = reg.counter("rootsrv.pipeline.cache_insertions", labels);
-  cache_evictions = reg.counter("rootsrv.pipeline.cache_evictions", labels);
-  snapshot_answers = reg.counter("rootsrv.pipeline.snapshot_answers", labels);
-}
-
 void CountDisposition(AuthCounters& c, LookupDisposition disposition) {
   switch (disposition) {
     case LookupDisposition::kAnswer:

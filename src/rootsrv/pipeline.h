@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "dns/message.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "rootsrv/rrl.h"
 #include "util/bytes.h"
 #include "util/flat_hash.h"
@@ -90,64 +90,38 @@ inline EdnsReply ApplyEdns(const EdnsConfig& edns, bool has_opt,
   return reply;
 }
 
-// Pre-resolved registry handles for the serving counters (module
-// "rootsrv.auth", one instance per server).
-struct AuthCounters {
-  obs::Counter queries;
-  obs::Counter answers;
-  obs::Counter referrals;
-  obs::Counter nxdomain;
-  obs::Counter nodata;
-  obs::Counter refused;
-  obs::Counter malformed;
-  obs::Counter truncated;
-  obs::Counter edns_queries;
-  obs::Counter cache_hits;
-  obs::Counter bytes_in;
-  obs::Counter bytes_out;
-
-  void Register(obs::Registry& registry);
-};
+// The serving counters (module "rootsrv.auth", one instance per server):
+// AuthServerStats is the snapshot AuthServer::stats() reads, AuthCounters
+// the pre-resolved registry handles.
+#define ROOTLESS_AUTH_COUNTERS(X) \
+  X(queries)                      \
+  X(answers)                      \
+  X(referrals)                    \
+  X(nxdomain)                     \
+  X(nodata)                       \
+  X(refused)                      \
+  X(malformed)                    \
+  X(truncated)                    \
+  X(edns_queries)                 \
+  X(cache_hits)                   \
+  X(bytes_in)                     \
+  X(bytes_out)
+ROOTLESS_COUNTER_SET(AuthServerStats, AuthCounters, ROOTLESS_AUTH_COUNTERS);
 
 // Per-stage activity counters (module "rootsrv.pipeline", one instance per
-// server, registered alongside AuthCounters).
-struct PipelineCounters {
-  obs::Counter screen_diverted;   // queries answered with a screen error
-  obs::Counter rrl_checked;       // queries evaluated by the rate limiter
-  obs::Counter rrl_dropped;
-  obs::Counter rrl_slipped;
-  obs::Counter cache_probes;      // queries that reached the answer cache
-  obs::Counter cache_insertions;
-  obs::Counter cache_evictions;
-  obs::Counter snapshot_answers;  // live lookup+encode executions
-
-  void Register(obs::Registry& registry);
-};
-
-// Snapshot view of PipelineCounters (assembled by
-// AuthServer::pipeline_stats(); benches and tests read this).
-struct PipelineStats {
-  std::uint64_t screen_diverted = 0;
-  std::uint64_t rrl_checked = 0;
-  std::uint64_t rrl_dropped = 0;
-  std::uint64_t rrl_slipped = 0;
-  std::uint64_t cache_probes = 0;
-  std::uint64_t cache_insertions = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t snapshot_answers = 0;
-
-  PipelineStats& operator+=(const PipelineStats& o) {
-    screen_diverted += o.screen_diverted;
-    rrl_checked += o.rrl_checked;
-    rrl_dropped += o.rrl_dropped;
-    rrl_slipped += o.rrl_slipped;
-    cache_probes += o.cache_probes;
-    cache_insertions += o.cache_insertions;
-    cache_evictions += o.cache_evictions;
-    snapshot_answers += o.snapshot_answers;
-    return *this;
-  }
-};
+// server, registered alongside AuthCounters); AuthServer::pipeline_stats()
+// reads the snapshot.
+#define ROOTLESS_PIPELINE_COUNTERS(X)                                  \
+  X(screen_diverted)   /* queries answered with a screen error */      \
+  X(rrl_checked)       /* queries evaluated by the rate limiter */     \
+  X(rrl_dropped)                                                       \
+  X(rrl_slipped)                                                       \
+  X(cache_probes)      /* queries that reached the answer cache */     \
+  X(cache_insertions)                                                  \
+  X(cache_evictions)                                                   \
+  X(snapshot_answers)  /* live lookup+encode executions */
+ROOTLESS_COUNTER_SET(PipelineStats, PipelineCounters,
+                     ROOTLESS_PIPELINE_COUNTERS);
 
 // Bumps the per-disposition serving counter; shared by the live lookup path
 // and the cache-hit replay so cached and uncached serving count identically.

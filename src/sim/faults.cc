@@ -19,14 +19,8 @@ bool InGroup(const std::vector<NodeId>& group, NodeId node) {
 
 FaultInjector::FaultInjector(FaultPlan plan, obs::Registry* registry)
     : plan_(std::move(plan)), rng_(plan_.seed) {
-  obs::Registry& reg = registry ? *registry : obs::Registry::Default();
-  const obs::Labels labels{reg.NextInstance("sim.faults"), "", ""};
-  drops_loss_ = reg.counter("sim.faults.drops_loss", labels);
-  drops_outage_ = reg.counter("sim.faults.drops_outage", labels);
-  drops_crash_ = reg.counter("sim.faults.drops_crash", labels);
-  drops_partition_ = reg.counter("sim.faults.drops_partition", labels);
-  corruptions_ = reg.counter("sim.faults.corruptions", labels);
-  jitter_events_ = reg.counter("sim.faults.jitter_events", labels);
+  obs::Registry& reg = obs::RegistryOrDefault(registry);
+  const obs::Labels labels = c_.Register(&reg, "sim.faults");
   jitter_us_ = reg.histogram("sim.faults.jitter_us", labels);
 }
 
@@ -58,7 +52,7 @@ FaultInjector::Verdict FaultInjector::OnSend(NodeId src, NodeId dst,
   // differ in outage windows keep identical RNG streams elsewhere.
   for (const auto& w : plan_.outages) {
     if ((w.node == src || w.node == dst) && now >= w.from && now < w.to) {
-      drops_outage_.Inc();
+      c_.drops_outage.Inc();
       return {.drop = true};
     }
   }
@@ -66,11 +60,11 @@ FaultInjector::Verdict FaultInjector::OnSend(NodeId src, NodeId dst,
     if (c.node != src && c.node != dst) continue;
     if (now < c.crash_at) continue;
     if (c.restart_at >= 0 && now >= c.restart_at) continue;
-    drops_crash_.Inc();
+    c_.drops_crash.Inc();
     return {.drop = true};
   }
   if (Partitioned(src, dst, now)) {
-    drops_partition_.Inc();
+    c_.drops_partition.Inc();
     return {.drop = true};
   }
 
@@ -80,7 +74,7 @@ FaultInjector::Verdict FaultInjector::OnSend(NodeId src, NodeId dst,
   for (const auto& link : plan_.links) {
     if (!LinkMatches(link, src, dst)) continue;
     if (link.loss > 0 && rng_.Chance(link.loss)) {
-      drops_loss_.Inc();
+      c_.drops_loss.Inc();
       return {.drop = true};
     }
     if (link.jitter_max > 0) {
@@ -88,12 +82,12 @@ FaultInjector::Verdict FaultInjector::OnSend(NodeId src, NodeId dst,
           rng_.Below(static_cast<std::uint64_t>(link.jitter_max) + 1));
       if (extra > 0) {
         verdict.extra_latency += extra;
-        jitter_events_.Inc();
+        c_.jitter_events.Inc();
         jitter_us_.Record(static_cast<std::uint64_t>(extra));
       }
     }
     if (link.corrupt > 0 && !payload.empty() && rng_.Chance(link.corrupt)) {
-      corruptions_.Inc();
+      c_.corruptions.Inc();
       // Flip 1–4 bytes; a corrupted DNS datagram must still be delivered —
       // discarding garbage is the receiver's job, not the network's.
       const int flips = 1 + static_cast<int>(rng_.Below(4));

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/counter_set.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/bytes.h"
@@ -110,16 +111,16 @@ struct FaultPlan {
   }
 };
 
-// Snapshot view of the injector's registry-backed counters (module
-// "sim.faults"); assembled by stats().
-struct FaultStats {
-  std::uint64_t drops_loss = 0;
-  std::uint64_t drops_outage = 0;
-  std::uint64_t drops_crash = 0;
-  std::uint64_t drops_partition = 0;
-  std::uint64_t corruptions = 0;
-  std::uint64_t jitter_events = 0;
-};
+// The injector's counters (module "sim.faults"): FaultStats is the snapshot
+// stats() reads, FaultCounters the registry handles.
+#define ROOTLESS_FAULT_COUNTERS(X) \
+  X(drops_loss)                    \
+  X(drops_outage)                  \
+  X(drops_crash)                   \
+  X(drops_partition)               \
+  X(corruptions)                   \
+  X(jitter_events)
+ROOTLESS_COUNTER_SET(FaultStats, FaultCounters, ROOTLESS_FAULT_COUNTERS);
 
 class FaultInjector {
  public:
@@ -141,22 +142,12 @@ class FaultInjector {
   bool Partitioned(NodeId a, NodeId b, SimTime t) const;
 
   const FaultPlan& plan() const { return plan_; }
-  FaultStats stats() const {
-    return FaultStats{drops_loss_.value(),      drops_outage_.value(),
-                      drops_crash_.value(),     drops_partition_.value(),
-                      corruptions_.value(),     jitter_events_.value()};
-  }
+  FaultStats stats() const { return c_.Read(); }
 
  private:
   FaultPlan plan_;
   util::Rng rng_;
-  // Registry handles (module "sim.faults").
-  obs::Counter drops_loss_;
-  obs::Counter drops_outage_;
-  obs::Counter drops_crash_;
-  obs::Counter drops_partition_;
-  obs::Counter corruptions_;
-  obs::Counter jitter_events_;
+  FaultCounters c_;
   obs::Histogram jitter_us_;
 };
 

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "net/transport.h"
-#include "obs/metrics.h"
+#include "obs/counter_set.h"
 #include "obs/trace.h"
 #include "sim/faults.h"
 #include "sim/simulator.h"
@@ -46,6 +46,15 @@ struct InterceptVerdict {
   }
 };
 
+// Traffic counters (module "sim.network", one instance label per Network):
+// NetworkStats is the snapshot stats() reads, NetworkCounters the handles.
+#define ROOTLESS_NETWORK_COUNTERS(X) \
+  X(datagrams_sent)                  \
+  X(datagrams_dropped)               \
+  X(datagrams_intercepted)           \
+  X(bytes_sent)
+ROOTLESS_COUNTER_SET(NetworkStats, NetworkCounters, ROOTLESS_NETWORK_COUNTERS);
+
 // `final` so calls through a concrete Network& (the sim hot path)
 // devirtualize; only callers holding the net::Transport& seam pay dispatch.
 class Network final : public net::Transport {
@@ -55,17 +64,12 @@ class Network final : public net::Transport {
   using LatencyFn = std::function<SimTime(NodeId, NodeId)>;
 
   // Traffic counters live in the metrics registry (module "sim.network",
-  // one instance label per Network) so benches export them uniformly; the
-  // accessors below read the registry slots.
+  // one instance label per Network) so benches export them uniformly;
+  // stats() reads the registry slots.
   Network(Simulator& sim, std::uint64_t seed,
           obs::Registry* registry = nullptr)
       : sim_(sim), rng_(seed) {
-    obs::Registry& reg = registry ? *registry : obs::Registry::Default();
-    const obs::Labels labels{reg.NextInstance("sim.network"), "", ""};
-    sent_ = reg.counter("sim.network.datagrams_sent", labels);
-    dropped_ = reg.counter("sim.network.datagrams_dropped", labels);
-    intercepted_ = reg.counter("sim.network.datagrams_intercepted", labels);
-    bytes_ = reg.counter("sim.network.bytes_sent", labels);
+    c_.Register(registry, "sim.network");
   }
 
   Network(const Network&) = delete;
@@ -100,10 +104,8 @@ class Network final : public net::Transport {
   }
 
   std::size_t node_count() const { return handlers_.size(); }
-  std::uint64_t datagrams_sent() const { return sent_.value(); }
-  std::uint64_t datagrams_dropped() const { return dropped_.value(); }
-  std::uint64_t datagrams_intercepted() const { return intercepted_.value(); }
-  std::uint64_t bytes_sent() const { return bytes_.value(); }
+  // Snapshot of the traffic counters.
+  NetworkStats stats() const { return c_.Read(); }
 
   SimTime LatencyBetween(NodeId a, NodeId b) const {
     return latency_fn_ ? latency_fn_(a, b) : 20 * kMillisecond;
@@ -111,10 +113,10 @@ class Network final : public net::Transport {
 
   // Sends a datagram; delivery is scheduled after the one-way latency.
   void Send(NodeId src, NodeId dst, util::Bytes payload) override {
-    sent_.Inc();
-    bytes_.Inc(payload.size());
+    c_.datagrams_sent.Inc();
+    c_.bytes_sent.Inc(payload.size());
     if (loss_rate_ > 0 && rng_.Chance(loss_rate_)) {
-      dropped_.Inc();
+      c_.datagrams_dropped.Inc();
       return;
     }
     Datagram datagram{.src = src, .dst = dst, .payload = std::move(payload)};
@@ -124,10 +126,10 @@ class Network final : public net::Transport {
         case InterceptVerdict::Action::kPass:
           break;
         case InterceptVerdict::Action::kDrop:
-          intercepted_.Inc();
+          c_.datagrams_intercepted.Inc();
           return;
         case InterceptVerdict::Action::kReplace:
-          intercepted_.Inc();
+          c_.datagrams_intercepted.Inc();
           datagram = std::move(verdict.replacement);
           break;
       }
@@ -138,7 +140,7 @@ class Network final : public net::Transport {
           faults_->OnSend(datagram.src, datagram.dst, sim_.now(),
                           datagram.payload);
       if (verdict.drop) {
-        dropped_.Inc();
+        c_.datagrams_dropped.Inc();
         return;
       }
       extra_latency = verdict.extra_latency;
@@ -177,10 +179,7 @@ class Network final : public net::Transport {
   FaultInjector* faults_ = nullptr;
   double loss_rate_ = 0;
   std::vector<ReceiveHandler> handlers_;
-  obs::Counter sent_;
-  obs::Counter dropped_;
-  obs::Counter intercepted_;
-  obs::Counter bytes_;
+  NetworkCounters c_;
 };
 
 }  // namespace rootless::sim

@@ -31,25 +31,6 @@ struct ShardOutput {
   std::unique_ptr<obs::Registry> registry;
 };
 
-void AddStats(resolver::ResolverStats& into,
-              const resolver::ResolverStats& from) {
-  into.resolutions += from.resolutions;
-  into.answered_from_cache += from.answered_from_cache;
-  into.root_transactions += from.root_transactions;
-  into.local_root_lookups += from.local_root_lookups;
-  into.tld_transactions += from.tld_transactions;
-  into.full_qname_exposures += from.full_qname_exposures;
-  into.handshakes += from.handshakes;
-  into.nxdomain += from.nxdomain;
-  into.negative_hits += from.negative_hits;
-  into.manipulation_detected += from.manipulation_detected;
-  into.timeouts += from.timeouts;
-  into.failures += from.failures;
-  into.retries += from.retries;
-  into.glueless_referrals += from.glueless_referrals;
-  into.chase_queries += from.chase_queries;
-}
-
 // Issues each chunk event at its (compressed) trace timestamp; one sim event
 // per distinct second, like the hotpath bench's ReplayPump.
 struct ChunkPump {
@@ -219,7 +200,7 @@ ReplayOutcome RunShardedReplay(const ReplayOptions& options) {
   outcome.threads = threads;
   for (const ShardOutput& o : outputs) {
     outcome.tally.MergeFrom(o.tally);
-    AddStats(outcome.resolver, o.stats);
+    outcome.resolver += o.stats;
     outcome.replayed += o.replayed;
     outcome.attack_queries = outcome.tally.attack_queries;
     outcome.cache_hits += o.cache_hits;

@@ -11,20 +11,6 @@ namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x525A4F4E;  // "RZON"
 }
 
-void WriteRRsetWire(const dns::RRset& s, ByteWriter& w) {
-  s.name.EncodeWire(w);
-  w.WriteU16(static_cast<std::uint16_t>(s.type));
-  w.WriteU16(static_cast<std::uint16_t>(s.rrclass));
-  w.WriteU32(s.ttl);
-  w.WriteVarint(s.rdatas.size());
-  for (const auto& rd : s.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    w.WriteVarint(rw.size());
-    w.WriteBytes(rw.span());
-  }
-}
-
 void WriteRRsetWire(const dns::RRsetView& s, ByteWriter& w) {
   s.name->EncodeWire(w);
   w.WriteU16(static_cast<std::uint16_t>(s.type));
@@ -46,14 +32,16 @@ util::Result<dns::RRset> ReadRRsetWire(ByteReader& r) {
   s.name = std::move(*name);
   std::uint16_t type = 0, rrclass = 0;
   if (!r.ReadU16(type) || !r.ReadU16(rrclass) || !r.ReadU32(s.ttl))
-    return Error("rrset: truncated header");
+    return Error(ErrorCode::kTruncated, "rrset: truncated header");
   s.type = static_cast<dns::RRType>(type);
   s.rrclass = static_cast<dns::RRClass>(rrclass);
   std::uint64_t count = 0;
-  if (!r.ReadVarint(count)) return Error("rrset: truncated rdata count");
+  if (!r.ReadVarint(count))
+    return Error(ErrorCode::kTruncated, "rrset: truncated rdata count");
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t len = 0;
-    if (!r.ReadVarint(len)) return Error("rrset: truncated rdata length");
+    if (!r.ReadVarint(len))
+      return Error(ErrorCode::kTruncated, "rrset: truncated rdata length");
     auto rdata = dns::DecodeRdata(s.type, len, r);
     if (!rdata.ok()) return rdata.error();
     s.rdatas.push_back(std::move(*rdata));
@@ -68,28 +56,34 @@ Bytes SerializeZone(const Zone& zone) {
   w.WriteU32(zone.Serial());
   const auto rrsets = zone.AllRRsets();
   w.WriteVarint(rrsets.size());
-  for (const auto& s : rrsets) WriteRRsetWire(s, w);
+  for (const auto& s : rrsets) WriteRRsetWire(dns::RRsetView::Of(s), w);
   return w.TakeData();
 }
 
 util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   std::uint32_t magic = 0;
-  if (!r.ReadU32(magic) || magic != kSnapshotMagic)
-    return Error("snapshot: bad magic");
+  if (!r.ReadU32(magic))
+    return Error(ErrorCode::kTruncated, "snapshot: truncated magic");
+  if (magic != kSnapshotMagic)
+    return Error(ErrorCode::kCorrupted, "snapshot: bad magic");
   auto apex = dns::Name::DecodeWire(r);
   if (!apex.ok()) return apex.error();
   std::uint32_t serial = 0;
-  if (!r.ReadU32(serial)) return Error("snapshot: truncated serial");
+  if (!r.ReadU32(serial))
+    return Error(ErrorCode::kTruncated, "snapshot: truncated serial");
   std::uint64_t count = 0;
-  if (!r.ReadVarint(count)) return Error("snapshot: truncated count");
+  if (!r.ReadVarint(count))
+    return Error(ErrorCode::kTruncated, "snapshot: truncated count");
   Zone zone(std::move(*apex));
   for (std::uint64_t i = 0; i < count; ++i) {
     auto rrset = ReadRRsetWire(r);
     if (!rrset.ok()) return rrset.error();
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(*rrset));
+    if (auto added = zone.AddRRset(*rrset); !added.ok())
+      return Error(ErrorCode::kCorrupted, added.message());
   }
-  if (!r.at_end()) return Error("snapshot: trailing bytes");
+  if (!r.at_end())
+    return Error(ErrorCode::kCorrupted, "snapshot: trailing bytes");
   return zone;
 }
 

@@ -13,8 +13,11 @@
 
 namespace rootless::zone {
 
-// Low-level RRset wire helpers (no compression; rdata names uncompressed).
-void WriteRRsetWire(const dns::RRset& rrset, util::ByteWriter& writer);
+// Low-level RRset wire helpers (no compression; rdata names uncompressed),
+// shared with the diff format. An owning RRset writes through
+// dns::RRsetView::Of. Decode failures carry kTruncated (the wire ended
+// early) or kCorrupted (it is present but malformed), as do
+// DeserializeZone's and DeserializeDiff's.
 void WriteRRsetWire(const dns::RRsetView& rrset, util::ByteWriter& writer);
 util::Result<dns::RRset> ReadRRsetWire(util::ByteReader& reader);
 

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "dns/message.h"
+#include "zone/snapshot.h"
 
 namespace rootless::zone {
 
@@ -14,44 +15,6 @@ using util::ByteWriter;
 using util::Error;
 
 namespace {
-
-// RRset wire helpers shared with the snapshot format: owner | type | class |
-// ttl | rdata-count | (len|rdata)*.
-void WriteRRset(const RRset& s, ByteWriter& w) {
-  s.name.EncodeWire(w);
-  w.WriteU16(static_cast<std::uint16_t>(s.type));
-  w.WriteU16(static_cast<std::uint16_t>(s.rrclass));
-  w.WriteU32(s.ttl);
-  w.WriteVarint(s.rdatas.size());
-  for (const auto& rd : s.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    w.WriteVarint(rw.size());
-    w.WriteBytes(rw.span());
-  }
-}
-
-util::Result<RRset> ReadRRset(ByteReader& r) {
-  RRset s;
-  auto name = dns::Name::DecodeWire(r);
-  if (!name.ok()) return name.error();
-  s.name = std::move(*name);
-  std::uint16_t type = 0, rrclass = 0;
-  if (!r.ReadU16(type) || !r.ReadU16(rrclass) || !r.ReadU32(s.ttl))
-    return Error("diff: truncated rrset header");
-  s.type = static_cast<dns::RRType>(type);
-  s.rrclass = static_cast<dns::RRClass>(rrclass);
-  std::uint64_t count = 0;
-  if (!r.ReadVarint(count)) return Error("diff: truncated rdata count");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t len = 0;
-    if (!r.ReadVarint(len)) return Error("diff: truncated rdata length");
-    auto rdata = dns::DecodeRdata(s.type, len, r);
-    if (!rdata.ok()) return rdata.error();
-    s.rdatas.push_back(std::move(*rdata));
-  }
-  return s;
-}
 
 void WriteKey(const RRsetKey& k, ByteWriter& w) {
   k.name.EncodeWire(w);
@@ -66,7 +29,7 @@ util::Result<RRsetKey> ReadKey(ByteReader& r) {
   k.name = std::move(*name);
   std::uint16_t type = 0, rrclass = 0;
   if (!r.ReadU16(type) || !r.ReadU16(rrclass))
-    return Error("diff: truncated key");
+    return Error(ErrorCode::kTruncated, "diff: truncated key");
   k.type = static_cast<dns::RRType>(type);
   k.rrclass = static_cast<dns::RRClass>(rrclass);
   return k;
@@ -118,40 +81,46 @@ Bytes SerializeDiff(const ZoneDiff& diff) {
   ByteWriter w;
   w.WriteU32(kDiffMagic);
   w.WriteVarint(diff.added.size());
-  for (const auto& s : diff.added) WriteRRset(s, w);
+  for (const auto& s : diff.added) WriteRRsetWire(dns::RRsetView::Of(s), w);
   w.WriteVarint(diff.removed.size());
   for (const auto& k : diff.removed) WriteKey(k, w);
   w.WriteVarint(diff.changed.size());
-  for (const auto& s : diff.changed) WriteRRset(s, w);
+  for (const auto& s : diff.changed) WriteRRsetWire(dns::RRsetView::Of(s), w);
   return w.TakeData();
 }
 
 util::Result<ZoneDiff> DeserializeDiff(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   std::uint32_t magic = 0;
-  if (!r.ReadU32(magic) || magic != kDiffMagic)
-    return Error("diff: bad magic");
+  if (!r.ReadU32(magic))
+    return Error(ErrorCode::kTruncated, "diff: truncated magic");
+  if (magic != kDiffMagic)
+    return Error(ErrorCode::kCorrupted, "diff: bad magic");
   ZoneDiff diff;
   std::uint64_t n = 0;
-  if (!r.ReadVarint(n)) return Error("diff: truncated");
+  if (!r.ReadVarint(n))
+    return Error(ErrorCode::kTruncated, "diff: truncated count");
   for (std::uint64_t i = 0; i < n; ++i) {
-    auto s = ReadRRset(r);
+    auto s = ReadRRsetWire(r);
     if (!s.ok()) return s.error();
     diff.added.push_back(std::move(*s));
   }
-  if (!r.ReadVarint(n)) return Error("diff: truncated");
+  if (!r.ReadVarint(n))
+    return Error(ErrorCode::kTruncated, "diff: truncated count");
   for (std::uint64_t i = 0; i < n; ++i) {
     auto k = ReadKey(r);
     if (!k.ok()) return k.error();
     diff.removed.push_back(std::move(*k));
   }
-  if (!r.ReadVarint(n)) return Error("diff: truncated");
+  if (!r.ReadVarint(n))
+    return Error(ErrorCode::kTruncated, "diff: truncated count");
   for (std::uint64_t i = 0; i < n; ++i) {
-    auto s = ReadRRset(r);
+    auto s = ReadRRsetWire(r);
     if (!s.ok()) return s.error();
     diff.changed.push_back(std::move(*s));
   }
-  if (!r.at_end()) return Error("diff: trailing bytes");
+  if (!r.at_end())
+    return Error(ErrorCode::kCorrupted, "diff: trailing bytes");
   return diff;
 }
 

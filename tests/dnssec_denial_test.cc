@@ -203,7 +203,7 @@ struct AttackEnv {
     config.mode = resolver::RootMode::kLoopbackAuth;  // single root node
     config.validate_denials = validate;
     config.validation_now = 5000;
-    config.max_retries = 2;
+    config.retry.max_attempts = 3;
     auto r = std::make_unique<resolver::RecursiveResolver>(
         sim, net,
         resolver::RecursiveResolver::Options{config, topo::GeoPoint{40, -74}});

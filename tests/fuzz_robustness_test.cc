@@ -98,6 +98,16 @@ TEST(Fuzz, MasterFileParserNeverCrashes) {
   }
 }
 
+// A snapshot or diff decode failure says what went wrong: the wire ended
+// early (kTruncated) or is present but malformed (kCorrupted).
+template <typename T>
+void ExpectCodedFailure(const util::Result<T>& result) {
+  if (result.ok()) return;
+  const ErrorCode code = result.error().code();
+  EXPECT_TRUE(code == ErrorCode::kTruncated || code == ErrorCode::kCorrupted)
+      << ErrorCodeName(code) << ": " << result.error().message();
+}
+
 TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {
   util::Rng rng(107);
   zone::EvolutionConfig config;
@@ -108,10 +118,36 @@ TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {
   const auto diff = zone::SerializeDiff(
       DiffZones(model.Snapshot({2019, 4, 1}), model.Snapshot({2019, 4, 5})));
   for (int i = 0; i < 1500; ++i) {
-    (void)zone::DeserializeZone(Mutate(snapshot, rng));
-    (void)zone::DeserializeDiff(Mutate(diff, rng));
-    (void)zone::DeserializeZone(RandomBytes(rng, 100));
-    (void)zone::DeserializeDiff(RandomBytes(rng, 100));
+    ExpectCodedFailure(zone::DeserializeZone(Mutate(snapshot, rng)));
+    ExpectCodedFailure(zone::DeserializeDiff(Mutate(diff, rng)));
+    ExpectCodedFailure(zone::DeserializeZone(RandomBytes(rng, 100)));
+    ExpectCodedFailure(zone::DeserializeDiff(RandomBytes(rng, 100)));
+  }
+}
+
+// Every proper prefix of a valid snapshot or diff wire is a short read.
+TEST(Fuzz, SnapshotAndDiffPrefixesAreTruncated) {
+  zone::EvolutionConfig config;
+  config.legacy_tld_count = 4;
+  config.peak_tld_count = 6;
+  const zone::RootZoneModel model(config);
+  const auto snapshot = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
+  const auto diff = zone::SerializeDiff(
+      DiffZones(model.Snapshot({2019, 4, 1}), model.Snapshot({2019, 4, 5})));
+  ASSERT_TRUE(zone::DeserializeZone(snapshot).ok());
+  ASSERT_TRUE(zone::DeserializeDiff(diff).ok());
+  for (std::size_t n = 0; n < snapshot.size(); ++n) {
+    const auto result =
+        zone::DeserializeZone(std::span(snapshot.data(), n));
+    ASSERT_FALSE(result.ok()) << "snapshot prefix " << n;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << "snapshot prefix " << n << ": " << result.error().message();
+  }
+  for (std::size_t n = 0; n < diff.size(); ++n) {
+    const auto result = zone::DeserializeDiff(std::span(diff.data(), n));
+    ASSERT_FALSE(result.ok()) << "diff prefix " << n;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << "diff prefix " << n << ": " << result.error().message();
   }
 }
 

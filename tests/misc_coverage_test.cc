@@ -115,7 +115,7 @@ TEST(InterceptorEdge, DropAndReplaceAreCounted) {
   sim.Run();
   EXPECT_EQ(seen, 3);
   EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(net.datagrams_intercepted(), 2u);
+  EXPECT_EQ(net.stats().datagrams_intercepted, 2u);
   EXPECT_EQ(last, (util::Bytes{3}));
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/counter_set.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,6 +17,7 @@
 #include "resolver/cache.h"
 #include "resolver/recursive.h"
 #include "resolver/refresh_daemon.h"
+#include "rootsrv/pipeline.h"
 #include "rootsrv/tld_farm.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -109,6 +111,99 @@ TEST(ObsRegistry, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snap[1].labels.instance, "1");
   EXPECT_EQ(snap[2].name, "m.middle");
   EXPECT_EQ(snap[3].name, "z.last");
+}
+
+// ---------------------------------------------------------- counter sets
+
+// rootsrv::AuthCounters' names, in ROOTLESS_AUTH_COUNTERS order.
+const std::vector<std::string> kAuthNames = {
+    "queries", "answers", "referrals", "nxdomain", "nodata", "refused",
+    "malformed", "truncated", "edns_queries", "cache_hits", "bytes_in",
+    "bytes_out"};
+
+// A distinct value per field, in list order. Designated initializers must
+// follow declaration order, so this compiles only while the snapshot's
+// fields are in list order.
+const rootsrv::AuthServerStats kDistinct{
+    .queries = 1, .answers = 2, .referrals = 3, .nxdomain = 4, .nodata = 5,
+    .refused = 6, .malformed = 7, .truncated = 8, .edns_queries = 9,
+    .cache_hits = 10, .bytes_in = 11, .bytes_out = 12};
+
+void BumpDistinct(rootsrv::AuthCounters& c) {
+  c.queries.Inc(1);
+  c.answers.Inc(2);
+  c.referrals.Inc(3);
+  c.nxdomain.Inc(4);
+  c.nodata.Inc(5);
+  c.refused.Inc(6);
+  c.malformed.Inc(7);
+  c.truncated.Inc(8);
+  c.edns_queries.Inc(9);
+  c.cache_hits.Inc(10);
+  c.bytes_in.Inc(11);
+  c.bytes_out.Inc(12);
+}
+
+// The registry value of every "rootsrv.auth.<name>", in list order.
+std::vector<std::uint64_t> AuthValues(const obs::Registry& reg) {
+  std::vector<std::uint64_t> values(kAuthNames.size(), 0);
+  for (const obs::Sample& s : reg.Snapshot()) {
+    for (std::size_t i = 0; i < kAuthNames.size(); ++i) {
+      if (s.name == "rootsrv.auth." + kAuthNames[i]) values[i] += s.counter;
+    }
+  }
+  return values;
+}
+
+TEST(ObsCounterSet, RegistersEveryNameUnderOneInstance) {
+  obs::Registry reg;
+  rootsrv::AuthCounters first;
+  const obs::Labels labels = first.Register(&reg, "rootsrv.auth");
+  EXPECT_EQ(labels, (obs::Labels{"0", "", ""}));
+  std::vector<std::string> expected;
+  for (const std::string& name : kAuthNames) {
+    expected.push_back("rootsrv.auth." + name);
+  }
+  std::sort(expected.begin(), expected.end());  // Snapshot() sorts by name
+  std::vector<std::string> names;
+  for (const obs::Sample& s : reg.Snapshot()) {
+    EXPECT_EQ(s.kind, obs::Kind::kCounter);
+    EXPECT_EQ(s.labels, labels);
+    names.push_back(s.name);
+  }
+  EXPECT_EQ(names, expected);
+  rootsrv::AuthCounters second;
+  EXPECT_EQ(second.Register(&reg, "rootsrv.auth").instance, "1");
+  EXPECT_EQ(reg.metric_count(), 2 * kAuthNames.size());
+}
+
+TEST(ObsCounterSet, ReadMirrorsEveryField) {
+  obs::Registry reg;
+  rootsrv::AuthCounters c;
+  c.Register(&reg, "rootsrv.auth");
+  BumpDistinct(c);
+  EXPECT_EQ(c.Read(), kDistinct);
+  const std::vector<std::uint64_t> values = AuthValues(reg);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], i + 1) << kAuthNames[i];
+  }
+}
+
+TEST(ObsCounterSet, SumAddsAndResetZeroesEveryField) {
+  rootsrv::AuthServerStats sum = kDistinct;
+  sum += kDistinct;
+  EXPECT_EQ(sum, (rootsrv::AuthServerStats{
+                     .queries = 2, .answers = 4, .referrals = 6,
+                     .nxdomain = 8, .nodata = 10, .refused = 12,
+                     .malformed = 14, .truncated = 16, .edns_queries = 18,
+                     .cache_hits = 20, .bytes_in = 22, .bytes_out = 24}));
+  obs::Registry reg;
+  rootsrv::AuthCounters c;
+  c.Register(&reg, "rootsrv.auth");
+  BumpDistinct(c);
+  c.Reset();
+  EXPECT_EQ(c.Read(), rootsrv::AuthServerStats{});
+  EXPECT_EQ(AuthValues(reg), std::vector<std::uint64_t>(kAuthNames.size(), 0));
 }
 
 // ------------------------------------------------------------ histogram

@@ -397,7 +397,7 @@ TEST(Recursive, TimeoutRetriesAnotherLetter) {
   ResolverConfig config;
   config.mode = RootMode::kRootServers;
   config.seed = 5;
-  config.max_retries = 10;
+  config.retry.max_attempts = 11;
   const topo::GeoPoint where{48.85, 2.35};
   RecursiveResolver r(e2e.sim, e2e.net, {config, where});
   e2e.registry.PlaceNode(r.node(), where);
@@ -424,7 +424,7 @@ TEST(Recursive, ExhaustedRetriesFail) {
   ResolverConfig config;
   config.mode = RootMode::kRootServers;
   config.seed = 5;
-  config.max_retries = 2;
+  config.retry.max_attempts = 3;
   const topo::GeoPoint where{48.85, 2.35};
   RecursiveResolver r(e2e.sim, e2e.net, {config, where});
   e2e.registry.PlaceNode(r.node(), where);

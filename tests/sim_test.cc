@@ -91,8 +91,8 @@ TEST(Network, DeliversAfterLatency) {
   sim.Run();
   EXPECT_EQ(delivered_at, 500);
   EXPECT_EQ(received, (util::Bytes{1, 2, 3}));
-  EXPECT_EQ(net.datagrams_sent(), 1u);
-  EXPECT_EQ(net.bytes_sent(), 3u);
+  EXPECT_EQ(net.stats().datagrams_sent, 1u);
+  EXPECT_EQ(net.stats().bytes_sent, 3u);
 }
 
 TEST(Network, SourceAndDestinationAreReported) {
@@ -118,7 +118,7 @@ TEST(Network, LossDropsDatagrams) {
   sim.Run();
   EXPECT_GT(delivered, 400);
   EXPECT_LT(delivered, 600);
-  EXPECT_EQ(net.datagrams_dropped(), 1000u - delivered);
+  EXPECT_EQ(net.stats().datagrams_dropped, 1000u - delivered);
 }
 
 TEST(Network, ZeroLossDeliversAll) {
