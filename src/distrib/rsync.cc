@@ -197,19 +197,27 @@ Delta ComputeDelta(const FileSignature& signature,
 util::Result<Bytes> ApplyDelta(std::span<const std::uint8_t> old_file,
                                const Delta& delta) {
   if (old_file.size() != delta.old_file_size)
-    return Error("rsync: old file size mismatch");
+    return Error(ErrorCode::kCorrupted, "rsync: old file size mismatch");
+  if (delta.block_size == 0)
+    return Error(ErrorCode::kCorrupted, "rsync: zero block size");
+  const std::uint64_t size = old_file.size();
+  const std::uint64_t block_size = delta.block_size;
+  const std::uint64_t old_blocks =
+      size / block_size + (size % block_size != 0 ? 1 : 0);
   Bytes out;
   for (const auto& op : delta.ops) {
     if (const auto* copy = std::get_if<CopyOp>(&op)) {
-      for (std::uint32_t k = 0; k < copy->count; ++k) {
-        const std::size_t offset =
-            static_cast<std::size_t>(copy->block_index + k) * delta.block_size;
-        if (offset >= old_file.size()) return Error("rsync: block out of range");
-        const std::size_t len =
-            std::min(delta.block_size, old_file.size() - offset);
-        out.insert(out.end(), old_file.begin() + offset,
-                   old_file.begin() + offset + len);
-      }
+      if (copy->count == 0) continue;
+      // Both fields are 32-bit, so their sum cannot wrap in 64 bits.
+      const std::uint64_t end = std::uint64_t{copy->block_index} + copy->count;
+      if (end > old_blocks)
+        return Error(ErrorCode::kCorrupted, "rsync: block out of range");
+      // Only the file's last block can be short, so the run is one span.
+      const std::uint64_t from = copy->block_index * block_size;
+      const std::uint64_t to = end == old_blocks ? size : end * block_size;
+      out.insert(out.end(),
+                 old_file.begin() + static_cast<std::ptrdiff_t>(from),
+                 old_file.begin() + static_cast<std::ptrdiff_t>(to));
     } else {
       const auto& lit = std::get<LiteralOp>(op);
       out.insert(out.end(), lit.bytes.begin(), lit.bytes.end());
@@ -242,35 +250,44 @@ util::Bytes SerializeDelta(const Delta& delta) {
 util::Result<Delta> DeserializeDelta(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   std::uint32_t magic = 0;
-  if (!r.ReadU32(magic) || magic != 0x52445357)
-    return Error("rsync: bad delta magic");
+  if (!r.ReadU32(magic))
+    return Error(ErrorCode::kTruncated, "rsync: truncated delta magic");
+  if (magic != 0x52445357)
+    return Error(ErrorCode::kCorrupted, "rsync: bad delta magic");
   Delta delta;
   std::uint64_t block_size = 0, old_size = 0, op_count = 0;
   if (!r.ReadVarint(block_size) || !r.ReadVarint(old_size) ||
       !r.ReadVarint(op_count))
-    return Error("rsync: truncated delta header");
+    return Error(ErrorCode::kTruncated, "rsync: truncated delta header");
+  if (block_size == 0 || block_size > 0xFFFFFFFFULL)
+    return Error(ErrorCode::kCorrupted, "rsync: block size out of range");
   delta.block_size = block_size;
   delta.old_file_size = old_size;
   for (std::uint64_t i = 0; i < op_count; ++i) {
     std::uint8_t kind = 0;
-    if (!r.ReadU8(kind)) return Error("rsync: truncated op");
+    if (!r.ReadU8(kind))
+      return Error(ErrorCode::kTruncated, "rsync: truncated op");
     if (kind == 0x01) {
       std::uint64_t block = 0, count = 0;
       if (!r.ReadVarint(block) || !r.ReadVarint(count))
-        return Error("rsync: truncated copy op");
+        return Error(ErrorCode::kTruncated, "rsync: truncated copy op");
+      if (block > 0xFFFFFFFFULL || count > 0xFFFFFFFFULL)
+        return Error(ErrorCode::kCorrupted, "rsync: copy op out of range");
       delta.ops.push_back(CopyOp{static_cast<std::uint32_t>(block),
                                  static_cast<std::uint32_t>(count)});
     } else if (kind == 0x00) {
       std::uint64_t len = 0;
-      if (!r.ReadVarint(len)) return Error("rsync: truncated literal op");
+      if (!r.ReadVarint(len))
+        return Error(ErrorCode::kTruncated, "rsync: truncated literal op");
       LiteralOp lit;
-      if (!r.ReadBytes(len, lit.bytes)) return Error("rsync: truncated literal");
+      if (!r.ReadBytes(len, lit.bytes))
+        return Error(ErrorCode::kTruncated, "rsync: truncated literal");
       delta.ops.push_back(std::move(lit));
     } else {
-      return Error("rsync: unknown op kind");
+      return Error(ErrorCode::kCorrupted, "rsync: unknown op kind");
     }
   }
-  if (!r.at_end()) return Error("rsync: trailing bytes");
+  if (!r.at_end()) return Error(ErrorCode::kCorrupted, "rsync: trailing bytes");
   return delta;
 }
 

@@ -130,21 +130,18 @@ bool RecursiveResolver::NegativeCached(std::string_view tld) const {
   return it != negative_.end() && it->second > sim_.now();
 }
 
-void RecursiveResolver::CacheNegative(
-    std::string_view tld,
-    const std::vector<dns::ResourceRecord>& authority) {
-  if (!config_.negative_cache) return;
+sim::SimTime RecursiveResolver::NegativeTtl(const dns::SoaData& soa,
+                                            std::uint32_t soa_ttl) const {
   // RFC 2308: negative TTL = min(SOA.minimum, SOA TTL), capped.
-  sim::SimTime ttl = config_.max_negative_ttl;
-  for (const auto& rr : authority) {
-    if (rr.type != RRType::kSOA) continue;
-    const auto& soa = std::get<dns::SoaData>(rr.rdata);
-    ttl = std::min<sim::SimTime>(
-        config_.max_negative_ttl,
-        static_cast<sim::SimTime>(std::min(soa.minimum, rr.ttl)) *
-            sim::kSecond);
-    break;
-  }
+  return std::min<sim::SimTime>(
+      config_.max_negative_ttl,
+      static_cast<sim::SimTime>(std::min(soa.minimum, soa_ttl)) *
+          sim::kSecond);
+}
+
+void RecursiveResolver::CacheNegative(std::string_view tld,
+                                      sim::SimTime ttl) {
+  if (!config_.negative_cache) return;
   const sim::SimTime until = sim_.now() + ttl;
   auto it = negative_.find(tld);
   if (it != negative_.end()) {
@@ -277,13 +274,14 @@ void RecursiveResolver::AskLocalStore(std::uint16_t id) {
     if (entry == nullptr) {
       // Local equivalent of a root NXDOMAIN.
       c_.nxdomain.Inc();
+      sim::SimTime ttl = config_.max_negative_ttl;
       std::optional<dns::RRsetView> soa;
       if (db_.snapshot() != nullptr) soa = db_.snapshot()->soa();
-      if (soa.has_value()) {
-        CacheNegative(tld, soa->Materialize().ToRecords());
-      } else {
-        CacheNegative(tld, {});
+      if (soa.has_value() && !soa->empty()) {
+        ttl = NegativeTtl(std::get<dns::SoaData>(soa->rdatas.front()),
+                          soa->ttl);
       }
+      CacheNegative(tld, ttl);
       Finish(id, dns::RCode::kNXDomain, {});
       return;
     }
@@ -439,7 +437,13 @@ void RecursiveResolver::HandleRootResponse(std::uint16_t id, Pending& pending,
       }
     }
     c_.nxdomain.Inc();
-    CacheNegative(pending.qname.tld_view(), response.authority);
+    sim::SimTime ttl = config_.max_negative_ttl;
+    for (const auto& rr : response.authority) {
+      if (rr.type != RRType::kSOA) continue;
+      ttl = NegativeTtl(std::get<dns::SoaData>(rr.rdata), rr.ttl);
+      break;
+    }
+    CacheNegative(pending.qname.tld_view(), ttl);
     Finish(id, dns::RCode::kNXDomain, {});
     return;
   }

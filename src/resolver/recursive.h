@@ -238,8 +238,11 @@ class RecursiveResolver {
   // Negative cache (RFC 2308), keyed by TLD label (case-insensitive;
   // lookups take views straight out of the qname).
   bool NegativeCached(std::string_view tld) const;
-  void CacheNegative(std::string_view tld,
-                     const std::vector<dns::ResourceRecord>& authority);
+  // How long a denial that came with this SOA lives (a denial without one
+  // lives max_negative_ttl).
+  sim::SimTime NegativeTtl(const dns::SoaData& soa,
+                           std::uint32_t soa_ttl) const;
+  void CacheNegative(std::string_view tld, sim::SimTime ttl);
   // Retry or fail after a bad (unvalidatable) response.
   void RetryAfterBadResponse(std::uint16_t id);
   // Re-issues the current stage's query after the retry policy's jittered

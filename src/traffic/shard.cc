@@ -439,13 +439,7 @@ bool ShardTraceGenerator::NextChunk(ShardChunk& out) {
       EmitAttackChunk(r, chunk, out.events);
     }
   }
-  std::sort(out.events.begin(), out.events.end(),
-            [](const QueryEvent& a, const QueryEvent& b) {
-              if (a.time_sec != b.time_sec) return a.time_sec < b.time_sec;
-              if (a.resolver_id != b.resolver_id)
-                return a.resolver_id < b.resolver_id;
-              return a.tld < b.tld;
-            });
+  SortEvents(out.events, sort_scratch_);
 
   if (next_chunk_ == chunk_count_) {
     // Day complete: fold the population facts into the tally.

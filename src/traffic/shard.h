@@ -91,8 +91,8 @@ struct ShardTally {
 };
 
 // One generated chunk: all of the shard's queries with
-// time_sec in [index*kChunkSec, (index+1)*kChunkSec), sorted the way
-// GenerateDitlTrace sorts its day (time, resolver, tld).
+// time_sec in [index*kChunkSec, (index+1)*kChunkSec), in trace order
+// (SortEvents, the order GenerateDitlTrace gives its day).
 struct ShardChunk {
   std::uint32_t index = 0;
   std::vector<QueryEvent> events;
@@ -240,6 +240,8 @@ class ShardTraceGenerator {
   std::vector<std::uint8_t> resolver_bits_;  // bit0 sent any, bit1 sent real
   std::unordered_set<std::uint64_t> stray_seen_ideal_;
   std::unordered_set<std::uint64_t> stray_seen_chunk_;
+  // SortEvents' buffer; trades places with the chunk's events every chunk.
+  std::vector<QueryEvent> sort_scratch_;
   std::uint32_t chunk_count_ = 0;
   std::uint32_t next_chunk_ = 0;
   ShardTally tally_;

@@ -36,6 +36,16 @@ struct QueryEvent {
   TldId tld = 0;
 };
 
+// Puts `events` in trace order: ascending (time_sec, resolver_id, tld), the
+// order replay consumes. A counting sort by second into `scratch` (swapped
+// in afterwards, so a caller that keeps both vectors allocates nothing once
+// they have grown), then a sort of each second's short run by (resolver,
+// tld): O(n + seconds spanned). Inputs spread thinly over a wide time range
+// fall back to a comparison sort. Events equal in all three fields are
+// indistinguishable, so the result is exactly a comparison sort's.
+void SortEvents(std::vector<QueryEvent>& events,
+                std::vector<QueryEvent>& scratch);
+
 struct Trace {
   TldTable tlds;
   std::vector<QueryEvent> events;  // ascending by time_sec

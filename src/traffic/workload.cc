@@ -182,13 +182,8 @@ Trace GenerateDitlTrace(const WorkloadConfig& config,
     }
   }
 
-  std::sort(trace.events.begin(), trace.events.end(),
-            [](const QueryEvent& a, const QueryEvent& b) {
-              if (a.time_sec != b.time_sec) return a.time_sec < b.time_sec;
-              if (a.resolver_id != b.resolver_id)
-                return a.resolver_id < b.resolver_id;
-              return a.tld < b.tld;
-            });
+  std::vector<QueryEvent> scratch;
+  SortEvents(trace.events, scratch);
 
   summary.total_queries = trace.events.size();
   if (out_summary != nullptr) *out_summary = summary;

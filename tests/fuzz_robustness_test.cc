@@ -9,6 +9,7 @@
 #include "sim/simulator.h"
 #include "distrib/rsync.h"
 #include "dns/message.h"
+#include "traffic/trace.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
 #include "zone/master_file.h"
@@ -172,11 +173,170 @@ TEST(Fuzz, RsyncDeltaDecoderNeverCrashes) {
   const auto delta = distrib::SerializeDelta(distrib::ComputeDelta(sig, target));
   for (int i = 0; i < 2000; ++i) {
     auto decoded = distrib::DeserializeDelta(Mutate(delta, rng));
+    ExpectCodedFailure(decoded);
     if (decoded.ok()) {
       // Applying a structurally valid but semantically wrong delta must
-      // fail gracefully or produce some bytes — never crash.
-      (void)distrib::ApplyDelta(base, *decoded);
+      // fail with a coded error or produce some bytes — never crash.
+      ExpectCodedFailure(distrib::ApplyDelta(base, *decoded));
+      // What the decoder accepts re-encodes to a fixpoint.
+      const auto wire = distrib::SerializeDelta(*decoded);
+      const auto again = distrib::DeserializeDelta(wire);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(distrib::SerializeDelta(*again), wire);
     }
+  }
+}
+
+// Two 14-byte deltas the decoder must refuse: block size 0 with one copy of
+// 2^32-1 blocks (ApplyDelta would step through every one of them), and a
+// copy from block 2^32, which CopyOp's 32-bit field cannot hold.
+TEST(Fuzz, RsyncDeltaRejectsZeroBlockSizeAndWideFields) {
+  const auto wire = [](std::uint64_t block_size, std::uint64_t block,
+                       std::uint64_t count) {
+    util::ByteWriter w;
+    w.WriteU32(0x52445357);  // "RDSW"
+    w.WriteVarint(block_size);
+    w.WriteVarint(4);  // old file size
+    w.WriteVarint(1);  // one op
+    w.WriteU8(0x01);   // copy
+    w.WriteVarint(block);
+    w.WriteVarint(count);
+    return w.TakeData();
+  };
+  const util::Bytes zero_block = wire(0, 0, 0xFFFFFFFFULL);
+  const util::Bytes wide_block = wire(2, 1ULL << 32, 1);
+  EXPECT_EQ(zero_block.size(), 14u);
+  EXPECT_EQ(wide_block.size(), 14u);
+  for (const util::Bytes& bad : {zero_block, wide_block, wire(2, 0, 1ULL << 32),
+                                 wire(1ULL << 32, 0, 1)}) {
+    const auto decoded = distrib::DeserializeDelta(bad);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kCorrupted)
+        << decoded.error().message();
+  }
+  ASSERT_TRUE(distrib::DeserializeDelta(wire(2, 1, 1)).ok());
+
+  // The same shapes built in memory are refused by ApplyDelta up front.
+  const util::Bytes old_file{1, 2, 3, 4};
+  distrib::Delta delta;
+  delta.old_file_size = old_file.size();
+  delta.ops.push_back(distrib::CopyOp{0, 0xFFFFFFFFu});
+  for (const std::size_t block_size : {0, 2}) {
+    delta.block_size = block_size;
+    const auto applied = distrib::ApplyDelta(old_file, delta);
+    ASSERT_FALSE(applied.ok());
+    EXPECT_EQ(applied.error().code(), ErrorCode::kCorrupted);
+  }
+  delta.ops = {distrib::CopyOp{1, 1}, distrib::CopyOp{0, 2}};
+  const auto applied = distrib::ApplyDelta(old_file, delta);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, (util::Bytes{3, 4, 1, 2, 3, 4}));
+}
+
+// Every proper prefix of a valid delta wire is a short read.
+TEST(Fuzz, RsyncDeltaPrefixesAreTruncated) {
+  util::Rng rng(131);
+  util::Bytes base(3000);
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng.Below(256));
+  util::Bytes target(base.begin(), base.begin() + 1000);
+  for (int i = 0; i < 300; ++i) target.push_back(static_cast<std::uint8_t>(i));
+  target.insert(target.end(), base.begin() + 1400, base.end());
+  const auto delta = distrib::ComputeDelta(distrib::ComputeSignature(base, 200),
+                                           target);
+  const auto wire = distrib::SerializeDelta(delta);
+  const auto full = distrib::DeserializeDelta(wire);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full->literal_bytes(), 0u);
+  ASSERT_GT(full->copied_bytes(), 0u);
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    const auto result = distrib::DeserializeDelta(std::span(wire.data(), n));
+    ASSERT_FALSE(result.ok()) << "prefix " << n;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << "prefix " << n << ": " << result.error().message();
+  }
+}
+
+// A small trace whose varints take one to five bytes.
+util::Bytes SampleTraceWire(util::Rng& rng) {
+  traffic::Trace trace;
+  for (const char* label : {"com", "net", "belkin", "local", "xn--p1ai"}) {
+    trace.tlds.Intern(label);
+  }
+  std::uint32_t t = 0;
+  for (int i = 0; i < 200; ++i) {
+    t += static_cast<std::uint32_t>(rng.Below(i % 50 == 0 ? 1u << 20 : 300));
+    trace.events.push_back(
+        {t, static_cast<std::uint32_t>(rng.Below(i % 7 == 0 ? 1u << 30 : 100)),
+         static_cast<traffic::TldId>(rng.Below(trace.tlds.size()))});
+  }
+  return traffic::SerializeTrace(trace);
+}
+
+TEST(Fuzz, TraceDecoderNeverCrashes) {
+  util::Rng rng(137);
+  const util::Bytes valid = SampleTraceWire(rng);
+  ASSERT_TRUE(traffic::DeserializeTrace(valid).ok());
+  for (int i = 0; i < 2000; ++i) {
+    const auto decoded = traffic::DeserializeTrace(Mutate(valid, rng));
+    ExpectCodedFailure(decoded);
+    if (decoded.ok()) {
+      const auto wire = traffic::SerializeTrace(*decoded);
+      const auto again = traffic::DeserializeTrace(wire);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(traffic::SerializeTrace(*again), wire);
+    }
+    ExpectCodedFailure(traffic::DeserializeTrace(RandomBytes(rng, 64)));
+  }
+}
+
+// 11 bytes: the magic, no labels and a count of 2^40 events, which must be
+// refused before anything reserves room for them; and a time delta that
+// would carry the timestamp past 2^32-1.
+TEST(Fuzz, TraceDecoderBoundsCountsAndTimes) {
+  util::ByteWriter huge;
+  huge.WriteU32(0x44495452);  // "DITR"
+  huge.WriteVarint(0);
+  huge.WriteVarint(1ULL << 40);
+  const util::Bytes wire = huge.TakeData();
+  ASSERT_EQ(wire.size(), 11u);
+  const auto decoded = traffic::DeserializeTrace(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kTruncated);
+
+  const auto two_events = [](std::uint64_t second_delta) {
+    util::ByteWriter w;
+    w.WriteU32(0x44495452);
+    w.WriteVarint(1);
+    w.WriteVarint(3);
+    w.WriteString("com");
+    w.WriteVarint(2);
+    for (const std::uint64_t dt : {std::uint64_t{0xFFFFFFF0}, second_delta}) {
+      w.WriteVarint(dt);
+      w.WriteVarint(1);  // resolver
+      w.WriteVarint(0);  // tld
+    }
+    return w.TakeData();
+  };
+  const auto at_limit = traffic::DeserializeTrace(two_events(0xF));
+  ASSERT_TRUE(at_limit.ok());
+  EXPECT_EQ(at_limit->events.back().time_sec, 0xFFFFFFFFu);
+  for (const std::uint64_t dt : {std::uint64_t{0x10}, ~std::uint64_t{0}}) {
+    const auto past = traffic::DeserializeTrace(two_events(dt));
+    ASSERT_FALSE(past.ok()) << dt;
+    EXPECT_EQ(past.error().code(), ErrorCode::kCorrupted);
+  }
+}
+
+// Every proper prefix of a valid trace wire is a short read.
+TEST(Fuzz, TracePrefixesAreTruncated) {
+  util::Rng rng(139);
+  const util::Bytes wire = SampleTraceWire(rng);
+  ASSERT_TRUE(traffic::DeserializeTrace(wire).ok());
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    const auto result = traffic::DeserializeTrace(std::span(wire.data(), n));
+    ASSERT_FALSE(result.ok()) << "prefix " << n;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << "prefix " << n << ": " << result.error().message();
   }
 }
 

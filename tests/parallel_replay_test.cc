@@ -16,6 +16,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/parallel.h"
+#include "traffic/attack.h"
 #include "traffic/classify.h"
 #include "traffic/replay.h"
 #include "traffic/shard.h"
@@ -143,6 +144,53 @@ TEST(ShardGenerator, WorkloadInvariantAcrossShardCounts) {
     // Not just equal counts: the exact same multiset of queries.
     EXPECT_TRUE(one.events == split.events) << "K=" << k;
     ExpectTalliesEqual(one.tally, split.tally);
+  }
+}
+
+// The order replay consumes: each chunk ascending by (time, resolver, tld)
+// and inside its own 900-second window, attack stream included.
+TEST(ShardGenerator, ChunksAreInTraceOrderInsideTheirWindow) {
+  constexpr std::uint32_t kChunkSec = ShardTraceGenerator::kChunkSec;
+  const std::vector<std::string> tlds = TestTlds();
+  AttackPlan attack;
+  attack.kind = AttackKind::kWaterTorture;
+  attack.attackers = 12;
+  attack.rate = 40;
+  attack.windows.push_back({.node = 0, .from = 3600, .to = 14400});
+  for (const std::uint64_t seed : {4242ULL, 99ULL}) {
+    for (const bool attacked : {false, true}) {
+      WorkloadConfig config = SmallConfig();
+      config.seed = seed;
+      const ShardPlan plan = MakeShardPlan(config, 3);
+      std::uint64_t events = 0;
+      for (int s = 0; s < 3; ++s) {
+        ShardTraceGenerator gen(config, plan, s, tlds);
+        if (attacked) gen.SetAttackPlan(&attack);
+        ShardChunk chunk;
+        std::uint32_t expected_index = 0;
+        while (gen.NextChunk(chunk)) {
+          ASSERT_EQ(chunk.index, expected_index++);
+          const std::uint32_t begin = chunk.index * kChunkSec;
+          for (std::size_t i = 0; i < chunk.events.size(); ++i) {
+            const QueryEvent& e = chunk.events[i];
+            ASSERT_GE(e.time_sec, begin);
+            ASSERT_LT(e.time_sec, begin + kChunkSec);
+            if (i == 0) continue;
+            const QueryEvent& p = chunk.events[i - 1];
+            ASSERT_LE(std::tie(p.time_sec, p.resolver_id, p.tld),
+                      std::tie(e.time_sec, e.resolver_id, e.tld))
+                << "seed " << seed << " attack " << attacked << " shard " << s
+                << " chunk " << chunk.index << " event " << i;
+          }
+          events += chunk.events.size();
+        }
+        EXPECT_EQ(expected_index, gen.chunk_count());
+        if (attacked && s == 0) {
+          EXPECT_GT(gen.tally().attack_queries, 0u);
+        }
+      }
+      EXPECT_GT(events, 100000u);
+    }
   }
 }
 

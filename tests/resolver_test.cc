@@ -13,6 +13,7 @@
 #include "rootsrv/tld_farm.h"
 #include "topo/deployment.h"
 #include "zone/evolution.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::resolver {
 namespace {
@@ -443,6 +444,53 @@ TEST(Recursive, ExhaustedRetriesFail) {
   EXPECT_TRUE(out.failed);
   EXPECT_EQ(out.rcode, dns::RCode::kServFail);
   EXPECT_EQ(r.stats().failures, 1u);
+}
+
+// A local-root NXDOMAIN is cached for min(SOA minimum, SOA TTL) when that is
+// under the 1 h cap (RFC 2308), and the entry matches the label in any case.
+TEST(Recursive, LocalNxdomainLivesForTheSoaNegativeTtl) {
+  struct Soa {
+    std::uint32_t ttl, minimum, negative_sec;
+  };
+  for (const Soa soa : {Soa{900, 600, 600}, Soa{300, 1200, 300}}) {
+    zone::Zone zone;
+    dns::SoaData data;
+    data.mname = N("a.root-servers.net.");
+    data.minimum = soa.minimum;
+    ASSERT_TRUE(
+        zone.AddRecord({Name(), RRType::kSOA, RRClass::kIN, soa.ttl, data})
+            .ok());
+    ASSERT_TRUE(zone.AddRecord({N("com."), RRType::kNS, RRClass::kIN, 172800,
+                                dns::NsData{N("ns1.nic.com.")}})
+                    .ok());
+    sim::Simulator sim;
+    sim::Network net(sim, 21);
+    ResolverConfig config;
+    config.mode = RootMode::kOnDemandZoneFile;
+    config.seed = 77;
+    RecursiveResolver r(sim, net, {config, topo::GeoPoint{48.85, 2.35}});
+    r.SetLocalZone(zone::ZoneSnapshot::Build(zone));
+    auto nxdomain = [&](std::string_view name) {
+      dns::RCode rcode = dns::RCode::kNoError;
+      r.Resolve(N(name), RRType::kA,
+                [&](const ResolutionResult& result) { rcode = result.rcode; });
+      sim.Run();
+      return rcode == dns::RCode::kNXDomain;
+    };
+
+    ASSERT_TRUE(nxdomain("printer.belkin."));
+    ASSERT_EQ(r.stats().local_root_lookups, 1u);
+    const sim::SimTime cached_at = sim.now();
+    const sim::SimTime expires = cached_at + soa.negative_sec * sim::kSecond;
+    sim.RunUntil(expires - 1);
+    EXPECT_TRUE(nxdomain("scanner.BeLKiN."));
+    EXPECT_EQ(r.stats().negative_hits, 1u) << "SOA TTL " << soa.ttl;
+    EXPECT_EQ(r.stats().local_root_lookups, 1u);
+    sim.RunUntil(expires);
+    EXPECT_TRUE(nxdomain("nas.belkin."));
+    EXPECT_EQ(r.stats().negative_hits, 1u) << "SOA TTL " << soa.ttl;
+    EXPECT_EQ(r.stats().local_root_lookups, 2u);
+  }
 }
 
 // ---------------------------------------------------------------- daemon

@@ -2,10 +2,14 @@
 // calibration targets from the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "traffic/classify.h"
+#include "traffic/trace.h"
 #include "traffic/workload.h"
+#include "util/rng.h"
 #include "zone/evolution.h"
 
 namespace rootless::traffic {
@@ -226,6 +230,59 @@ TEST(MeasureTldShare, CountsQueriesAndResolvers) {
 
 namespace rootless::traffic {
 namespace {
+
+// SortEvents gives exactly the order of the comparison sort it replaced.
+TEST(SortEvents, MatchesComparisonSort) {
+  const auto before = [](const QueryEvent& a, const QueryEvent& b) {
+    if (a.time_sec != b.time_sec) return a.time_sec < b.time_sec;
+    if (a.resolver_id != b.resolver_id) return a.resolver_id < b.resolver_id;
+    return a.tld < b.tld;
+  };
+  const auto same = [](const std::vector<QueryEvent>& a,
+                       const std::vector<QueryEvent>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const QueryEvent& x, const QueryEvent& y) {
+                        return x.time_sec == y.time_sec &&
+                               x.resolver_id == y.resolver_id && x.tld == y.tld;
+                      });
+  };
+  constexpr std::uint32_t kLast = 0xFFFFFFFFu;
+  util::Rng rng(515);
+  std::vector<QueryEvent> events, scratch;
+  SortEvents(events, scratch);
+  EXPECT_TRUE(events.empty());
+  // Windows: one replay chunk, a day, the last seconds of the 32-bit range,
+  // and a sparse spread over all of it (the comparison-sort fallback).
+  struct Window {
+    std::uint32_t first;
+    std::uint64_t seconds;
+    std::size_t count;
+  };
+  for (const Window w : {Window{0, 900, 1}, Window{900, 900, 7000},
+                         Window{0, 86400, 50000}, Window{kLast - 99, 100, 3000},
+                         Window{0, std::uint64_t{kLast} + 1, 200}}) {
+    for (int round = 0; round < 5; ++round) {
+      events.clear();
+      // Few resolvers and TLDs, so (time, resolver, tld) repeats.
+      for (std::size_t i = 0; i < w.count; ++i) {
+        events.push_back({w.first + static_cast<std::uint32_t>(
+                                        rng.Below(w.seconds)),
+                          static_cast<std::uint32_t>(rng.Below(50)),
+                          static_cast<TldId>(rng.Below(40))});
+      }
+      // Events at the window's first and last second, duplicated.
+      const auto last = static_cast<std::uint32_t>(w.first + (w.seconds - 1));
+      for (const std::uint32_t t : {last, w.first, last, w.first}) {
+        events.push_back({t, 7, 3});
+      }
+      std::vector<QueryEvent> expected = events;
+      std::sort(expected.begin(), expected.end(), before);
+      SortEvents(events, scratch);
+      EXPECT_TRUE(same(events, expected))
+          << "window " << w.first << "+" << w.seconds << " round " << round;
+    }
+  }
+}
 
 TEST(TraceFile, RoundTrip) {
   WorkloadConfig config;
