@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace rootless::traffic {
 
 using util::ByteReader;
@@ -13,11 +15,9 @@ namespace {
 
 constexpr std::uint32_t kTraceMagic = 0x44495452;  // "DITR"
 
-bool InTraceOrder(const QueryEvent& a, const QueryEvent& b) {
-  if (a.time_sec != b.time_sec) return a.time_sec < b.time_sec;
-  if (a.resolver_id != b.resolver_id) return a.resolver_id < b.resolver_id;
-  return a.tld < b.tld;
-}
+// Widest span SortEvents takes: its counting array holds one size_t per
+// second spanned.
+constexpr std::size_t kMaxSortSpanSec = 366 * 86400;
 
 // The order within one second, as one integer.
 std::uint64_t ResolverTld(const QueryEvent& e) {
@@ -37,10 +37,7 @@ void SortEvents(std::vector<QueryEvent>& events,
       });
   const std::uint32_t first = lo->time_sec;
   const std::size_t seconds = std::size_t{hi->time_sec} - first + 1;
-  if (seconds > 4 * n + 4096) {
-    std::sort(events.begin(), events.end(), InTraceOrder);
-    return;
-  }
+  ROOTLESS_CHECK(seconds <= kMaxSortSpanSec);
   // next[s]: where the next event of second first+s goes in scratch.
   std::vector<std::size_t> next(seconds + 1, 0);
   for (const QueryEvent& e : events) ++next[e.time_sec - first + 1];

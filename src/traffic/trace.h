@@ -37,12 +37,13 @@ struct QueryEvent {
 };
 
 // Puts `events` in trace order: ascending (time_sec, resolver_id, tld), the
-// order replay consumes. A counting sort by second into `scratch` (swapped
-// in afterwards, so a caller that keeps both vectors allocates nothing once
-// they have grown), then a sort of each second's short run by (resolver,
-// tld): O(n + seconds spanned). Inputs spread thinly over a wide time range
-// fall back to a comparison sort. Events equal in all three fields are
-// indistinguishable, so the result is exactly a comparison sort's.
+// order replay consumes. The events must come from one collection window of
+// at most 366 days (checked). A counting sort by second into `scratch`
+// (swapped in afterwards, so a caller that keeps both vectors reuses their
+// capacity; the per-second counting array is allocated on each call), then a
+// sort of each second's short run by (resolver, tld): O(n + seconds
+// spanned). Events equal in all three fields are indistinguishable, so the
+// result is exactly a comparison sort's.
 void SortEvents(std::vector<QueryEvent>& events,
                 std::vector<QueryEvent>& scratch);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "traffic/classify.h"
@@ -251,16 +252,16 @@ TEST(SortEvents, MatchesComparisonSort) {
   std::vector<QueryEvent> events, scratch;
   SortEvents(events, scratch);
   EXPECT_TRUE(events.empty());
-  // Windows: one replay chunk, a day, the last seconds of the 32-bit range,
-  // and a sparse spread over all of it (the comparison-sort fallback).
+  // Windows: one replay chunk, a day, a sparse day, and the last seconds of
+  // the 32-bit range.
   struct Window {
     std::uint32_t first;
-    std::uint64_t seconds;
+    std::uint32_t seconds;
     std::size_t count;
   };
   for (const Window w : {Window{0, 900, 1}, Window{900, 900, 7000},
-                         Window{0, 86400, 50000}, Window{kLast - 99, 100, 3000},
-                         Window{0, std::uint64_t{kLast} + 1, 200}}) {
+                         Window{0, 86400, 50000}, Window{0, 86400, 200},
+                         Window{kLast - 99, 100, 3000}}) {
     for (int round = 0; round < 5; ++round) {
       events.clear();
       // Few resolvers and TLDs, so (time, resolver, tld) repeats.
@@ -271,7 +272,7 @@ TEST(SortEvents, MatchesComparisonSort) {
                           static_cast<TldId>(rng.Below(40))});
       }
       // Events at the window's first and last second, duplicated.
-      const auto last = static_cast<std::uint32_t>(w.first + (w.seconds - 1));
+      const std::uint32_t last = w.first + (w.seconds - 1);
       for (const std::uint32_t t : {last, w.first, last, w.first}) {
         events.push_back({t, 7, 3});
       }
@@ -282,6 +283,13 @@ TEST(SortEvents, MatchesComparisonSort) {
           << "window " << w.first << "+" << w.seconds << " round " << round;
     }
   }
+}
+
+// A span wider than any collection window is a caller's error, refused
+// before the counting array is sized.
+TEST(SortEvents, RefusesSpansWiderThanAYear) {
+  std::vector<QueryEvent> events = {{0, 1, 1}, {366 * 86400, 1, 1}}, scratch;
+  EXPECT_THROW(SortEvents(events, scratch), std::logic_error);
 }
 
 TEST(TraceFile, RoundTrip) {
