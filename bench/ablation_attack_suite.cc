@@ -22,13 +22,12 @@
 // baseline and fails on drift (the CI gate in default, relassert, and TSan
 // jobs); `--out <file>` (re)generates that baseline.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
+#include "baseline_gate.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "resolver/recursive.h"
@@ -64,9 +63,8 @@ ArmResult RunArm(traffic::AttackKind attack, bool rrl_on, bool local_root) {
   net.set_latency_fn(topology.LatencyFn());
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2019, 6, 7}));
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2019, 6, 7}));
 
   // The fleet-wide limiter: one bucket array shared by every anycast
   // instance, so a client moving between letters cannot multiply its quota.
@@ -143,7 +141,7 @@ ArmResult RunArm(traffic::AttackKind attack, bool rrl_on, bool local_root) {
   }
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(kSeed);
@@ -232,15 +230,7 @@ GridResult RunGrid() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string check_path;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const auto gate = rootless::bench::BaselineGate::FromArgs(argc, argv);
 
   std::printf("%s", analysis::Banner(
                         "Ablation G: NXNS + water-torture attacks vs "
@@ -293,39 +283,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(first.classic_nxns_amp_load),
               kFanout, first.worst_goodput, kLegitQueries);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    for (const auto& line : first.lines) out << line << "\n";
-    std::printf("wrote curve baseline: %s\n", out_path.c_str());
-  }
-  if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot open baseline %s\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::vector<std::string> committed;
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) committed.push_back(line);
-    }
-    if (committed != first.lines) {
-      std::fprintf(stderr,
-                   "FAIL: curve drifted from committed baseline %s\n",
-                   check_path.c_str());
-      const std::size_t n = std::max(committed.size(), first.lines.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::string& want = i < committed.size() ? committed[i] : "";
-        const std::string& got = i < first.lines.size() ? first.lines[i] : "";
-        if (want != got) {
-          std::fprintf(stderr, "  committed: %s\n  this run : %s\n",
-                       want.c_str(), got.c_str());
-        }
-      }
-      return 1;
-    }
-    std::printf("curve matches committed baseline: %s\n", check_path.c_str());
-  }
+  if (!gate.Run(first.lines, "curve")) return 1;
 
   obs::ExportRun(run_info);
   return 0;

@@ -22,14 +22,13 @@
 // against a committed baseline and fails on drift (the CI gate);
 // `--out <file>` writes the lines for (re)generating that baseline.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
+#include "baseline_gate.h"
 #include "distrib/axfr.h"
 #include "distrib/diff_channel.h"
 #include "distrib/fetch_service.h"
@@ -72,10 +71,8 @@ LossPoint RunLossPoint(double loss, bool with_policy) {
   net.set_fault_injector(&faults);
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
   const zone::SnapshotPtr root_snapshot =
-      zone::ZoneSnapshot::Build(*root_zone);
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -98,7 +95,7 @@ LossPoint RunLossPoint(double loss, bool with_policy) {
   r.SetTldFarm(&farm);
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : root_snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(kSeed);
@@ -153,9 +150,8 @@ OutagePoint RunOutagePoint(int outage_hours, bool with_ladder) {
   sim::Network net(sim, kSeed ^ 17);
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
 
   const sim::SimTime start = 41 * sim::kHour;
   const sim::SimTime dur = outage_hours * sim::kHour;
@@ -293,15 +289,7 @@ SweepResult RunSweeps() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string check_path;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const auto gate = rootless::bench::BaselineGate::FromArgs(argc, argv);
 
   std::printf("%s", analysis::Banner(
                         "Ablation F: fault injection, retry policy, and the "
@@ -344,39 +332,7 @@ int main(int argc, char** argv) {
               first.baseline_ok, first.policy_ok, first.baseline_usable,
               first.policy_usable);
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    for (const auto& line : first.lines) out << line << "\n";
-    std::printf("wrote curve baseline: %s\n", out_path.c_str());
-  }
-  if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot open baseline %s\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::vector<std::string> committed;
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) committed.push_back(line);
-    }
-    if (committed != first.lines) {
-      std::fprintf(stderr, "FAIL: curve drifted from committed baseline "
-                           "%s\n",
-                   check_path.c_str());
-      const std::size_t n = std::max(committed.size(), first.lines.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::string& want = i < committed.size() ? committed[i] : "";
-        const std::string& got = i < first.lines.size() ? first.lines[i] : "";
-        if (want != got) {
-          std::fprintf(stderr, "  committed: %s\n  this run : %s\n",
-                       want.c_str(), got.c_str());
-        }
-      }
-      return 1;
-    }
-    std::printf("curve matches committed baseline: %s\n", check_path.c_str());
-  }
+  if (!gate.Run(first.lines, "curve")) return 1;
 
   obs::ExportRun(run_info);
   return 0;

@@ -41,9 +41,8 @@ Row Run(resolver::RootMode mode, std::size_t capacity) {
   net.set_latency_fn(topology.LatencyFn());
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -68,7 +67,7 @@ Row Run(resolver::RootMode mode, std::size_t capacity) {
   }
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : root_snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(3);

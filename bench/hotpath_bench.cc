@@ -371,8 +371,10 @@ RzcBenchResult BenchRzc() {
 // previous day's 2048-byte block signature.
 double BenchRsyncDailyDelta() {
   const zone::RootZoneModel model;
-  const util::Bytes day1 = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const util::Bytes day2 = zone::SerializeZone(model.Snapshot({2019, 4, 2}));
+  const util::Bytes day1 = zone::SerializeSnapshot(
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1})));
+  const util::Bytes day2 = zone::SerializeSnapshot(
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 2})));
   const distrib::FileSignature signature =
       distrib::ComputeSignature(day1, 2048);
   return MeasureNsPerOp([&](std::uint64_t iters) {
@@ -467,7 +469,8 @@ ZoneSwapBenchResult BenchZoneSwap() {
   const zone::Zone today = model.Snapshot({2018, 4, 11});
   const zone::Zone tomorrow = model.Snapshot({2018, 4, 12});
   const zone::SnapshotPtr base = zone::ZoneSnapshot::Build(today);
-  const zone::ZoneDiff diff = zone::DiffZones(today, tomorrow);
+  const zone::ZoneDiff diff =
+      zone::DiffSnapshots(*base, *zone::ZoneSnapshot::Build(tomorrow));
 
   ZoneSwapBenchResult result;
   result.apply_ns = MeasureNsPerOp([&](std::uint64_t iters) {

@@ -36,9 +36,8 @@ int main() {
   std::printf("%s", rootless::obs::RunHeader(run_info).c_str());
 
   const zone::RootZoneModel model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(model.Snapshot({2019, 6, 7}));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(model.Snapshot({2019, 6, 7}));
 
   const int kResolvers = 40;
   const int kLookupsEach = 150;
@@ -55,7 +54,7 @@ int main() {
     rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
     std::vector<std::string> tlds;
-    for (const auto& child : root_zone->DelegatedChildren())
+    for (const auto& child : root_snapshot->DelegatedChildren())
       tlds.push_back(child.tld());
     util::ZipfSampler zipf(tlds.size(), 0.95);
     util::Rng rng(31);

@@ -40,9 +40,8 @@ Row Run(resolver::RootMode mode, bool qmin) {
   topo::Topology topology({.date = {2019, 6, 7}});
   net.set_latency_fn(topology.LatencyFn());
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2019, 6, 7}));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2019, 6, 7}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -60,7 +59,7 @@ Row Run(resolver::RootMode mode, bool qmin) {
   }
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : root_snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(8);

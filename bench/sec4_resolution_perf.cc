@@ -22,15 +22,13 @@
 // the lines against the committed baseline (bench/sec4_perf_baseline.txt,
 // the CI drift gate); `--out <file>` (re)generates it.
 #include <cstdio>
-#include <cstring>
-#include <algorithm>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
 #include "analysis/stats.h"
+#include "baseline_gate.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "resolver/recursive.h"
@@ -65,9 +63,8 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
   net.set_latency_fn(topology.LatencyFn());
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -100,7 +97,7 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
 
   // Workload: Zipf over TLDs, many names per TLD.
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren()) {
+  for (const auto& child : root_snapshot->DelegatedChildren()) {
     tlds.push_back(child.tld());
   }
   util::ZipfSampler zipf(tlds.size(), 0.95);
@@ -339,15 +336,7 @@ GridResult RunGrid(int num_threads, const std::vector<DateCtx>& dates,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string check_path;
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  const auto gate = rootless::bench::BaselineGate::FromArgs(argc, argv);
 
   std::printf("%s",
               analysis::Banner("Sec 4: resolution latency, root servers vs "
@@ -456,40 +445,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    for (const auto& line : pooled.lines) out << line << "\n";
-    std::printf("wrote region-grid baseline: %s\n", out_path.c_str());
-  }
-  if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot open baseline %s\n",
-                   check_path.c_str());
-      return 1;
-    }
-    std::vector<std::string> committed;
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) committed.push_back(line);
-    }
-    if (committed != pooled.lines) {
-      std::fprintf(stderr,
-                   "FAIL: region grid drifted from committed baseline %s\n",
-                   check_path.c_str());
-      const std::size_t n = std::max(committed.size(), pooled.lines.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::string& want = i < committed.size() ? committed[i] : "";
-        const std::string& got = i < pooled.lines.size() ? pooled.lines[i] : "";
-        if (want != got) {
-          std::fprintf(stderr, "  committed: %s\n  this run : %s\n",
-                       want.c_str(), got.c_str());
-        }
-      }
-      return 1;
-    }
-    std::printf("region grid matches committed baseline: %s\n",
-                check_path.c_str());
-  }
+  if (!gate.Run(pooled.lines, "region grid")) return 1;
 
   obs::ExportRun(run_info);
   return 0;

@@ -50,12 +50,12 @@ Outcome Run(resolver::RootMode mode, bool validate) {
   const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, key_rng);
   crypto::KeyStore trust;
   trust.AddKey(zsk);
-  auto root_zone = std::make_shared<zone::Zone>(zone::SignZone(
-      zone_model.Snapshot({2019, 6, 7}), zsk, {0, 2'000'000'000}));
 
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone::SignZone(
+          zone_model.Snapshot({2019, 6, 7}), zsk, {0, 2'000'000'000}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot,
-                                 /*include_dnssec=*/true);
+                                 {.include_dnssec = true});
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
   // The censor: spoof NXDOMAIN for any root-bound query about .com.

@@ -63,14 +63,15 @@ int main() {
   // Build a synthetic resolver cache: ~55K RRsets, including the referral
   // RRsets for 20% of the TLDs, the rest SLD/answer records.
   resolver::DnsCache cache;
-  const auto children = root_zone.DelegatedChildren();
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(root_zone);
+  const auto children = snapshot->DelegatedChildren();
   util::Rng rng(61);
   std::size_t tlds_cached = 0;
   for (std::size_t i = 0; i < children.size(); ++i) {
     if (!rng.Chance(0.20)) continue;
     ++tlds_cached;
     // Cache exactly what a referral would have delivered.
-    const auto result = root_zone.Lookup(
+    const auto result = snapshot->Lookup(
         *dns::Name::Parse("x." + children[i].tld() + "."), dns::RRType::kA);
     for (const auto& s : result.authority) cache.Put(s, 0);
     for (const auto& s : result.additional) cache.Put(s, 0);
@@ -89,7 +90,8 @@ int main() {
     cache.Put(filler, 0);
   }
   const std::size_t before = cache.size();
-  for (const auto& rrset : root_zone.AllRRsets()) cache.Put(rrset, 0);
+  snapshot->ForEachRRset(
+      [&](const dns::RRsetView& rrset) { cache.Put(rrset, 0); });
   const std::size_t after = cache.size();
 
   analysis::Table icsi({"cache snapshot metric", "paper (ICSI)", "measured"});
@@ -139,7 +141,7 @@ int main() {
 
   // The indexed alternative (the paper: "loading the root zone into a
   // database ... would make the process faster").
-  resolver::ZoneDb db(root_zone);
+  resolver::ZoneDb db(snapshot);
   double db_total_us = 0;
   for (int t = 0; t < kTrials * 100; ++t) {
     const std::string target = children[rng.Below(children.size())].tld();

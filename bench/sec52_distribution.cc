@@ -36,13 +36,14 @@ int main() {
   const zone::RootZoneModel model;
   const util::CivilDate day{2019, 6, 7};
   const zone::Zone today = model.Snapshot(day);
-  const zone::Zone in_two_days = model.Snapshot(util::AddDays(day, 2));
 
   const std::string text_today =
       zone::SerializeMasterFile(today.AllRecords());
   const auto compressed_today = zone::RzcCompressText(text_today);
-  const auto snapshot_today = zone::SerializeZone(today);
-  const auto snapshot_later = zone::SerializeZone(in_two_days);
+  const auto snapshot_today =
+      zone::SerializeSnapshot(*zone::ZoneSnapshot::Build(today));
+  const auto snapshot_later = zone::SerializeSnapshot(
+      *zone::ZoneSnapshot::Build(model.Snapshot(util::AddDays(day, 2))));
 
   std::printf("zone on %s: %zu records, %s raw, %s compressed\n\n",
               util::FormatDate(day).c_str(), today.record_count(),

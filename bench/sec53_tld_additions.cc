@@ -85,9 +85,11 @@ int main() {
   // ---- the "diffs file" mitigation ------------------------------------
   // The paper suggests a small "recent additions" diff so resolvers learn
   // about new TLDs cheaply between full refreshes.
-  const zone::Zone before = model.Snapshot({2018, 2, 22});
-  const zone::Zone after = model.Snapshot({2018, 2, 24});
-  const zone::ZoneDiff diff = DiffZones(before, after);
+  const zone::SnapshotPtr before =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 2, 22}));
+  const zone::SnapshotPtr after =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 2, 24}));
+  const zone::ZoneDiff diff = zone::DiffSnapshots(*before, *after);
   const auto diff_wire = zone::SerializeDiff(diff);
   std::printf("additions-diff across the .llc add date: %zu RRset changes, "
               "%s on the wire (vs %s for the full zone) — the paper's "
@@ -95,7 +97,7 @@ int main() {
               diff.change_count(),
               util::FormatBytes(static_cast<double>(diff_wire.size())).c_str(),
               util::FormatBytes(static_cast<double>(
-                                    zone::SerializeZone(after).size()))
+                                    zone::SerializeSnapshot(*after).size()))
                   .c_str());
   rootless::obs::ExportRun(run_info);
   return 0;

@@ -22,16 +22,15 @@ int main(int argc, char** argv) {
   const int lookups = argc > 1 ? std::atoi(argv[1]) : 1000;
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2019, 6, 7}));
   // One immutable snapshot shared (zero-copy) by the fleet, the farm, the
   // loopback servers, and the local-root resolvers.
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2019, 6, 7}));
   topo::Topology topology({.date = {2019, 6, 7}});
 
   std::printf("root zone %s: %zu records, %zu TLDs; fleet of %d instances\n\n",
-              "2019-06-07", root_zone->record_count(),
-              root_zone->DelegatedChildren().size(),
+              "2019-06-07", root_snapshot->record_count(),
+              root_snapshot->DelegatedChildren().size(),
               topology.deployment().TotalInstancesOn({2019, 6, 7}));
 
   for (const auto mode :
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
     }
 
     std::vector<std::string> tlds;
-    for (const auto& child : root_zone->DelegatedChildren())
+    for (const auto& child : root_snapshot->DelegatedChildren())
       tlds.push_back(child.tld());
     util::ZipfSampler zipf(tlds.size(), 0.95);
     util::Rng rng(2);

@@ -68,8 +68,11 @@ ns1.nic.org. 172800 IN A 192.0.2.20
               *validated,
               util::HexEncode(std::span(digest).first(8)).c_str());
 
-  // 3. Look a name up against the zone the way a root server would.
-  const auto lookup = root_zone.Lookup(
+  // 3. Freeze the zone into an immutable snapshot: every consumer below
+  //    shares this one arena-backed copy by refcounted pointer. Look a name
+  //    up in it the way a root server would.
+  zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(root_zone);
+  const auto lookup = root_snapshot->Lookup(
       *dns::Name::Parse("www.sigcomm.org."), dns::RRType::kA);
   std::printf("root lookup for www.sigcomm.org./A -> %s (%zu authority, "
               "%zu glue)\n",
@@ -84,9 +87,6 @@ ns1.nic.org. 172800 IN A 192.0.2.20
   sim::Network net(sim, 1);
   topo::Topology topology;
   net.set_latency_fn(topology.LatencyFn());
-  // Freeze the zone into an immutable snapshot: every consumer below shares
-  // this one arena-backed copy by refcounted pointer.
-  zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(root_zone);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 2);
 
   resolver::RecursiveResolver resolver(

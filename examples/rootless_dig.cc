@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
   topo::Topology topology({.date = date});
   net.set_latency_fn(topology.LatencyFn());
   const zone::RootZoneModel model;
-  auto root_zone = std::make_shared<zone::Zone>(model.Snapshot(date));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(model.Snapshot(date));
   std::unique_ptr<rootsrv::RootServerFleet> fleet;
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 2);
 
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
               "records, %d root instances)\n",
               name_text.c_str(), type_text.c_str(),
               resolver::RootModeName(mode).c_str(), qmin, tls,
-              util::FormatDate(date).c_str(), root_zone->record_count(),
+              util::FormatDate(date).c_str(), root_snapshot->record_count(),
               topology.deployment().TotalInstancesOn(date));
 
   int exit_code = 1;

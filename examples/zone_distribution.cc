@@ -22,18 +22,20 @@ int main() {
   using namespace rootless;
 
   const zone::RootZoneModel model;
-  const zone::Zone yesterday = model.Snapshot({2019, 6, 5});
-  const zone::Zone today = model.Snapshot({2019, 6, 7});
+  const zone::SnapshotPtr yesterday =
+      zone::ZoneSnapshot::Build(model.Snapshot({2019, 6, 5}));
+  const zone::SnapshotPtr today =
+      zone::ZoneSnapshot::Build(model.Snapshot({2019, 6, 7}));
 
-  const auto old_wire = zone::SerializeZone(yesterday);
-  const auto new_wire = zone::SerializeZone(today);
+  const auto old_wire = zone::SerializeSnapshot(*yesterday);
+  const auto new_wire = zone::SerializeSnapshot(*today);
   std::printf("zone snapshots: %s -> %s (%zu -> %zu records)\n",
               util::FormatBytes(static_cast<double>(old_wire.size())).c_str(),
               util::FormatBytes(static_cast<double>(new_wire.size())).c_str(),
-              yesterday.record_count(), today.record_count());
+              yesterday->record_count(), today->record_count());
 
   // 1. Structural diff (IXFR-style).
-  const zone::ZoneDiff diff = DiffZones(yesterday, today);
+  const zone::ZoneDiff diff = zone::DiffSnapshots(*yesterday, *today);
   std::printf("structural diff: %zu added, %zu removed, %zu changed RRsets "
               "(%s on the wire)\n",
               diff.added.size(), diff.removed.size(), diff.changed.size(),
@@ -74,15 +76,14 @@ int main() {
     sim::Simulator axfr_sim;
     sim::Network axfr_net(axfr_sim, 3);
     axfr_net.set_loss_rate(0.05);
-    auto served = zone::ZoneSnapshot::Build(today);
-    distrib::AxfrServer server(axfr_net, [&]() { return served; });
+    distrib::AxfrServer server(axfr_net, [&]() { return today; });
     distrib::AxfrClient client(axfr_sim, axfr_net,
                                distrib::AxfrClient::Options{.window = 8});
     bool exact = false;
     client.Fetch(server.node(), 0,
                  [&](util::Result<zone::SnapshotPtr> result) {
                    exact = result.ok() && *result != nullptr &&
-                           (*result)->SameContent(*served);
+                           (*result)->SameContent(*today);
                  });
     axfr_sim.RunUntil(10 * sim::kMinute);
     std::printf("axfr over 5%% loss: %u chunks, %u retransmits, zone %s\n",
@@ -93,9 +94,8 @@ int main() {
 
   // 5. Refresh daemon riding through an outage (paper §4 robustness).
   sim::Simulator sim;
-  auto provider = zone::ZoneSnapshot::Build(today);
   distrib::ZoneFetchService service(
-      sim, {.config = {}, .provider = [&]() { return provider; }});
+      sim, {.config = {}, .provider = [&]() { return today; }});
   // A 5-hour outage inside the first refresh window (42h..48h).
   service.AddOutage(42 * sim::kHour, 47 * sim::kHour);
 
@@ -114,7 +114,7 @@ int main() {
                          z->Serial());
            }});
   std::printf("refresh daemon with a 42h..47h fetch outage:\n");
-  daemon.Start(zone::ZoneSnapshot::Build(yesterday));
+  daemon.Start(yesterday);
   sim.RunUntil(4 * sim::kDay);
   std::printf("  attempts %llu, failures %llu, refreshes %llu, "
               "expirations %llu (zone stayed valid: %s)\n",

@@ -23,6 +23,7 @@
 #include "zone/rzc.h"
 #include "zone/sign.h"
 #include "zone/zone_diff.h"
+#include "zone/zone_snapshot.h"
 
 namespace {
 
@@ -157,7 +158,7 @@ int main(int argc, char** argv) {
     crypto::KeyStore store;
     store.AddKey(*key);
     auto validated =
-        zone::ValidateSignedZone(*z, key->dnskey, store, 1000);
+        crypto::ValidateZoneRRsets(z->AllRRsets(), key->dnskey, store, 1000);
     if (!validated.ok()) return Fail("INVALID: " + validated.error().message());
     std::printf("OK: %zu RRsets validated\n", *validated);
     return 0;
@@ -177,7 +178,9 @@ int main(int argc, char** argv) {
     if (!old_zone.ok()) return Fail(old_zone.error().message());
     auto new_zone = LoadZone(argv[3]);
     if (!new_zone.ok()) return Fail(new_zone.error().message());
-    const zone::ZoneDiff diff = DiffZones(*old_zone, *new_zone);
+    const zone::ZoneDiff diff =
+        zone::DiffSnapshots(*zone::ZoneSnapshot::Build(*old_zone),
+                            *zone::ZoneSnapshot::Build(*new_zone));
     std::printf("%zu added, %zu removed, %zu changed RRsets (%zu bytes "
                 "serialized)\n",
                 diff.added.size(), diff.removed.size(), diff.changed.size(),

@@ -33,17 +33,10 @@ class DiffPublisher {
   // Retains at most `max_history` consecutive diffs before falling back to
   // full-zone answers for older subscribers.
   DiffPublisher(zone::SnapshotPtr initial, std::size_t max_history = 64);
-  // Convenience: snapshots the zone once, then publishes as above.
-  explicit DiffPublisher(const zone::Zone& initial,
-                         std::size_t max_history = 64)
-      : DiffPublisher(zone::ZoneSnapshot::Build(initial), max_history) {}
 
   // Publishes a new version (serial must advance). Returns the diff size in
   // bytes for accounting.
   std::size_t Publish(zone::SnapshotPtr next);
-  std::size_t Publish(const zone::Zone& next) {
-    return Publish(zone::ZoneSnapshot::Build(next));
-  }
 
   std::uint32_t latest_serial() const { return latest_->Serial(); }
   const zone::SnapshotPtr& latest() const { return latest_; }
@@ -67,8 +60,6 @@ class DiffSubscriber {
  public:
   explicit DiffSubscriber(zone::SnapshotPtr initial)
       : snapshot_(std::move(initial)) {}
-  explicit DiffSubscriber(const zone::Zone& initial)
-      : snapshot_(zone::ZoneSnapshot::Build(initial)) {}
 
   const zone::SnapshotPtr& snapshot() const { return snapshot_; }
   std::uint32_t serial() const { return snapshot_->Serial(); }

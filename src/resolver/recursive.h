@@ -26,7 +26,6 @@
 #include "obs/counter_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/pool_allocator.h"
 #include "util/strings.h"
 #include "dns/message.h"
 #include "resolver/cache.h"
@@ -289,13 +288,8 @@ class RecursiveResolver {
   // recorded, so the fast path stays allocation- and histogram-free).
   obs::Histogram latency_us_;
 
-  // One node alloc/free per resolution without the pool; with it the node
-  // comes back from a free list (see util/pool_allocator.h).
-  std::unordered_map<std::uint16_t, Pending, std::hash<std::uint16_t>,
-                     std::equal_to<std::uint16_t>,
-                     util::PoolAllocator<std::pair<const std::uint16_t,
-                                                   Pending>>>
-      pending_;
+  // Resolutions that left the resolver, by query id.
+  std::unordered_map<std::uint16_t, Pending> pending_;
   std::uint16_t next_id_ = 1;
   std::uint64_t next_generation_ = 1;
   // Capacity-recycled buffer for the cache-hit fast path (see Finish).

@@ -17,7 +17,6 @@
 
 #include "dns/rr.h"
 #include "util/strings.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::resolver {
@@ -32,10 +31,6 @@ class ZoneDb {
  public:
   ZoneDb() = default;
   explicit ZoneDb(zone::SnapshotPtr snapshot) { Load(std::move(snapshot)); }
-  // Convenience for hand-built zones (tests): snapshots the zone first.
-  explicit ZoneDb(const zone::Zone& root_zone) {
-    Load(zone::ZoneSnapshot::Build(root_zone));
-  }
 
   // (Re)builds the index over `snapshot`. The snapshot is retained (it backs
   // every view handed out); the previous one is released.

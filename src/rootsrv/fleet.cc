@@ -9,13 +9,6 @@ namespace rootless::rootsrv {
 RootServerFleet::RootServerFleet(sim::Network& network,
                                  topo::Topology& topology,
                                  zone::SnapshotPtr root_zone,
-                                 bool include_dnssec)
-    : RootServerFleet(network, topology, std::move(root_zone),
-                      AuthServer::Options{.include_dnssec = include_dnssec}) {}
-
-RootServerFleet::RootServerFleet(sim::Network& network,
-                                 topo::Topology& topology,
-                                 zone::SnapshotPtr root_zone,
                                  const AuthServer::Options& options)
     : topology_(&topology) {
   for (const auto& instance : topology.instances()) {
@@ -28,13 +21,6 @@ RootServerFleet::RootServerFleet(sim::Network& network,
         InstanceInfo{instance.letter, instance.location, std::move(server)});
   }
 }
-
-RootServerFleet::RootServerFleet(sim::Network& network,
-                                 topo::Topology& topology,
-                                 std::shared_ptr<const zone::Zone> root_zone,
-                                 bool include_dnssec)
-    : RootServerFleet(network, topology,
-                      zone::ZoneSnapshot::Build(*root_zone), include_dnssec) {}
 
 sim::NodeId RootServerFleet::InstanceFor(char letter,
                                          const topo::GeoPoint& location) const {
@@ -61,10 +47,6 @@ sim::NodeId RootServerFleet::CatchmentInstanceFor(
   // instances_ is built in topology_->instances() order, so the catchment's
   // instance index addresses our server table directly.
   return instances_[c.instance].server->node();
-}
-
-void RootServerFleet::SetZone(zone::SnapshotPtr root_zone) {
-  for (auto& instance : instances_) instance.server->SetZone(root_zone);
 }
 
 AuthServerStats RootServerFleet::TotalStats() const {

@@ -10,7 +10,6 @@
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
 #include "topo/topology.h"
-#include "zone/zone.h"
 
 namespace rootless::rootsrv {
 
@@ -25,14 +24,7 @@ class RootServerFleet {
   // (catchment queries route through it).
   RootServerFleet(sim::Network& network, topo::Topology& topology,
                   zone::SnapshotPtr root_zone,
-                  const AuthServer::Options& options);
-  // Default options, DNSSEC records on request.
-  RootServerFleet(sim::Network& network, topo::Topology& topology,
-                  zone::SnapshotPtr root_zone, bool include_dnssec = false);
-  // Convenience: snapshots the zone once, then shares it as above.
-  RootServerFleet(sim::Network& network, topo::Topology& topology,
-                  std::shared_ptr<const zone::Zone> root_zone,
-                  bool include_dnssec = false);
+                  const AuthServer::Options& options = {});
 
   std::size_t instance_count() const { return instances_.size(); }
 
@@ -54,13 +46,6 @@ class RootServerFleet {
     std::unique_ptr<AuthServer> server;
   };
   const std::vector<InstanceInfo>& instances() const { return instances_; }
-
-  // Swap the zone every instance serves (daily update): one pointer swap
-  // per instance.
-  void SetZone(zone::SnapshotPtr root_zone);
-  void SetZone(std::shared_ptr<const zone::Zone> root_zone) {
-    SetZone(zone::ZoneSnapshot::Build(*root_zone));
-  }
 
   // Aggregate stats.
   AuthServerStats TotalStats() const;

@@ -11,15 +11,6 @@ using dns::Name;
 using dns::RRType;
 
 TldFarm::TldFarm(sim::Network& network, topo::Topology& topology,
-                 const zone::Zone& root_zone, std::uint64_t seed)
-    : network_(network), topology_(topology), placement_rng_(seed) {
-  for (const auto& child : root_zone.DelegatedChildren()) {
-    EnsureTld(child.tld());
-  }
-  RefreshAddresses(root_zone);
-}
-
-TldFarm::TldFarm(sim::Network& network, topo::Topology& topology,
                  const zone::ZoneSnapshot& root_zone, std::uint64_t seed)
     : network_(network), topology_(topology), placement_rng_(seed) {
   for (const auto& child : root_zone.DelegatedChildren()) {
@@ -37,26 +28,6 @@ void TldFarm::EnsureTld(const std::string& tld) {
   });
   topology_.PlaceNode(node, topo::SamplePopulationPoint(placement_rng_));
   by_tld_.emplace(tld, node);
-}
-
-void TldFarm::RefreshAddresses(const zone::Zone& root_zone) {
-  by_address_.clear();
-  for (const auto& child : root_zone.DelegatedChildren()) {
-    const std::string tld = child.tld();
-    EnsureTld(tld);
-    auto it = by_tld_.find(tld);
-    if (it == by_tld_.end()) continue;
-    const dns::RRset* ns_set = root_zone.Find(child, RRType::kNS);
-    if (ns_set == nullptr) continue;
-    for (const auto& rd : ns_set->rdatas) {
-      const Name& host = std::get<dns::NsData>(rd).nameserver;
-      if (const dns::RRset* a = root_zone.Find(host, RRType::kA)) {
-        for (const auto& ard : a->rdatas) {
-          by_address_[std::get<dns::AData>(ard).address.addr] = it->second;
-        }
-      }
-    }
-  }
 }
 
 void TldFarm::RefreshAddresses(const zone::ZoneSnapshot& root_zone) {

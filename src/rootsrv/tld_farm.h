@@ -19,7 +19,6 @@
 #include "topo/topology.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::rootsrv {
@@ -29,9 +28,6 @@ class TldFarm {
   // Builds one server node per TLD delegated in `root_zone`, registers the
   // TLD's glue addresses to that node, and places it at a population-
   // weighted location in `topology` (which must outlive the farm).
-  TldFarm(sim::Network& network, topo::Topology& topology,
-          const zone::Zone& root_zone, std::uint64_t seed);
-  // Same, reading delegations/glue out of an immutable snapshot.
   TldFarm(sim::Network& network, topo::Topology& topology,
           const zone::ZoneSnapshot& root_zone, std::uint64_t seed);
 
@@ -49,7 +45,6 @@ class TldFarm {
   // Re-registers addressing from a newer root zone version (rotating TLD
   // addresses move; the nodes stay) and creates servers for TLDs delegated
   // since construction (new-TLD additions, §5.3).
-  void RefreshAddresses(const zone::Zone& root_zone);
   void RefreshAddresses(const zone::ZoneSnapshot& root_zone);
 
   // Turns `tld`'s server hostile (NXNSAttack, Afek et al.): every in-domain

@@ -161,20 +161,6 @@ ShardLabelSpace::ShardLabelSpace(const WorkloadConfig& config,
   for (double& w : diurnal_) w *= chunk_count_ / sum;
 }
 
-ShardTraceGenerator::ShardTraceGenerator(
-    const WorkloadConfig& config, const ShardPlan& plan, int shard_index,
-    const std::vector<std::string>& real_tlds)
-    : ShardTraceGenerator(
-          config, plan, shard_index,
-          std::make_unique<ShardLabelSpace>(config, real_tlds)) {}
-
-ShardTraceGenerator::ShardTraceGenerator(
-    const WorkloadConfig& config, const ShardPlan& plan, int shard_index,
-    std::unique_ptr<ShardLabelSpace> owned)
-    : ShardTraceGenerator(config, plan, shard_index, *owned) {
-  owned_labels_ = std::move(owned);
-}
-
 ShardTraceGenerator::ShardTraceGenerator(const WorkloadConfig& config,
                                          const ShardPlan& plan,
                                          int shard_index,

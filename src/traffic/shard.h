@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -151,13 +150,6 @@ class ShardTraceGenerator {
   ShardTraceGenerator(const WorkloadConfig& config, const ShardPlan& plan,
                       int shard_index, const ShardLabelSpace& labels);
 
-  // Convenience for single-shard/test use: builds and owns a private label
-  // space. Parallel runs should build one ShardLabelSpace and use the
-  // overload above.
-  ShardTraceGenerator(const WorkloadConfig& config, const ShardPlan& plan,
-                      int shard_index,
-                      const std::vector<std::string>& real_tlds);
-
   // Fills `out` with the next chunk (possibly empty for a quiet chunk) and
   // classifies its events into tally(). Returns false once the day is
   // exhausted (`out` is then untouched).
@@ -191,11 +183,6 @@ class ShardTraceGenerator {
   static constexpr std::size_t kMaxPairs = 60;
   static constexpr std::uint64_t kNewTldBit = 63;
 
-  // Delegation target of the legacy constructor: adopts the private label
-  // space after the shared-reference constructor has run.
-  ShardTraceGenerator(const WorkloadConfig& config, const ShardPlan& plan,
-                      int shard_index, std::unique_ptr<ShardLabelSpace> owned);
-
   void BuildProfiles();
   double DiurnalWeight(std::uint32_t chunk) const;
   TldId SampleJunk(util::Rng& rng) const;
@@ -215,7 +202,6 @@ class ShardTraceGenerator {
   WorkloadConfig config_;
   const ShardLabelSpace* labels_ = nullptr;
   const AttackPlan* attack_ = nullptr;
-  std::unique_ptr<ShardLabelSpace> owned_labels_;  // legacy ctor only
   ShardRange range_;
   std::uint32_t bogus_only_count_ = 0;
 

@@ -104,39 +104,53 @@ Bytes RzcCompress(std::span<const std::uint8_t> input) {
 util::Result<Bytes> RzcDecompress(std::span<const std::uint8_t> input) {
   ByteReader r(input);
   std::uint32_t magic = 0;
-  if (!r.ReadU32(magic) || magic != kMagic) return Error("rzc: bad magic");
+  if (!r.ReadU32(magic))
+    return Error(ErrorCode::kTruncated, "rzc: truncated magic");
+  if (magic != kMagic) return Error(ErrorCode::kCorrupted, "rzc: bad magic");
   std::uint64_t raw_size = 0;
-  if (!r.ReadVarint(raw_size)) return Error("rzc: truncated header");
-  if (raw_size > (1ULL << 32)) return Error("rzc: implausible size");
+  if (!r.ReadVarint(raw_size))
+    return Error(ErrorCode::kTruncated, "rzc: truncated header");
+  if (raw_size > (1ULL << 32))
+    return Error(ErrorCode::kCorrupted, "rzc: implausible size");
+  // Every token is at least 3 bytes and yields at most kMaxMatch bytes, so
+  // the bytes left bound the output; a larger header size cannot be met by
+  // this input and must not size the reservation.
+  if (raw_size > r.remaining() / 3 * kMaxMatch)
+    return Error(ErrorCode::kTruncated, "rzc: stream shorter than its size");
 
   Bytes out;
   out.reserve(raw_size);
   while (!r.at_end()) {
     std::uint8_t control = 0;
-    if (!r.ReadU8(control)) return Error("rzc: truncated control");
+    r.ReadU8(control);  // the loop condition guarantees a byte
     if (control == 0x00) {
       std::uint64_t len = 0;
-      if (!r.ReadVarint(len)) return Error("rzc: truncated literal length");
       std::span<const std::uint8_t> lits;
-      if (!r.ReadSpan(len, lits)) return Error("rzc: truncated literals");
-      if (out.size() + len > raw_size) return Error("rzc: output overflow");
+      if (!r.ReadVarint(len) || !r.ReadSpan(len, lits))
+        return Error(ErrorCode::kTruncated, "rzc: truncated literals");
+      if (out.size() + len > raw_size)
+        return Error(ErrorCode::kCorrupted, "rzc: output overflow");
       out.insert(out.end(), lits.begin(), lits.end());
     } else if (control == 0x01) {
       std::uint64_t len = 0, dist = 0;
       if (!r.ReadVarint(len) || !r.ReadVarint(dist))
-        return Error("rzc: truncated match");
-      if (dist == 0 || dist > out.size()) return Error("rzc: bad distance");
-      if (len < kMinMatch || len > kMaxMatch) return Error("rzc: bad length");
-      if (out.size() + len > raw_size) return Error("rzc: output overflow");
+        return Error(ErrorCode::kTruncated, "rzc: truncated match");
+      if (dist == 0 || dist > out.size())
+        return Error(ErrorCode::kCorrupted, "rzc: bad distance");
+      if (len < kMinMatch || len > kMaxMatch)
+        return Error(ErrorCode::kCorrupted, "rzc: bad length");
+      if (out.size() + len > raw_size)
+        return Error(ErrorCode::kCorrupted, "rzc: output overflow");
       std::size_t from = out.size() - dist;
       for (std::uint64_t k = 0; k < len; ++k) {
         out.push_back(out[from + k]);  // overlapping copies are well-defined
       }
     } else {
-      return Error("rzc: unknown control byte");
+      return Error(ErrorCode::kCorrupted, "rzc: unknown control byte");
     }
   }
-  if (out.size() != raw_size) return Error("rzc: size mismatch");
+  if (out.size() != raw_size)
+    return Error(ErrorCode::kTruncated, "rzc: stream ended before its size");
   return out;
 }
 

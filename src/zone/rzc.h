@@ -20,7 +20,10 @@ namespace rootless::zone {
 // Compresses `input`. Output layout: magic | varint(raw_size) | token stream.
 util::Bytes RzcCompress(std::span<const std::uint8_t> input);
 
-// Decompresses a buffer produced by RzcCompress. Rejects corrupt input.
+// Decompresses a buffer produced by RzcCompress. A failure carries
+// kTruncated (the stream ended before its header's size was produced, or
+// that size exceeds what the bytes left could decode to) or kCorrupted (bad
+// magic, unknown token, bad distance or length, output past the size).
 util::Result<util::Bytes> RzcDecompress(std::span<const std::uint8_t> input);
 
 // Convenience for strings (zone master files).

@@ -28,12 +28,4 @@ Zone SignZone(const Zone& plain, const crypto::SigningKey& zsk,
   return out;
 }
 
-util::Result<std::size_t> ValidateSignedZone(const Zone& signed_zone,
-                                             const dns::DnskeyData& dnskey,
-                                             const crypto::KeyStore& store,
-                                             std::uint32_t now) {
-  return crypto::ValidateZoneRRsets(signed_zone.AllRRsets(), dnskey, store,
-                                    now);
-}
-
 }  // namespace rootless::zone

@@ -15,15 +15,9 @@ struct SigningWindow {
 };
 
 // Returns a new zone containing everything in `plain` plus the apex DNSKEY,
-// the NSEC chain, and RRSIGs signed with `zsk`.
+// the NSEC chain, and RRSIGs signed with `zsk`. Validate the result with
+// crypto::ValidateZoneRRsets over its AllRRsets().
 Zone SignZone(const Zone& plain, const crypto::SigningKey& zsk,
               const SigningWindow& window);
-
-// Validates a signed zone produced by SignZone: every RRset signed and
-// verifiable. Returns validated RRset count.
-util::Result<std::size_t> ValidateSignedZone(const Zone& signed_zone,
-                                             const dns::DnskeyData& dnskey,
-                                             const crypto::KeyStore& store,
-                                             std::uint32_t now);
 
 }  // namespace rootless::zone

@@ -49,18 +49,19 @@ util::Result<dns::RRset> ReadRRsetWire(ByteReader& r) {
   return s;
 }
 
-Bytes SerializeZone(const Zone& zone) {
+Bytes SerializeSnapshot(const ZoneSnapshot& snapshot) {
   ByteWriter w;
   w.WriteU32(kSnapshotMagic);
-  zone.apex().EncodeWire(w);
-  w.WriteU32(zone.Serial());
-  const auto rrsets = zone.AllRRsets();
-  w.WriteVarint(rrsets.size());
-  for (const auto& s : rrsets) WriteRRsetWire(dns::RRsetView::Of(s), w);
+  snapshot.apex().EncodeWire(w);
+  w.WriteU32(snapshot.Serial());
+  w.WriteVarint(snapshot.rrset_count());
+  snapshot.ForEachRRset(
+      [&](const dns::RRsetView& s) { WriteRRsetWire(s, w); });
   return w.TakeData();
 }
 
-util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
+util::Result<SnapshotPtr> DeserializeSnapshot(
+    std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   std::uint32_t magic = 0;
   if (!r.ReadU32(magic))
@@ -75,6 +76,7 @@ util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
   std::uint64_t count = 0;
   if (!r.ReadVarint(count))
     return Error(ErrorCode::kTruncated, "snapshot: truncated count");
+  // The Zone merges and orders the RRsets; the snapshot is built from it.
   Zone zone(std::move(*apex));
   for (std::uint64_t i = 0; i < count; ++i) {
     auto rrset = ReadRRsetWire(r);
@@ -84,25 +86,7 @@ util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
   }
   if (!r.at_end())
     return Error(ErrorCode::kCorrupted, "snapshot: trailing bytes");
-  return zone;
-}
-
-Bytes SerializeSnapshot(const ZoneSnapshot& snapshot) {
-  ByteWriter w;
-  w.WriteU32(kSnapshotMagic);
-  snapshot.apex().EncodeWire(w);
-  w.WriteU32(snapshot.Serial());
-  w.WriteVarint(snapshot.rrset_count());
-  snapshot.ForEachRRset(
-      [&](const dns::RRsetView& s) { WriteRRsetWire(s, w); });
-  return w.TakeData();
-}
-
-util::Result<SnapshotPtr> DeserializeSnapshot(
-    std::span<const std::uint8_t> wire) {
-  auto zone = DeserializeZone(wire);
-  if (!zone.ok()) return zone.error();
-  return ZoneSnapshot::Build(*zone);
+  return ZoneSnapshot::Build(zone);
 }
 
 }  // namespace rootless::zone

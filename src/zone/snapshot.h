@@ -8,7 +8,6 @@
 #include "dns/rr.h"
 #include "util/bytes.h"
 #include "util/result.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::zone {
@@ -17,18 +16,13 @@ namespace rootless::zone {
 // shared with the diff format. An owning RRset writes through
 // dns::RRsetView::Of. Decode failures carry kTruncated (the wire ended
 // early) or kCorrupted (it is present but malformed), as do
-// DeserializeZone's and DeserializeDiff's.
+// DeserializeSnapshot's and DeserializeDiff's.
 void WriteRRsetWire(const dns::RRsetView& rrset, util::ByteWriter& writer);
 util::Result<dns::RRset> ReadRRsetWire(util::ByteReader& reader);
 
-// Whole-zone snapshot.
-util::Bytes SerializeZone(const Zone& zone);
-util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire);
-
-// Same wire format, reading straight from / building straight into an
-// immutable ZoneSnapshot. SerializeSnapshot(ZoneSnapshot::Build(z)) is
-// byte-identical to SerializeZone(z), so the two ends of a distribution
-// channel can mix freely.
+// Whole-zone snapshot. Serialization walks the snapshot's canonical index;
+// deserialization reads the wire into a Zone (which merges and orders the
+// RRsets) and builds the snapshot from it.
 util::Bytes SerializeSnapshot(const ZoneSnapshot& snapshot);
 util::Result<SnapshotPtr> DeserializeSnapshot(
     std::span<const std::uint8_t> wire);

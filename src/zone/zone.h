@@ -83,10 +83,6 @@ class Zone {
   std::size_t rrset_count() const { return rrsets_.size(); }
   std::size_t record_count() const;
 
-  bool operator==(const Zone& other) const {
-    return apex_ == other.apex_ && rrsets_ == other.rrsets_;
-  }
-
  private:
   // Finds the closest delegation point at or above `name` (strictly below
   // the apex). Returns nullptr if none.

@@ -1,13 +1,9 @@
 #include "zone/zone_diff.h"
 
-#include <map>
-
-#include "dns/message.h"
 #include "zone/snapshot.h"
 
 namespace rootless::zone {
 
-using dns::RRset;
 using dns::RRsetKey;
 using util::ByteReader;
 using util::Bytes;
@@ -38,44 +34,6 @@ util::Result<RRsetKey> ReadKey(ByteReader& r) {
 constexpr std::uint32_t kDiffMagic = 0x52444946;  // "RDIF"
 
 }  // namespace
-
-ZoneDiff DiffZones(const Zone& old_zone, const Zone& new_zone) {
-  ZoneDiff diff;
-  const auto old_list = old_zone.AllRRsets();
-  const auto new_list = new_zone.AllRRsets();
-  std::map<RRsetKey, const RRset*> old_index, new_index;
-  for (const auto& s : old_list) old_index[s.key()] = &s;
-  for (const auto& s : new_list) new_index[s.key()] = &s;
-
-  for (const auto& [key, set] : new_index) {
-    auto it = old_index.find(key);
-    if (it == old_index.end()) {
-      diff.added.push_back(*set);
-    } else if (!(*it->second == *set)) {
-      diff.changed.push_back(*set);
-    }
-  }
-  for (const auto& [key, set] : old_index) {
-    if (new_index.find(key) == new_index.end()) diff.removed.push_back(key);
-  }
-  return diff;
-}
-
-util::Status ApplyDiff(Zone& zone, const ZoneDiff& diff) {
-  for (const auto& key : diff.removed) {
-    if (!zone.RemoveRRset(key))
-      return Error("diff: removed key not present: " + key.name.ToString());
-  }
-  for (const auto& set : diff.changed) {
-    if (!zone.RemoveRRset(set.key()))
-      return Error("diff: changed key not present: " + set.name.ToString());
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(set));
-  }
-  for (const auto& set : diff.added) {
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(set));
-  }
-  return util::Status::Ok();
-}
 
 Bytes SerializeDiff(const ZoneDiff& diff) {
   ByteWriter w;

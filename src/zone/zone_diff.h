@@ -1,15 +1,16 @@
 // Structural diff between two zone snapshots — the basis of the §5.2
 // incremental-distribution analysis (rsync-style deltas, IXFR-like updates)
-// and the staleness experiments.
+// and the staleness experiments. zone::DiffSnapshots computes one and
+// ZoneSnapshot::Apply applies it (zone_snapshot.h).
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "dns/rr.h"
+#include "util/bytes.h"
 #include "util/result.h"
-#include "zone/zone.h"
 
 namespace rootless::zone {
 
@@ -29,12 +30,6 @@ struct ZoneDiff {
     return added.size() + removed.size() + changed.size();
   }
 };
-
-// Computes new - old.
-ZoneDiff DiffZones(const Zone& old_zone, const Zone& new_zone);
-
-// Applies a diff in place. Fails if a removed/changed key is absent.
-util::Status ApplyDiff(Zone& zone, const ZoneDiff& diff);
 
 // Compact binary serialization of a diff (the "diffs file" the paper floats
 // in §5.3 as a cheap way to learn about new TLDs).

@@ -156,7 +156,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
     return e != nullptr && e->set->rrclass == key.rrclass;
   };
 
-  // Replays ApplyDiff's removed → changed → added order against a key-level
+  // Replays the removed → changed → added order against a key-level
   // overlay: `erased` marks base keys deleted, `delta` holds new content.
   // The final index keeps a base entry iff its key is in neither.
   std::set<RRsetKey> erased;
@@ -470,14 +470,6 @@ std::vector<RRset> ZoneSnapshot::AllRRsets() const {
   return out;
 }
 
-Zone ZoneSnapshot::ToZone() const {
-  Zone zone(apex_);
-  for (const auto& e : index_) {
-    (void)zone.AddRRset(ViewOf(e).Materialize());
-  }
-  return zone;
-}
-
 bool ZoneSnapshot::SameContent(const ZoneSnapshot& other) const {
   if (!(apex_ == other.apex_) || index_.size() != other.index_.size()) {
     return false;
@@ -515,8 +507,8 @@ std::size_t ZoneSnapshot::SharedPageCount(const ZoneSnapshot& other) const {
 
 ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
                        const ZoneSnapshot& new_snapshot) {
-  // Lockstep walk over the two canonical indexes — same output as DiffZones
-  // on the equivalent Zones, without building key maps.
+  // Lockstep walk over the two canonical indexes, without building key
+  // maps.
   ZoneDiff diff;
   const auto& oi = old_snapshot.index_;
   const auto& ni = new_snapshot.index_;

@@ -1,10 +1,12 @@
 // Immutable, arena-backed zone snapshot shared zero-copy across layers.
 //
-// A ZoneSnapshot is built once from a Zone (or derived from a parent snapshot
-// plus a ZoneDiff) and then handed around as a cheap refcounted value
-// (SnapshotPtr). All names and rdata live in contiguous per-page arenas; the
-// snapshot's sorted index stores borrowed pointers into those pages, and every
-// read API hands out dns::RRsetView spans over the same memory — consumers
+// A ZoneSnapshot is the one form in which a root-zone version reaches a
+// component: it is built once from a Zone (the builder: master-file parser,
+// RootZoneModel, SignZone) or derived from a parent snapshot plus a ZoneDiff,
+// and then handed around as a cheap refcounted value (SnapshotPtr). All
+// names and rdata live in contiguous per-page arenas; the snapshot's sorted
+// index stores borrowed pointers into those pages, and every read API hands
+// out dns::RRsetView spans over the same memory — consumers
 // (resolver::ZoneDb, rootsrv::AuthServer, distrib) never copy an RRset on the
 // serving path.
 //
@@ -27,8 +29,8 @@
 // number of threads.
 //
 // Lookup() mirrors zone::Zone::Lookup decision-for-decision (answer /
-// referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC) so the two
-// paths are behaviourally interchangeable; zone_snapshot_test checks parity.
+// referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC);
+// zone_snapshot_test sweeps both with Zone::Lookup as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -77,9 +79,14 @@ class ZoneSnapshot {
 
   // Derives a new snapshot from `base` by applying `diff`. Parent pages are
   // shared by refcount; only added/changed RRsets are deep-copied into one
-  // new delta page. Same semantics (and failure cases) as zone::ApplyDiff:
-  // removed/changed keys must exist, added RRsets merge (min TTL, append
-  // missing rdatas) if the key already exists.
+  // new delta page. The lists apply in order removed, changed, added:
+  //  - a removed key must be present (and is then gone);
+  //  - a changed key must be present, and its RRset is replaced whole;
+  //  - an added RRset whose key is absent is inserted; one whose key is
+  //    present merges into it: TTL = min of the two, and rdatas it lacks
+  //    are appended in the diff's order;
+  //  - changed and added owners must lie under the apex.
+  // Any violation fails the whole Apply; `base` is never modified.
   static util::Result<SnapshotPtr> Apply(const SnapshotPtr& base,
                                          const ZoneDiff& diff);
 
@@ -110,11 +117,8 @@ class ZoneSnapshot {
       const std::function<void(const dns::RRsetView&)>& fn) const;
 
   // Materialized copies, canonical order — cold paths only (crypto
-  // validation, serialization compat).
+  // validation).
   std::vector<dns::RRset> AllRRsets() const;
-
-  // Deep copy back into the mutable Zone form (cold path).
-  Zone ToZone() const;
 
   // Content equality (same apex and identical RRsets in canonical order),
   // regardless of page structure.
@@ -225,8 +229,11 @@ class ZoneSnapshot {
   util::FlatHashIndex owner_index_;
 };
 
-// Computes new - old by lockstep walk over the two sorted indexes; produces
-// the same diff as DiffZones on the equivalent Zones. O(n) with no maps.
+// Computes new - old by lockstep walk over the two sorted indexes. O(n) with
+// no maps. Each list is in canonical key order: `added` holds the new
+// RRsets whose key the old snapshot lacks, `removed` the old keys the new
+// one lacks, and `changed` the new content of keys both hold with different
+// TTL or rdatas. Apply(old, DiffSnapshots(old, new)) has new's content.
 ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
                        const ZoneSnapshot& new_snapshot);
 

@@ -2,8 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "distrib/diff_channel.h"
-#include "zone/snapshot.h"
 #include "zone/evolution.h"
+#include "zone/snapshot.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::distrib {
 namespace {
@@ -17,9 +18,14 @@ zone::EvolutionConfig SmallModel() {
   return config;
 }
 
+zone::SnapshotPtr Day(const zone::RootZoneModel& model,
+                      const util::CivilDate& date) {
+  return zone::ZoneSnapshot::Build(model.Snapshot(date));
+}
+
 TEST(DiffChannel, UpToDateSubscriberGetsNothing) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}));
   const auto update = publisher.UpdatesSince(publisher.latest_serial());
   EXPECT_EQ(update.kind, DiffPublisher::Update::Kind::kUpToDate);
   EXPECT_TRUE(update.payload.empty());
@@ -27,11 +33,11 @@ TEST(DiffChannel, UpToDateSubscriberGetsNothing) {
 
 TEST(DiffChannel, SubscriberFollowsDailyPublishes) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}));
+  DiffSubscriber subscriber(Day(model, {2019, 4, 1}));
 
   for (int day = 1; day <= 20; ++day) {
-    publisher.Publish(model.Snapshot(util::AddDays({2019, 4, 1}, day)));
+    publisher.Publish(Day(model, util::AddDays({2019, 4, 1}, day)));
   }
   const auto update = publisher.UpdatesSince(subscriber.serial());
   ASSERT_EQ(update.kind, DiffPublisher::Update::Kind::kDiffs);
@@ -45,10 +51,10 @@ TEST(DiffChannel, SubscriberFollowsDailyPublishes) {
 
 TEST(DiffChannel, DiffsAreFarSmallerThanFullZone) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}));
+  DiffSubscriber subscriber(Day(model, {2019, 4, 1}));
   for (int day = 1; day <= 7; ++day) {
-    publisher.Publish(model.Snapshot(util::AddDays({2019, 4, 1}, day)));
+    publisher.Publish(Day(model, util::AddDays({2019, 4, 1}, day)));
   }
   const auto update = publisher.UpdatesSince(subscriber.serial());
   ASSERT_TRUE(subscriber.Apply(update).ok());
@@ -58,10 +64,10 @@ TEST(DiffChannel, DiffsAreFarSmallerThanFullZone) {
 
 TEST(DiffChannel, HistoryMissFallsBackToFullZone) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}), /*max_history=*/3);
-  DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}), /*max_history=*/3);
+  DiffSubscriber subscriber(Day(model, {2019, 4, 1}));
   for (int day = 1; day <= 10; ++day) {
-    publisher.Publish(model.Snapshot(util::AddDays({2019, 4, 1}, day)));
+    publisher.Publish(Day(model, util::AddDays({2019, 4, 1}, day)));
   }
   const auto update = publisher.UpdatesSince(subscriber.serial());
   ASSERT_EQ(update.kind, DiffPublisher::Update::Kind::kFullZone);
@@ -72,34 +78,34 @@ TEST(DiffChannel, HistoryMissFallsBackToFullZone) {
 
 TEST(DiffChannel, RejectsChainFromWrongSerial) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  publisher.Publish(model.Snapshot({2019, 4, 2}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}));
+  publisher.Publish(Day(model, {2019, 4, 2}));
   const auto update =
       publisher.UpdatesSince(zone::RootZoneModel::SerialFor({2019, 4, 1}));
   ASSERT_EQ(update.kind, DiffPublisher::Update::Kind::kDiffs);
 
   // A subscriber at a *different* serial must refuse the chain.
-  DiffSubscriber wrong(model.Snapshot({2019, 3, 15}));
+  DiffSubscriber wrong(Day(model, {2019, 3, 15}));
   EXPECT_FALSE(wrong.Apply(update).ok());
 }
 
 TEST(DiffChannel, RejectsCorruptPayload) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  publisher.Publish(model.Snapshot({2019, 4, 2}));
+  DiffPublisher publisher(Day(model, {2019, 4, 1}));
+  publisher.Publish(Day(model, {2019, 4, 2}));
   auto update =
       publisher.UpdatesSince(zone::RootZoneModel::SerialFor({2019, 4, 1}));
   update.payload.resize(update.payload.size() / 2);
-  DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+  DiffSubscriber subscriber(Day(model, {2019, 4, 1}));
   EXPECT_FALSE(subscriber.Apply(update).ok());
 }
 
 TEST(DiffChannel, NewTldArrivesThroughChannel) {
   const zone::RootZoneModel model(SmallModel());
-  DiffPublisher publisher(model.Snapshot({2018, 2, 20}));
-  DiffSubscriber subscriber(model.Snapshot({2018, 2, 20}));
+  DiffPublisher publisher(Day(model, {2018, 2, 20}));
+  DiffSubscriber subscriber(Day(model, {2018, 2, 20}));
   for (int day = 1; day <= 5; ++day) {
-    publisher.Publish(model.Snapshot(util::AddDays({2018, 2, 20}, day)));
+    publisher.Publish(Day(model, util::AddDays({2018, 2, 20}, day)));
   }
   ASSERT_TRUE(subscriber.Apply(publisher.UpdatesSince(subscriber.serial())).ok());
   // ".llc" was added 2018-02-23 and must now be visible locally.

@@ -110,8 +110,8 @@ TEST(NsecCovers, IntervalSemantics) {
 
 TEST(SignedZone, ValidatesCompletely) {
   SignedEnv env;
-  auto validated = zone::ValidateSignedZone(env.signed_zone, env.zsk.dnskey,
-                                            env.store, 5000);
+  auto validated = crypto::ValidateZoneRRsets(
+      env.signed_zone.AllRRsets(), env.zsk.dnskey, env.store, 5000);
   ASSERT_TRUE(validated.ok()) << validated.error().message();
   // plain RRsets + DNSKEY + NSEC per owner.
   EXPECT_GT(*validated, env.plain.rrset_count());

@@ -27,6 +27,11 @@ util::Bytes RandomBytes(util::Rng& rng, std::size_t max_len) {
   return out;
 }
 
+// The model zone of 2019-04-`day`.
+zone::SnapshotPtr ModelSnapshot(const zone::RootZoneModel& model, int day) {
+  return zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, day}));
+}
+
 // Flip/insert/delete a few bytes of a valid input.
 util::Bytes Mutate(const util::Bytes& input, util::Rng& rng) {
   util::Bytes out = input;
@@ -115,13 +120,13 @@ TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {
   config.legacy_tld_count = 20;
   config.peak_tld_count = 25;
   const zone::RootZoneModel model(config);
-  const auto snapshot = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const auto diff = zone::SerializeDiff(
-      DiffZones(model.Snapshot({2019, 4, 1}), model.Snapshot({2019, 4, 5})));
+  const auto snapshot = zone::SerializeSnapshot(*ModelSnapshot(model, 1));
+  const auto diff = zone::SerializeDiff(zone::DiffSnapshots(
+      *ModelSnapshot(model, 1), *ModelSnapshot(model, 5)));
   for (int i = 0; i < 1500; ++i) {
-    ExpectCodedFailure(zone::DeserializeZone(Mutate(snapshot, rng)));
+    ExpectCodedFailure(zone::DeserializeSnapshot(Mutate(snapshot, rng)));
     ExpectCodedFailure(zone::DeserializeDiff(Mutate(diff, rng)));
-    ExpectCodedFailure(zone::DeserializeZone(RandomBytes(rng, 100)));
+    ExpectCodedFailure(zone::DeserializeSnapshot(RandomBytes(rng, 100)));
     ExpectCodedFailure(zone::DeserializeDiff(RandomBytes(rng, 100)));
   }
 }
@@ -132,14 +137,14 @@ TEST(Fuzz, SnapshotAndDiffPrefixesAreTruncated) {
   config.legacy_tld_count = 4;
   config.peak_tld_count = 6;
   const zone::RootZoneModel model(config);
-  const auto snapshot = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const auto diff = zone::SerializeDiff(
-      DiffZones(model.Snapshot({2019, 4, 1}), model.Snapshot({2019, 4, 5})));
-  ASSERT_TRUE(zone::DeserializeZone(snapshot).ok());
+  const auto snapshot = zone::SerializeSnapshot(*ModelSnapshot(model, 1));
+  const auto diff = zone::SerializeDiff(zone::DiffSnapshots(
+      *ModelSnapshot(model, 1), *ModelSnapshot(model, 5)));
+  ASSERT_TRUE(zone::DeserializeSnapshot(snapshot).ok());
   ASSERT_TRUE(zone::DeserializeDiff(diff).ok());
   for (std::size_t n = 0; n < snapshot.size(); ++n) {
     const auto result =
-        zone::DeserializeZone(std::span(snapshot.data(), n));
+        zone::DeserializeSnapshot(std::span(snapshot.data(), n));
     ASSERT_FALSE(result.ok()) << "snapshot prefix " << n;
     EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
         << "snapshot prefix " << n << ": " << result.error().message();
@@ -152,14 +157,51 @@ TEST(Fuzz, SnapshotAndDiffPrefixesAreTruncated) {
   }
 }
 
+const util::Bytes kRzcSample = zone::RzcCompressText(
+    "a perfectly ordinary zone file body that compresses somewhat, "
+    "a perfectly ordinary zone file body that compresses somewhat");
+
+// RZC failures are coded, and whatever the decoder accepts round-trips
+// through the compressor.
 TEST(Fuzz, RzcDecompressorNeverCrashes) {
   util::Rng rng(109);
-  const auto valid = zone::RzcCompressText(
-      "a perfectly ordinary zone file body that compresses somewhat, "
-      "a perfectly ordinary zone file body that compresses somewhat");
+  const auto check = [](const util::Bytes& wire) {
+    const auto result = zone::RzcDecompress(wire);
+    ExpectCodedFailure(result);
+    if (!result.ok()) return;
+    const auto again = zone::RzcDecompress(zone::RzcCompress(*result));
+    ASSERT_TRUE(again.ok()) << again.error().message();
+    EXPECT_EQ(*again, *result);
+  };
   for (int i = 0; i < 3000; ++i) {
-    (void)zone::RzcDecompress(Mutate(valid, rng));
-    (void)zone::RzcDecompress(RandomBytes(rng, 120));
+    check(Mutate(kRzcSample, rng));
+    check(RandomBytes(rng, 120));
+  }
+}
+
+// Magic plus a varint of 2^32: nine bytes that claim 4 GiB of output. The
+// size exceeds what the (zero) bytes left could decode to, so the decoder
+// refuses it before reserving anything.
+TEST(Fuzz, RzcRejectsSizeBeyondItsStream) {
+  util::ByteWriter w;
+  w.WriteU32(0x525A4331);  // "RZC1"
+  w.WriteVarint(1ULL << 32);
+  const util::Bytes wire = w.TakeData();
+  ASSERT_EQ(wire.size(), 9u);
+  const auto result = zone::RzcDecompress(wire);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+      << result.error().message();
+}
+
+// Every proper prefix of a valid RZC stream is a short read.
+TEST(Fuzz, RzcPrefixesAreTruncated) {
+  ASSERT_TRUE(zone::RzcDecompress(kRzcSample).ok());
+  for (std::size_t n = 0; n < kRzcSample.size(); ++n) {
+    const auto result = zone::RzcDecompress(std::span(kRzcSample.data(), n));
+    ASSERT_FALSE(result.ok()) << "prefix " << n;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << "prefix " << n << ": " << result.error().message();
   }
 }
 
@@ -346,14 +388,14 @@ TEST(Fuzz, DiffChannelApplyNeverCrashes) {
   config.legacy_tld_count = 15;
   config.peak_tld_count = 20;
   const zone::RootZoneModel model(config);
-  distrib::DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  publisher.Publish(model.Snapshot({2019, 4, 2}));
+  distrib::DiffPublisher publisher(ModelSnapshot(model, 1));
+  publisher.Publish(ModelSnapshot(model, 2));
   auto update = publisher.UpdatesSince(
       zone::RootZoneModel::SerialFor({2019, 4, 1}));
   for (int i = 0; i < 1000; ++i) {
     auto mutated = update;
     mutated.payload = Mutate(update.payload, rng);
-    distrib::DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+    distrib::DiffSubscriber subscriber(ModelSnapshot(model, 1));
     (void)subscriber.Apply(mutated);
   }
 }

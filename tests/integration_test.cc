@@ -18,6 +18,7 @@
 #include "zone/sign.h"
 #include "zone/snapshot.h"
 #include "zone/zone_diff.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless {
 namespace {
@@ -26,6 +27,11 @@ using dns::Name;
 using dns::RRType;
 
 Name N(std::string_view s) { return *Name::Parse(s); }
+
+zone::SnapshotPtr ModelSnapshot(const zone::RootZoneModel& model,
+                                const util::CivilDate& date) {
+  return zone::ZoneSnapshot::Build(model.Snapshot(date));
+}
 
 // Small-scale model keeps the test fast while exercising every stage.
 zone::EvolutionConfig SmallModel() {
@@ -130,11 +136,12 @@ TEST(Integration, RsyncPipelineTracksDailySnapshots) {
   const zone::RootZoneModel model(SmallModel());
   // A resolver keeps its serialized snapshot in sync via rsync deltas for a
   // month and must match the publisher bit-for-bit every day.
-  util::Bytes local = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
+  util::Bytes local =
+      zone::SerializeSnapshot(*ModelSnapshot(model, {2019, 4, 1}));
   std::size_t total_delta_bytes = 0;
   for (int day = 1; day <= 30; ++day) {
-    const auto remote = zone::SerializeZone(
-        model.Snapshot(util::AddDays({2019, 4, 1}, day)));
+    const auto remote = zone::SerializeSnapshot(
+        *ModelSnapshot(model, util::AddDays({2019, 4, 1}, day)));
     const auto sig = distrib::ComputeSignature(local, 1024);
     const auto delta = distrib::ComputeDelta(sig, remote);
     total_delta_bytes += delta.WireSize() + sig.WireSize();
@@ -151,19 +158,21 @@ TEST(Integration, DiffChannelKeepsZoneCurrent) {
   // The §5.3 "recent additions diff" channel: apply daily structural diffs
   // instead of full snapshots and stay identical to the publisher.
   const zone::RootZoneModel model(SmallModel());
-  zone::Zone local = model.Snapshot({2018, 2, 20});
+  zone::SnapshotPtr local = ModelSnapshot(model, {2018, 2, 20});
   for (int day = 1; day <= 10; ++day) {
-    const zone::Zone remote =
-        model.Snapshot(util::AddDays({2018, 2, 20}, day));
-    const zone::ZoneDiff diff = DiffZones(local, remote);
-    const auto wire = zone::SerializeDiff(diff);
+    const zone::SnapshotPtr remote =
+        ModelSnapshot(model, util::AddDays({2018, 2, 20}, day));
+    const auto wire =
+        zone::SerializeDiff(zone::DiffSnapshots(*local, *remote));
     auto decoded = zone::DeserializeDiff(wire);
     ASSERT_TRUE(decoded.ok());
-    ASSERT_TRUE(ApplyDiff(local, *decoded).ok()) << day;
-    ASSERT_TRUE(local == remote) << day;
+    auto next = zone::ZoneSnapshot::Apply(local, *decoded);
+    ASSERT_TRUE(next.ok()) << day;
+    local = std::move(*next);
+    ASSERT_TRUE(local->SameContent(*remote)) << day;
   }
   // The channel picked up ".llc" (added 2018-02-23) along the way.
-  EXPECT_NE(local.Find(N("llc."), RRType::kNS), nullptr);
+  EXPECT_TRUE(local->Find(N("llc."), RRType::kNS).has_value());
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #include "zone/evolution.h"
 #include "zone/master_file.h"
 #include "zone/root_hints.h"
-#include "zone/zone_diff.h"
 #include "zone/sign.h"
+#include "zone/zone_diff.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless {
 namespace {
@@ -143,7 +144,8 @@ TEST(EvolutionEdge, ExtremeConfigsStayConsistent) {
   const zone::RootZoneModel churny_model(churny);
   const zone::Zone day1 = churny_model.Snapshot({2019, 5, 1});
   const zone::Zone day2 = churny_model.Snapshot({2019, 5, 2});
-  const auto diff = zone::DiffZones(day1, day2);
+  const auto diff = zone::DiffSnapshots(*zone::ZoneSnapshot::Build(day1),
+                                       *zone::ZoneSnapshot::Build(day2));
   EXPECT_GT(diff.change_count(), 1u);
   auto reparsed = zone::ParseMasterFile(
       zone::SerializeMasterFile(day2.AllRecords()));
@@ -176,10 +178,13 @@ TEST(ZoneSignEdge, ResigningAfterChangeRevalidates) {
   const zone::Zone v1 = model.Snapshot({2019, 4, 1});
   const zone::Zone v2 = model.Snapshot({2019, 4, 10});
 
+  const auto validate = [&](const zone::Zone& z) {
+    return crypto::ValidateZoneRRsets(z.AllRRsets(), zsk.dnskey, store, 500);
+  };
   const zone::Zone signed1 = zone::SignZone(v1, zsk, {0, 10000});
   const zone::Zone signed2 = zone::SignZone(v2, zsk, {0, 10000});
-  EXPECT_TRUE(zone::ValidateSignedZone(signed1, zsk.dnskey, store, 500).ok());
-  EXPECT_TRUE(zone::ValidateSignedZone(signed2, zsk.dnskey, store, 500).ok());
+  EXPECT_TRUE(validate(signed1).ok());
+  EXPECT_TRUE(validate(signed2).ok());
   // Mixing v2 data with v1 signatures must fail: splice one v2 RRset in.
   zone::Zone frankenstein = signed1;
   const auto children = v2.DelegatedChildren();
@@ -189,8 +194,7 @@ TEST(ZoneSignEdge, ResigningAfterChangeRevalidates) {
   mutated.rdatas.push_back(dns::NsData{N("ns-injected.example.")});
   ASSERT_TRUE(frankenstein.RemoveRRset(mutated.key()));
   ASSERT_TRUE(frankenstein.AddRRset(mutated).ok());
-  EXPECT_FALSE(
-      zone::ValidateSignedZone(frankenstein, zsk.dnskey, store, 500).ok());
+  EXPECT_FALSE(validate(frankenstein).ok());
 }
 
 }  // namespace

@@ -120,8 +120,9 @@ GeneratedDay GenerateWholeDay(const WorkloadConfig& config, int num_shards,
                               const std::vector<std::string>& tlds) {
   GeneratedDay day;
   const ShardPlan plan = MakeShardPlan(config, num_shards);
+  const ShardLabelSpace labels(config, tlds);
   for (int s = 0; s < num_shards; ++s) {
-    ShardTraceGenerator gen(config, plan, s, tlds);
+    ShardTraceGenerator gen(config, plan, s, labels);
     ShardChunk chunk;
     while (gen.NextChunk(chunk)) {
       for (const QueryEvent& e : chunk.events) {
@@ -162,9 +163,10 @@ TEST(ShardGenerator, ChunksAreInTraceOrderInsideTheirWindow) {
       WorkloadConfig config = SmallConfig();
       config.seed = seed;
       const ShardPlan plan = MakeShardPlan(config, 3);
+      const ShardLabelSpace labels(config, tlds);
       std::uint64_t events = 0;
       for (int s = 0; s < 3; ++s) {
-        ShardTraceGenerator gen(config, plan, s, tlds);
+        ShardTraceGenerator gen(config, plan, s, labels);
         if (attacked) gen.SetAttackPlan(&attack);
         ShardChunk chunk;
         std::uint32_t expected_index = 0;
@@ -196,12 +198,13 @@ TEST(ShardGenerator, ChunksAreInTraceOrderInsideTheirWindow) {
 
 TEST(ShardGenerator, StreamedClassifierMatchesClassifyTrace) {
   const WorkloadConfig config = SmallConfig();
-  const std::vector<std::string> labels = TestTlds();
-  const std::unordered_set<std::string> real(labels.begin(), labels.end());
+  const std::vector<std::string> tlds = TestTlds();
+  const std::unordered_set<std::string> real(tlds.begin(), tlds.end());
 
   // Concatenate the shards' chunks back into a whole-day Trace.
   const int kShards = 3;
   const ShardPlan plan = MakeShardPlan(config, kShards);
+  const ShardLabelSpace labels(config, tlds);
   Trace trace;
   ShardTally tally;
   for (int s = 0; s < kShards; ++s) {

@@ -175,8 +175,8 @@ TEST(ResolverEdge, SelectorConvergesOnNearbyLetter) {
   topo::Topology registry;
   net.set_latency_fn(registry.LatencyFn());
   const zone::RootZoneModel model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(model.Snapshot({2018, 4, 11}));
+  const zone::SnapshotPtr root_zone =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, registry, root_zone);
   rootsrv::TldFarm farm(net, registry, *root_zone, 3);
 

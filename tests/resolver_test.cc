@@ -145,10 +145,11 @@ TEST(RootSelector, EwmaSmoothing) {
 
 TEST(ZoneDb, IndexesDelegations) {
   const zone::RootZoneModel model;
-  const zone::Zone snapshot = model.Snapshot({2018, 4, 11});
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
   ZoneDb db(snapshot);
-  EXPECT_EQ(db.tld_count(), snapshot.DelegatedChildren().size());
-  EXPECT_EQ(db.serial(), snapshot.Serial());
+  EXPECT_EQ(db.tld_count(), snapshot->DelegatedChildren().size());
+  EXPECT_EQ(db.serial(), snapshot->Serial());
 
   const TldEntry* com = db.Lookup("com");
   ASSERT_NE(com, nullptr);
@@ -163,7 +164,7 @@ TEST(ZoneDb, IndexesDelegations) {
 
 TEST(ZoneDb, LookupAcceptsTldViewWithoutCopy) {
   const zone::RootZoneModel model;
-  ZoneDb db(model.Snapshot({2018, 4, 11}));
+  ZoneDb db(zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11})));
   // A view straight out of Name::tld_view() — no temporary std::string, and
   // case-insensitive regardless of the query's spelling.
   const Name upper = N("WWW.EXAMPLE.COM.");
@@ -196,7 +197,7 @@ TEST(ZoneDb, ReloadBumpsSerialAndRebindsViews) {
 
 TEST(ZoneDb, UnknownTldIsLocalNxDomain) {
   const zone::RootZoneModel model;
-  ZoneDb db(model.Snapshot({2018, 4, 11}));
+  ZoneDb db(zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11})));
   // The local equivalent of a root NXDOMAIN: nullptr, no fallback.
   EXPECT_EQ(db.Lookup("local"), nullptr);
   EXPECT_EQ(db.Lookup("belkin"), nullptr);
@@ -211,7 +212,6 @@ struct E2E {
   sim::Network net{sim, 21};
   topo::Topology registry;
   zone::RootZoneModel model;
-  std::shared_ptr<zone::Zone> root_zone;
   zone::SnapshotPtr root_snapshot;
   std::unique_ptr<rootsrv::RootServerFleet> fleet;
   std::unique_ptr<rootsrv::TldFarm> farm;
@@ -219,11 +219,9 @@ struct E2E {
 
   E2E() {
     net.set_latency_fn(registry.LatencyFn());
-    root_zone =
-        std::make_shared<zone::Zone>(model.Snapshot({2018, 4, 11}));
     // One immutable snapshot serves the fleet, the TLD farm, the loopback
     // server, and every local-root resolver in the fixture.
-    root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+    root_snapshot = zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
     fleet = std::make_unique<rootsrv::RootServerFleet>(net, registry,
                                                        root_snapshot);
     farm = std::make_unique<rootsrv::TldFarm>(net, registry, *root_snapshot,
@@ -321,7 +319,7 @@ TEST(Recursive, CachePreloadNeverTouchesRoots) {
   EXPECT_EQ(result.rcode, dns::RCode::kNoError);
   EXPECT_EQ(e2e.fleet->TotalStats().queries, 0u);
   // Preloading put the whole zone in the cache.
-  EXPECT_GE(r->cache().size(), e2e.root_zone->rrset_count());
+  EXPECT_GE(r->cache().size(), e2e.root_snapshot->rrset_count());
 }
 
 TEST(Recursive, OnDemandModeResolvesLocallyWithDbLatency) {

@@ -385,7 +385,7 @@ TEST(AuthServerCache, DisabledServerStillAnswersIdentically) {
 TEST(Fleet, InstanceCountMatchesDeployment) {
   Fixture f;
   topo::DeploymentModel deployment;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.Snapshot());
   EXPECT_EQ(fleet.instance_count(),
             static_cast<std::size_t>(
                 deployment.TotalInstancesOn({2018, 4, 11})));
@@ -393,7 +393,7 @@ TEST(Fleet, InstanceCountMatchesDeployment) {
 
 TEST(Fleet, AnycastPrefersNearbyInstance) {
   Fixture f;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.Snapshot());
   // Large letters (many instances) should land closer than small ones on
   // average; at minimum the chosen instance must be the nearest of its
   // letter.
@@ -412,7 +412,7 @@ TEST(Fleet, AnycastPrefersNearbyInstance) {
 
 TEST(Fleet, StatsAggregate) {
   Fixture f;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.Snapshot());
   const sim::NodeId client = f.net.AddNode(nullptr);
   f.registry.PlaceNode(client, {40, -74});
   for (int i = 0; i < 5; ++i) {
@@ -474,7 +474,7 @@ TEST(TldFarm, BuildsFromRootZoneAndAnswers) {
 
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
+  TldFarm farm(net, registry, *zone::ZoneSnapshot::Build(root_zone), 99);
   EXPECT_EQ(farm.tld_count(), root_zone.DelegatedChildren().size());
 
   sim::NodeId com_node = 0;
@@ -511,7 +511,7 @@ TEST(TldFarm, FindsNodeByGlueAddress) {
   topo::Topology registry;
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
+  TldFarm farm(net, registry, *zone::ZoneSnapshot::Build(root_zone), 99);
 
   // Take com's first glue address from the zone and look it up.
   const auto* ns = root_zone.Find(N("com."), RRType::kNS);
@@ -537,7 +537,7 @@ TEST(TldFarm, RefusesOutOfDomainQuery) {
   topo::Topology registry;
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
+  TldFarm farm(net, registry, *zone::ZoneSnapshot::Build(root_zone), 99);
 
   sim::NodeId com_node = 0;
   ASSERT_TRUE(farm.FindTldNode("com", com_node));

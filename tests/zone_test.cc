@@ -7,6 +7,7 @@
 #include "zone/rzc.h"
 #include "zone/zone.h"
 #include "zone/zone_diff.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::zone {
 namespace {
@@ -294,6 +295,19 @@ TEST(RootHints, AllRecordsUseHintsTtl) {
 
 // ------------------------------------------------------------------ diff
 
+ZoneDiff Diff(const Zone& old_zone, const Zone& new_zone) {
+  return DiffSnapshots(*ZoneSnapshot::Build(old_zone),
+                       *ZoneSnapshot::Build(new_zone));
+}
+
+// Applies `diff` to `base` and checks the result has `want`'s content.
+void ExpectApplyGives(const Zone& base, const ZoneDiff& diff,
+                      const Zone& want) {
+  auto patched = ZoneSnapshot::Apply(ZoneSnapshot::Build(base), diff);
+  ASSERT_TRUE(patched.ok()) << patched.error().message();
+  EXPECT_TRUE((*patched)->SameContent(*ZoneSnapshot::Build(want)));
+}
+
 TEST(ZoneDiff, DetectsAddRemoveChange) {
   Zone old_zone = SampleRootZone();
   Zone new_zone = SampleRootZone();
@@ -311,7 +325,7 @@ TEST(ZoneDiff, DetectsAddRemoveChange) {
                               dns::NsData{N("c.gtld-servers.net.")}})
                   .ok());
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
+  const ZoneDiff diff = Diff(old_zone, new_zone);
   EXPECT_EQ(diff.added.size(), 1u);
   EXPECT_EQ(diff.removed.size(), 1u);
   EXPECT_EQ(diff.changed.size(), 1u);
@@ -321,7 +335,7 @@ TEST(ZoneDiff, DetectsAddRemoveChange) {
 
 TEST(ZoneDiff, IdenticalZonesProduceEmptyDiff) {
   const Zone zone = SampleRootZone();
-  EXPECT_TRUE(DiffZones(zone, zone).empty());
+  EXPECT_TRUE(Diff(zone, zone).empty());
 }
 
 TEST(ZoneDiff, ApplyReconstructsNewZone) {
@@ -333,17 +347,14 @@ TEST(ZoneDiff, ApplyReconstructsNewZone) {
                   .ok());
   ASSERT_TRUE(new_zone.RemoveRRset({N("com."), RRType::kDS, RRClass::kIN}));
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
-  Zone patched = old_zone;
-  ASSERT_TRUE(ApplyDiff(patched, diff).ok());
-  EXPECT_TRUE(patched == new_zone);
+  ExpectApplyGives(old_zone, Diff(old_zone, new_zone), new_zone);
 }
 
 TEST(ZoneDiff, ApplyFailsOnMissingKey) {
-  Zone zone = SampleRootZone();
   ZoneDiff diff;
   diff.removed.push_back({N("nonexistent."), RRType::kNS, RRClass::kIN});
-  EXPECT_FALSE(ApplyDiff(zone, diff).ok());
+  EXPECT_FALSE(
+      ZoneSnapshot::Apply(ZoneSnapshot::Build(SampleRootZone()), diff).ok());
 }
 
 TEST(ZoneDiff, SerializationRoundTrip) {
@@ -355,14 +366,10 @@ TEST(ZoneDiff, SerializationRoundTrip) {
                   .ok());
   ASSERT_TRUE(new_zone.RemoveRRset({N("org."), RRType::kNS, RRClass::kIN}));
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
-  const auto wire = SerializeDiff(diff);
+  const auto wire = SerializeDiff(Diff(old_zone, new_zone));
   auto decoded = DeserializeDiff(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-
-  Zone patched = old_zone;
-  ASSERT_TRUE(ApplyDiff(patched, *decoded).ok());
-  EXPECT_TRUE(patched == new_zone);
+  ExpectApplyGives(old_zone, *decoded, new_zone);
 }
 
 TEST(ZoneDiff, DeserializeRejectsGarbage) {
