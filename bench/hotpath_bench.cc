@@ -30,7 +30,6 @@
 #include "obs/trace.h"
 #include "resolver/cache.h"
 #include "resolver/recursive.h"
-#include "resolver/zone_db.h"
 #include "rootsrv/auth_server.h"
 #include "rootsrv/tld_farm.h"
 #include "sim/network.h"
@@ -192,7 +191,7 @@ double BenchNameHash() {
 double BenchNameEqual() {
   // Full fold-insensitive equality: the pairs differ only by case, so the
   // cached hashes agree and every comparison runs the label-by-label SIMD
-  // fold-compare (the path ZoneDb lookups and cache probe confirms take).
+  // fold-compare (the path snapshot owner and cache probe confirms take).
   const auto pool = NamePool(256);
   std::vector<dns::Name> lower;
   std::vector<dns::Name> upper;

@@ -16,12 +16,12 @@
 
 #include "analysis/report.h"
 #include "resolver/cache.h"
-#include "resolver/zone_db.h"
 #include "util/strings.h"
 #include "zone/evolution.h"
 #include "zone/master_file.h"
 #include "zone/root_hints.h"
 #include "zone/rzc.h"
+#include "zone/zone_snapshot.h"
 #include "obs/export.h"
 
 int main() {
@@ -140,17 +140,19 @@ int main() {
   const double scan_mean_us = scan_total_us / kTrials;
 
   // The indexed alternative (the paper: "loading the root zone into a
-  // database ... would make the process faster").
-  resolver::ZoneDb db(snapshot);
+  // database ... would make the process faster"): the snapshot lookup a
+  // local-root resolver runs per consult, here the referral for www.<tld>.
+  zone::LookupView view;
   double db_total_us = 0;
   for (int t = 0; t < kTrials * 100; ++t) {
-    const std::string target = children[rng.Below(children.size())].tld();
+    const dns::Name qname = *dns::Name::Parse(
+        "www." + children[rng.Below(children.size())].tld() + ".");
     const auto start = Clock::now();
-    const auto* entry = db.Lookup(target);
+    snapshot->Lookup(qname, dns::RRType::kA, /*include_dnssec=*/false, view);
     db_total_us +=
         std::chrono::duration<double, std::micro>(Clock::now() - start)
             .count();
-    if (entry == nullptr) return 1;
+    if (view.disposition != zone::LookupDisposition::kReferral) return 1;
   }
   const double db_mean_us = db_total_us / (kTrials * 100);
 
@@ -159,7 +161,7 @@ int main() {
   std::snprintf(buf, sizeof(buf), "%.2f ms", scan_mean_us / 1000.0);
   timing.AddRow({"decompress + scan (1000 trials)", "37 ms (Python)", buf});
   std::snprintf(buf, sizeof(buf), "%.2f us", db_mean_us);
-  timing.AddRow({"indexed ZoneDb lookup", "\"faster\"", buf});
+  timing.AddRow({"indexed snapshot lookup", "\"faster\"", buf});
   std::snprintf(buf, sizeof(buf), "%.1f", found_records / double(kTrials));
   timing.AddRow({"records extracted per trial", "-", buf});
   std::printf("%s\n", timing.Render().c_str());

@@ -83,28 +83,17 @@ const dns::RRset* DnsCache::Get(const dns::NameView& name, dns::RRType type,
 }
 
 void DnsCache::Put(const dns::RRset& rrset, sim::SimTime now) {
-  PutImpl(rrset, now + static_cast<sim::SimTime>(rrset.ttl) * sim::kSecond,
-          now);
+  PutImpl(rrset, now);
 }
 
 void DnsCache::Put(const dns::RRsetView& rrset, sim::SimTime now) {
-  PutImpl(rrset, now + static_cast<sim::SimTime>(rrset.ttl) * sim::kSecond,
-          now);
-}
-
-void DnsCache::PutWithExpiry(const dns::RRset& rrset, sim::SimTime expiry,
-                             sim::SimTime now) {
-  PutImpl(rrset, expiry, now);
-}
-
-void DnsCache::PutWithExpiry(const dns::RRsetView& rrset, sim::SimTime expiry,
-                             sim::SimTime now) {
-  PutImpl(rrset, expiry, now);
+  PutImpl(rrset, now);
 }
 
 template <typename SetLike>
-void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime expiry,
-                       sim::SimTime now) {
+void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime now) {
+  const sim::SimTime expiry =
+      now + static_cast<sim::SimTime>(rrset.ttl) * sim::kSecond;
   const dns::RRsetKeyView probe{&OwnerOf(rrset), rrset.type, rrset.rrclass};
   const std::uint64_t hash = dns::RRsetKeyHash{}(probe);
   const std::uint32_t found = FindSlot(hash, probe);

@@ -73,12 +73,6 @@ class DnsCache {
   // the slot — no intermediate RRset.
   void Put(const dns::RRsetView& rrset, sim::SimTime now);
 
-  // Inserts with an explicit expiry (used by zone preloading).
-  void PutWithExpiry(const dns::RRset& rrset, sim::SimTime expiry,
-                     sim::SimTime now);
-  void PutWithExpiry(const dns::RRsetView& rrset, sim::SimTime expiry,
-                     sim::SimTime now);
-
   // Drops expired entries eagerly; returns how many were removed.
   std::size_t PurgeExpired(sim::SimTime now);
 
@@ -116,7 +110,7 @@ class DnsCache {
 
   // Shared insert body for owning RRsets and borrowed RRsetViews.
   template <typename SetLike>
-  void PutImpl(const SetLike& rrset, sim::SimTime expiry, sim::SimTime now);
+  void PutImpl(const SetLike& rrset, sim::SimTime now);
 
   // Index probe for `key` hashing to `hash`; kNil if absent.
   template <typename KeyLike>

@@ -1,6 +1,6 @@
 #include "resolver/recursive.h"
 
-#include <optional>
+#include <algorithm>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -12,6 +12,19 @@ using dns::Name;
 using dns::RRset;
 using dns::RRsetKey;
 using dns::RRType;
+
+namespace {
+
+// RFC 2308: a denial lives min(SOA.minimum, SOA TTL), capped at an hour; a
+// denial that carries no SOA lives the cap.
+constexpr sim::SimTime kMaxNegativeTtl = 3600 * sim::kSecond;
+
+sim::SimTime NegativeTtl(const dns::SoaData& soa, std::uint32_t soa_ttl) {
+  return std::min(kMaxNegativeTtl,
+                  sim::SimTime{std::min(soa.minimum, soa_ttl)} * sim::kSecond);
+}
+
+}  // namespace
 
 std::string RootModeName(RootMode mode) {
   switch (mode) {
@@ -45,10 +58,10 @@ RecursiveResolver::RecursiveResolver(sim::Simulator& sim,
 }
 
 void RecursiveResolver::SetLocalZone(zone::SnapshotPtr root_zone) {
-  db_.Load(std::move(root_zone));
+  local_zone_ = std::move(root_zone);
   if (config_.mode == RootMode::kCachePreload) {
     const sim::SimTime now = sim_.now();
-    db_.snapshot()->ForEachRRset(
+    local_zone_->ForEachRRset(
         [&](const dns::RRsetView& rrset) { cache_.Put(rrset, now); });
   }
 }
@@ -128,15 +141,6 @@ void RecursiveResolver::StartResolution(std::uint16_t id, Pending& pending) {
 bool RecursiveResolver::NegativeCached(std::string_view tld) const {
   auto it = negative_.find(tld);
   return it != negative_.end() && it->second > sim_.now();
-}
-
-sim::SimTime RecursiveResolver::NegativeTtl(const dns::SoaData& soa,
-                                            std::uint32_t soa_ttl) const {
-  // RFC 2308: negative TTL = min(SOA.minimum, SOA TTL), capped.
-  return std::min<sim::SimTime>(
-      config_.max_negative_ttl,
-      static_cast<sim::SimTime>(std::min(soa.minimum, soa_ttl)) *
-          sim::kSecond);
 }
 
 void RecursiveResolver::CacheNegative(std::string_view tld,
@@ -269,26 +273,34 @@ void RecursiveResolver::AskLocalStore(std::uint16_t id) {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
     Pending& pending = it->second;
-    const std::string_view tld = pending.qname.tld_view();
-    const TldEntry* entry = db_.Lookup(tld);
-    if (entry == nullptr) {
-      // Local equivalent of a root NXDOMAIN.
+    // The root servers' own lookup, without DNSSEC records. Asking for A
+    // keeps a consult for a TLD itself a referral, not the DS at its cut.
+    local_view_.clear();
+    if (local_zone_ != nullptr) {
+      local_zone_->Lookup(pending.qname, RRType::kA, false, local_view_);
+    }
+    if (local_view_.disposition != zone::LookupDisposition::kReferral) {
+      // Local equivalent of a root NXDOMAIN, negative-cached by the SOA the
+      // view carries (or for the cap, when it carries none).
       c_.nxdomain.Inc();
-      sim::SimTime ttl = config_.max_negative_ttl;
-      std::optional<dns::RRsetView> soa;
-      if (db_.snapshot() != nullptr) soa = db_.snapshot()->soa();
-      if (soa.has_value() && !soa->empty()) {
-        ttl = NegativeTtl(std::get<dns::SoaData>(soa->rdatas.front()),
-                          soa->ttl);
+      sim::SimTime ttl = kMaxNegativeTtl;
+      if (!local_view_.authority.empty() &&
+          !local_view_.authority.front().empty()) {
+        const dns::RRsetView& soa = local_view_.authority.front();
+        ttl = NegativeTtl(std::get<dns::SoaData>(soa.rdatas.front()), soa.ttl);
       }
-      CacheNegative(tld, ttl);
+      CacheNegative(pending.qname.tld_view(), ttl);
       Finish(id, dns::RCode::kNXDomain, {});
       return;
     }
+    // Cache order is pinned by the replay digests: NS, glue, then the DS.
     const sim::SimTime now = sim_.now();
-    cache_.Put(entry->ns, now);
-    for (const auto& g : entry->glue) cache_.Put(g, now);
-    for (const auto& d : entry->ds) cache_.Put(d, now);
+    const dns::RRsetView& ns = local_view_.authority.front();
+    cache_.Put(ns, now);
+    for (const auto& glue : local_view_.additional) cache_.Put(glue, now);
+    if (auto ds = local_zone_->Find(*ns.name, RRType::kDS)) {
+      cache_.Put(*ds, now);
+    }
     AskTld(id);
   });
 }
@@ -437,7 +449,7 @@ void RecursiveResolver::HandleRootResponse(std::uint16_t id, Pending& pending,
       }
     }
     c_.nxdomain.Inc();
-    sim::SimTime ttl = config_.max_negative_ttl;
+    sim::SimTime ttl = kMaxNegativeTtl;
     for (const auto& rr : response.authority) {
       if (rr.type != RRType::kSOA) continue;
       ttl = NegativeTtl(std::get<dns::SoaData>(rr.rdata), rr.ttl);
@@ -512,7 +524,6 @@ void RecursiveResolver::HandleTldResponse(std::uint16_t id, Pending& pending,
       answers.push_back(rrset);
     }
   }
-  (void)pending;
   Finish(id, dns::RCode::kNoError, std::move(answers));
 }
 

@@ -5,8 +5,8 @@
 //                      root selection (the baseline being argued against).
 //   kCachePreload    — §3 option 1: read the whole root zone into the cache.
 //   kOnDemandZoneFile— §3 option 2: consult a local root-zone store whenever
-//                      a root query would have been sent (ZoneDb lookup with
-//                      a configurable access latency).
+//                      a root query would have been sent (ZoneSnapshot::Lookup
+//                      with a configurable access latency).
 //   kLoopbackAuth    — §3 option 3 / RFC 7706: a local authoritative root
 //                      instance reached over loopback.
 //
@@ -30,7 +30,6 @@
 #include "dns/message.h"
 #include "resolver/cache.h"
 #include "resolver/root_selector.h"
-#include "resolver/zone_db.h"
 #include "rootsrv/fleet.h"
 #include "rootsrv/tld_farm.h"
 #include "sim/network.h"
@@ -38,6 +37,7 @@
 #include "sim/simulator.h"
 #include "topo/geo.h"
 #include "topo/topology.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::resolver {
 
@@ -60,7 +60,6 @@ struct ResolverConfig {
   sim::SimTime db_lookup_latency = 200;  // 200 us
   // RFC 2308 negative caching of NXDOMAIN (bogus-TLD) answers.
   bool negative_cache = true;
-  sim::SimTime max_negative_ttl = 3600 * sim::kSecond;
   // Encrypted transport (DoT/DoH-style): the first query to each server
   // pays a connection+TLS handshake (2 extra RTTs); later queries reuse the
   // session. The paper's Sec 4 contrasts encrypting root transactions with
@@ -156,9 +155,9 @@ class RecursiveResolver {
   void SetTldFarm(const rootsrv::TldFarm* farm) { farm_ = farm; }
   // Local-root modes: installs/updates the local root zone copy as an
   // immutable snapshot — the same SnapshotPtr a RefreshDaemon fetches and a
-  // whole fleet can share. Swapping is atomic: the ZoneDb index is rebuilt
-  // over the new snapshot (pointers only, no RRset copies); preload mode
-  // additionally loads every RRset into the cache.
+  // whole fleet can share. Swapping is atomic: the next consult runs
+  // ZoneSnapshot::Lookup on the new snapshot, and nothing is rebuilt;
+  // preload mode additionally loads every RRset into the cache.
   void SetLocalZone(zone::SnapshotPtr root_zone);
   // kLoopbackAuth: node of the local root instance (an AuthServer whose
   // location equals this resolver's).
@@ -184,7 +183,6 @@ class RecursiveResolver {
   ResolverStats stats() const { return c_.Read(); }
   const RootSelector& root_selector() const { return selector_; }
   const ResolverConfig& config() const { return config_; }
-  const ZoneDb& zone_db() const { return db_; }
 
  private:
   struct Pending {
@@ -237,10 +235,6 @@ class RecursiveResolver {
   // Negative cache (RFC 2308), keyed by TLD label (case-insensitive;
   // lookups take views straight out of the qname).
   bool NegativeCached(std::string_view tld) const;
-  // How long a denial that came with this SOA lives (a denial without one
-  // lives max_negative_ttl).
-  sim::SimTime NegativeTtl(const dns::SoaData& soa,
-                           std::uint32_t soa_ttl) const;
   void CacheNegative(std::string_view tld, sim::SimTime ttl);
   // Retry or fail after a bad (unvalidatable) response.
   void RetryAfterBadResponse(std::uint16_t id);
@@ -276,7 +270,9 @@ class RecursiveResolver {
   std::unordered_set<sim::NodeId> sessions_;  // encrypted sessions
 
   DnsCache cache_;
-  ZoneDb db_;
+  // Local root zone (nullptr until SetLocalZone) and its consults' scratch.
+  zone::SnapshotPtr local_zone_;
+  zone::LookupView local_view_;
   RootSelector selector_;
   util::Rng rng_;
   ResolverCounters c_;

@@ -152,8 +152,7 @@ ShardOutput RunOneShard(const ReplayOptions& options, const ShardPlan& plan,
 ReplayOutcome RunShardedReplay(const ReplayOptions& options) {
   ROOTLESS_CHECK(options.num_shards >= 1);
   ROOTLESS_CHECK(options.time_compression >= 1);
-  // Modes needing an AuthServer/RootServerFleet would race on the global
-  // default registry; see the header.
+  // Classic mode waits for a measured per-shard fleet; see the header.
   ROOTLESS_CHECK(options.mode == resolver::RootMode::kOnDemandZoneFile ||
                  options.mode == resolver::RootMode::kCachePreload);
   const int threads = options.num_threads > 0 ? options.num_threads

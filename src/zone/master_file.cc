@@ -32,6 +32,13 @@ struct LogicalLine {
   std::size_t line_number = 0;  // first physical line, 1-based
 };
 
+// Text that ends inside parentheses or a quoted string is truncated; every
+// other failure is corrupted, whatever a called parser named it.
+Error Truncated(const char* what) { return Error(ErrorCode::kTruncated, what); }
+Error Corrupted(const std::string& what) {
+  return Error(ErrorCode::kCorrupted, what);
+}
+
 Result<std::vector<LogicalLine>> Tokenize(std::string_view text) {
   std::vector<LogicalLine> lines;
   LogicalLine current;
@@ -74,7 +81,7 @@ Result<std::vector<LogicalLine>> Tokenize(std::string_view text) {
       continue;
     }
     if (c == ')') {
-      if (paren_depth == 0) return Error("master: unbalanced ')'");
+      if (paren_depth == 0) return Corrupted("master: unbalanced ')'");
       --paren_depth;
       ++i;
       continue;
@@ -95,12 +102,12 @@ Result<std::vector<LogicalLine>> Tokenize(std::string_view text) {
           token.text.push_back(text[i + 1]);
           i += 2;
         } else {
-          if (text[i] == '\n') return Error("master: newline in quoted string");
+          if (text[i] == '\n') return Corrupted("master: newline in quote");
           token.text.push_back(text[i]);
           ++i;
         }
       }
-      if (i >= text.size()) return Error("master: unterminated quote");
+      if (i >= text.size()) return Truncated("master: unterminated quote");
       ++i;  // closing quote
     } else {
       while (i < text.size() && text[i] != ' ' && text[i] != '\t' &&
@@ -118,7 +125,7 @@ Result<std::vector<LogicalLine>> Tokenize(std::string_view text) {
     }
     current.tokens.push_back(std::move(token));
   }
-  if (paren_depth != 0) return Error("master: unbalanced '('");
+  if (paren_depth != 0) return Truncated("master: unbalanced '('");
   return lines;
 }
 
@@ -154,7 +161,8 @@ Result<std::vector<ResourceRecord>> ParseMasterFile(std::string_view text,
   for (const auto& line : lines.value()) {
     const auto& tokens = line.tokens;
     auto fail = [&](const std::string& what) {
-      return Error("master:" + std::to_string(line.line_number) + ": " + what);
+      return Corrupted("master:" + std::to_string(line.line_number) + ": " +
+                       what);
     };
 
     // Directives.

@@ -21,7 +21,9 @@ struct ParseOptions {
   std::uint32_t default_ttl = 86400;
 };
 
-// Parses master-file text into records, in file order.
+// Parses master-file text into records, in file order. A failure is
+// kTruncated when the text ends inside parentheses or a quoted string, and
+// kCorrupted otherwise.
 util::Result<std::vector<dns::ResourceRecord>> ParseMasterFile(
     std::string_view text, const ParseOptions& options = {});
 

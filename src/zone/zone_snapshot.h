@@ -7,8 +7,8 @@
 // names and rdata live in contiguous per-page arenas; the snapshot's sorted
 // index stores borrowed pointers into those pages, and every read API hands
 // out dns::RRsetView spans over the same memory — consumers
-// (resolver::ZoneDb, rootsrv::AuthServer, distrib) never copy an RRset on the
-// serving path.
+// (rootsrv::AuthServer, a local-root resolver::RecursiveResolver, distrib)
+// never copy an RRset on the serving path.
 //
 // Structural sharing: Apply() does not rebuild the arena. It allocates ONE new
 // delta page holding deep copies of only the added/changed RRsets, shares
@@ -28,8 +28,9 @@
 // Build and Apply and is read-only afterwards, so one snapshot serves any
 // number of threads.
 //
-// Lookup() mirrors zone::Zone::Lookup decision-for-decision (answer /
-// referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC);
+// Lookup() is the one root-zone lookup, run by root servers and local-root
+// resolvers alike. It mirrors zone::Zone::Lookup decision-for-decision
+// (answer / referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC);
 // zone_snapshot_test sweeps both with Zone::Lookup as the oracle.
 #pragma once
 

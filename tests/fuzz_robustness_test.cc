@@ -76,6 +76,29 @@ TEST(Fuzz, MessageDecoderNeverCrashes) {
   }
 }
 
+// A decode failure says what went wrong: the input ended early
+// (kTruncated) or is present but malformed (kCorrupted).
+template <typename T>
+void ExpectCodedFailure(const util::Result<T>& result) {
+  if (result.ok()) return;
+  const ErrorCode code = result.error().code();
+  EXPECT_TRUE(code == ErrorCode::kTruncated || code == ErrorCode::kCorrupted)
+      << ErrorCodeName(code) << ": " << result.error().message();
+}
+
+// Master-file text either fails with a code or parses to records that
+// survive a serialize/parse round trip unchanged.
+void ExpectMasterFileFixpoint(std::string_view text) {
+  const auto parsed = zone::ParseMasterFile(text);
+  if (!parsed.ok()) {
+    ExpectCodedFailure(parsed);
+    return;
+  }
+  const auto again = zone::ParseMasterFile(zone::SerializeMasterFile(*parsed));
+  ASSERT_TRUE(again.ok()) << again.error().message();
+  EXPECT_TRUE(*again == *parsed) << text;
+}
+
 TEST(Fuzz, MasterFileParserNeverCrashes) {
   util::Rng rng(103);
   const std::string valid =
@@ -93,25 +116,15 @@ TEST(Fuzz, MasterFileParserNeverCrashes) {
         default: text.erase(text.begin() + pos);
       }
     }
-    (void)zone::ParseMasterFile(text);
+    ExpectMasterFileFixpoint(text);
   }
   // Random garbage text too.
   for (int i = 0; i < 500; ++i) {
     const auto junk = RandomBytes(rng, 200);
-    (void)zone::ParseMasterFile(
+    ExpectMasterFileFixpoint(
         std::string_view(reinterpret_cast<const char*>(junk.data()),
                          junk.size()));
   }
-}
-
-// A snapshot or diff decode failure says what went wrong: the wire ended
-// early (kTruncated) or is present but malformed (kCorrupted).
-template <typename T>
-void ExpectCodedFailure(const util::Result<T>& result) {
-  if (result.ok()) return;
-  const ErrorCode code = result.error().code();
-  EXPECT_TRUE(code == ErrorCode::kTruncated || code == ErrorCode::kCorrupted)
-      << ErrorCodeName(code) << ": " << result.error().message();
 }
 
 TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {

@@ -9,10 +9,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sim/parallel.h"
@@ -20,6 +22,7 @@
 #include "traffic/classify.h"
 #include "traffic/replay.h"
 #include "traffic/shard.h"
+#include "util/base64.h"
 
 namespace rootless::traffic {
 namespace {
@@ -346,6 +349,49 @@ TEST(ParallelReplay, MergedOutputBitIdenticalAcrossThreadCounts) {
     parallel_options.num_threads = threads;
     const ReplayOutcome parallel = RunShardedReplay(parallel_options);
     EXPECT_EQ(Fingerprint(parallel), reference) << threads << " threads";
+  }
+}
+
+// SHA-256 of Fingerprint(outcome) for SmallConfig() at 4 shards: the tally,
+// the resolver stats, the cache counts and the unaggregated metrics table.
+// A change to generation, classification, the resolver or the metrics
+// vocabulary that moves any replayed byte moves one of these.
+TEST(ParallelReplay, OutcomeMatchesPinnedDigests) {
+  struct Case {
+    resolver::RootMode mode;
+    bool water_torture;
+    std::string_view sha256;
+  };
+  const Case cases[] = {
+      {resolver::RootMode::kOnDemandZoneFile, false,
+       "0e9cfe078e0ae07ad65a8ce8e9d3477ef7ba3a76fa07ff0a39b7096f3b50d602"},
+      {resolver::RootMode::kOnDemandZoneFile, true,
+       "63506adeadb289235cfddedafb35946cd6944c3704ed3cf79a2b8a36a94248aa"},
+      {resolver::RootMode::kCachePreload, false,
+       "cb1cf42e6cb19a0f8c44f68819b8ca3f2dc05805f2bc4c1a4d17f73914bf7b8e"},
+      {resolver::RootMode::kCachePreload, true,
+       "8ff98c17b0a2648f4080854a23d997b85f9619455f4f174fee30ff394fd8b8ba"},
+  };
+  for (const Case& c : cases) {
+    ReplayOptions options;
+    options.workload = SmallConfig();
+    options.num_shards = 4;
+    options.num_threads = 4;
+    options.mode = c.mode;
+    if (c.water_torture) {
+      options.attack.kind = AttackKind::kWaterTorture;
+      options.attack.attackers = 12;
+      options.attack.rate = 40;
+      options.attack.windows.push_back({.node = 0, .from = 3600, .to = 14400});
+    }
+    const ReplayOutcome outcome = RunShardedReplay(options);
+    if (c.water_torture) {
+      ASSERT_GT(outcome.attack_queries, 0u);
+    }
+    const std::string fingerprint = Fingerprint(outcome);
+    EXPECT_EQ(util::HexEncode(crypto::Sha256::Hash(fingerprint)), c.sha256)
+        << resolver::RootModeName(c.mode)
+        << (c.water_torture ? " with water torture" : "");
   }
 }
 

@@ -1,14 +1,16 @@
-// Tests for the resolver stack: cache, root selection, zone DB, the
-// recursive engine in all four root modes, and the refresh daemon.
+// Tests for the resolver stack: cache, root selection, the recursive engine
+// in all four root modes (local-root consults included), and the refresh
+// daemon.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <string_view>
 
 #include "resolver/cache.h"
 #include "resolver/recursive.h"
 #include "resolver/refresh_daemon.h"
 #include "resolver/root_selector.h"
-#include "resolver/zone_db.h"
 #include "rootsrv/fleet.h"
 #include "rootsrv/tld_farm.h"
 #include "topo/deployment.h"
@@ -141,70 +143,6 @@ TEST(RootSelector, EwmaSmoothing) {
   EXPECT_EQ(selector.srtt('a'), 125);  // (100*3 + 200) / 4
 }
 
-// ---------------------------------------------------------------- zone db
-
-TEST(ZoneDb, IndexesDelegations) {
-  const zone::RootZoneModel model;
-  const zone::SnapshotPtr snapshot =
-      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
-  ZoneDb db(snapshot);
-  EXPECT_EQ(db.tld_count(), snapshot->DelegatedChildren().size());
-  EXPECT_EQ(db.serial(), snapshot->Serial());
-
-  const TldEntry* com = db.Lookup("com");
-  ASSERT_NE(com, nullptr);
-  EXPECT_EQ(com->ns.type, RRType::kNS);
-  EXPECT_FALSE(com->ns.rdatas.empty());
-  EXPECT_FALSE(com->glue.empty());
-
-  EXPECT_EQ(db.Lookup("definitely-bogus"), nullptr);
-  // Case-insensitive.
-  EXPECT_NE(db.Lookup("COM"), nullptr);
-}
-
-TEST(ZoneDb, LookupAcceptsTldViewWithoutCopy) {
-  const zone::RootZoneModel model;
-  ZoneDb db(zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11})));
-  // A view straight out of Name::tld_view() — no temporary std::string, and
-  // case-insensitive regardless of the query's spelling.
-  const Name upper = N("WWW.EXAMPLE.COM.");
-  const TldEntry* entry = db.Lookup(upper.tld_view());
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->ns.type, RRType::kNS);
-  EXPECT_EQ(db.Lookup(N("www.example.com.").tld_view()), entry);
-}
-
-TEST(ZoneDb, ReloadBumpsSerialAndRebindsViews) {
-  const zone::RootZoneModel model;
-  const auto old_snapshot =
-      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
-  const auto new_snapshot =
-      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 12}));
-  ASSERT_GT(new_snapshot->Serial(), old_snapshot->Serial());
-
-  ZoneDb db(old_snapshot);
-  EXPECT_EQ(db.serial(), old_snapshot->Serial());
-  db.Load(new_snapshot);
-  EXPECT_EQ(db.serial(), new_snapshot->Serial());
-  EXPECT_EQ(db.snapshot().get(), new_snapshot.get());
-  // Entries now borrow from the new snapshot's arena.
-  const TldEntry* com = db.Lookup("com");
-  ASSERT_NE(com, nullptr);
-  const auto backing = new_snapshot->Find(N("com."), RRType::kNS);
-  ASSERT_TRUE(backing.has_value());
-  EXPECT_EQ(com->ns.rdatas.data(), backing->rdatas.data());
-}
-
-TEST(ZoneDb, UnknownTldIsLocalNxDomain) {
-  const zone::RootZoneModel model;
-  ZoneDb db(zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11})));
-  // The local equivalent of a root NXDOMAIN: nullptr, no fallback.
-  EXPECT_EQ(db.Lookup("local"), nullptr);
-  EXPECT_EQ(db.Lookup("belkin"), nullptr);
-  EXPECT_EQ(db.Lookup(""), nullptr);
-  EXPECT_EQ(db.Lookup(N("printer.local.").tld_view()), nullptr);
-}
-
 // ------------------------------------------------- end-to-end resolution
 
 struct E2E {
@@ -333,13 +271,81 @@ TEST(Recursive, OnDemandModeResolvesLocallyWithDbLatency) {
   EXPECT_LT(r->cache().size(), 100u);
 }
 
-TEST(Recursive, LocalModesAnswerBogusTldLocally) {
+// Resolves each of `names` (under distinct TLDs) in both local-root modes and
+// expects a local NXDOMAIN for each: no network transaction at all, so the
+// consult costs only the store's access latency.
+void ExpectLocalNxdomains(std::initializer_list<std::string_view> names) {
   E2E e2e;
-  auto preload = e2e.MakeResolver(RootMode::kCachePreload);
-  const auto result = e2e.ResolveSync(*preload, "foo.bogus-tld-xyz.");
-  EXPECT_EQ(result.rcode, dns::RCode::kNXDomain);
-  EXPECT_EQ(result.latency, 0);  // no network transaction at all
+  for (const RootMode mode :
+       {RootMode::kCachePreload, RootMode::kOnDemandZoneFile}) {
+    auto r = e2e.MakeResolver(mode);
+    const sim::SimTime latency = mode == RootMode::kOnDemandZoneFile
+                                     ? r->config().db_lookup_latency
+                                     : 0;
+    for (const std::string_view name : names) {
+      const auto result = e2e.ResolveSync(*r, name);
+      EXPECT_EQ(result.rcode, dns::RCode::kNXDomain)
+          << RootModeName(mode) << ' ' << name;
+      EXPECT_EQ(result.transactions, 0) << RootModeName(mode) << ' ' << name;
+      EXPECT_EQ(result.latency, latency) << RootModeName(mode) << ' ' << name;
+    }
+    EXPECT_EQ(r->stats().local_root_lookups, names.size())
+        << RootModeName(mode);
+    EXPECT_EQ(r->stats().nxdomain, names.size()) << RootModeName(mode);
+  }
   EXPECT_EQ(e2e.fleet->TotalStats().queries, 0u);
+}
+
+TEST(Recursive, LocalModesAnswerBogusTldLocally) {
+  ExpectLocalNxdomains({"foo.bogus-tld-xyz."});
+}
+
+// The local equivalent of a root NXDOMAIN for the leaked names that make up
+// much of root traffic: no fallback to the network.
+TEST(Recursive, UnknownTldIsLocalNxDomain) {
+  ExpectLocalNxdomains({"printer.local.", "foo.belkin."});
+}
+
+// The local store matches the qname in any case: a cold consult for
+// WWW.COM. finds com.'s delegation.
+TEST(Recursive, LocalConsultMatchesAnyCase) {
+  E2E e2e;
+  auto r = e2e.MakeResolver(RootMode::kOnDemandZoneFile);
+  const auto result = e2e.ResolveSync(*r, "WWW.COM.");
+  EXPECT_EQ(result.rcode, dns::RCode::kNoError);
+  ASSERT_EQ(result.answers.size(), 1u);
+  EXPECT_EQ(r->stats().local_root_lookups, 1u);
+  EXPECT_EQ(r->stats().nxdomain, 0u);
+}
+
+// A cold local consult caches what a root referral delivers and nothing
+// more: the TLD's NS RRset, the A and AAAA of every NS host, and the TLD's
+// DS.
+TEST(Recursive, LocalReferralCachesNsGlueAndDs) {
+  E2E e2e;
+  auto r = e2e.MakeResolver(RootMode::kOnDemandZoneFile);
+  ASSERT_EQ(e2e.ResolveSync(*r, "www.com.").rcode, dns::RCode::kNoError);
+
+  const zone::ZoneSnapshot& root = *e2e.root_snapshot;
+  const Name com = N("com.");
+  const auto ns = root.Find(com, RRType::kNS);
+  ASSERT_TRUE(ns.has_value());
+  std::vector<dns::RRsetKey> expected = {{com, RRType::kNS, RRClass::kIN}};
+  for (const auto& rd : ns->rdatas) {
+    const Name& host = std::get<dns::NsData>(rd).nameserver;
+    for (const RRType type : {RRType::kA, RRType::kAAAA}) {
+      if (root.Find(host, type)) expected.push_back({host, type, RRClass::kIN});
+    }
+  }
+  ASSERT_GT(expected.size(), 1u);  // com. has glue
+  ASSERT_TRUE(root.Find(com, RRType::kDS));  // and the model signs it
+  expected.push_back({com, RRType::kDS, RRClass::kIN});
+  for (const dns::RRsetKey& key : expected) {
+    EXPECT_TRUE(r->cache().Contains(key, e2e.sim.now()))
+        << key.name.ToString() << ' ' << dns::RRTypeToString(key.type);
+  }
+  // One more insertion: the answer RRset.
+  EXPECT_EQ(r->cache().stats().insertions, expected.size() + 1);
 }
 
 TEST(Recursive, LoopbackModeUsesLoopbackServer) {
@@ -444,13 +450,25 @@ TEST(Recursive, ExhaustedRetriesFail) {
   EXPECT_EQ(r.stats().failures, 1u);
 }
 
-// A local-root NXDOMAIN is cached for min(SOA minimum, SOA TTL) when that is
-// under the 1 h cap (RFC 2308), and the entry matches the label in any case.
+// Resolves `name` through a local-root resolver that has no TLD farm, so
+// only its NXDOMAIN path can complete; true if the answer is NXDOMAIN.
+bool ResolvesToNxdomain(sim::Simulator& sim, RecursiveResolver& r,
+                        std::string_view name) {
+  dns::RCode rcode = dns::RCode::kNoError;
+  r.Resolve(N(name), RRType::kA,
+            [&](const ResolutionResult& result) { rcode = result.rcode; });
+  sim.Run();
+  return rcode == dns::RCode::kNXDomain;
+}
+
+// A local-root NXDOMAIN is cached for min(SOA minimum, SOA TTL), capped at
+// 1 h (RFC 2308), and the entry matches the label in any case.
 TEST(Recursive, LocalNxdomainLivesForTheSoaNegativeTtl) {
   struct Soa {
     std::uint32_t ttl, minimum, negative_sec;
   };
-  for (const Soa soa : {Soa{900, 600, 600}, Soa{300, 1200, 300}}) {
+  for (const Soa soa :
+       {Soa{900, 600, 600}, Soa{300, 1200, 300}, Soa{7200, 86400, 3600}}) {
     zone::Zone zone;
     dns::SoaData data;
     data.mname = N("a.root-servers.net.");
@@ -468,26 +486,46 @@ TEST(Recursive, LocalNxdomainLivesForTheSoaNegativeTtl) {
     config.seed = 77;
     RecursiveResolver r(sim, net, {config, topo::GeoPoint{48.85, 2.35}});
     r.SetLocalZone(zone::ZoneSnapshot::Build(zone));
-    auto nxdomain = [&](std::string_view name) {
-      dns::RCode rcode = dns::RCode::kNoError;
-      r.Resolve(N(name), RRType::kA,
-                [&](const ResolutionResult& result) { rcode = result.rcode; });
-      sim.Run();
-      return rcode == dns::RCode::kNXDomain;
-    };
 
-    ASSERT_TRUE(nxdomain("printer.belkin."));
+    ASSERT_TRUE(ResolvesToNxdomain(sim, r, "printer.belkin."));
     ASSERT_EQ(r.stats().local_root_lookups, 1u);
     const sim::SimTime cached_at = sim.now();
     const sim::SimTime expires = cached_at + soa.negative_sec * sim::kSecond;
     sim.RunUntil(expires - 1);
-    EXPECT_TRUE(nxdomain("scanner.BeLKiN."));
+    EXPECT_TRUE(ResolvesToNxdomain(sim, r, "scanner.BeLKiN."));
     EXPECT_EQ(r.stats().negative_hits, 1u) << "SOA TTL " << soa.ttl;
     EXPECT_EQ(r.stats().local_root_lookups, 1u);
     sim.RunUntil(expires);
-    EXPECT_TRUE(nxdomain("nas.belkin."));
+    EXPECT_TRUE(ResolvesToNxdomain(sim, r, "nas.belkin."));
     EXPECT_EQ(r.stats().negative_hits, 1u) << "SOA TTL " << soa.ttl;
     EXPECT_EQ(r.stats().local_root_lookups, 2u);
+  }
+}
+
+// With no SOA to take the TTL from, in a zone without one or with no zone
+// loaded at all, a local-root NXDOMAIN is cached for the 1 h cap.
+TEST(Recursive, LocalNxdomainWithoutSoaLivesForTheCap) {
+  zone::Zone no_soa;
+  ASSERT_TRUE(no_soa.AddRecord({N("com."), RRType::kNS, RRClass::kIN, 172800,
+                                dns::NsData{N("ns1.nic.com.")}})
+                  .ok());
+  for (const bool loaded : {true, false}) {
+    sim::Simulator sim;
+    sim::Network net(sim, 21);
+    ResolverConfig config;
+    config.mode = RootMode::kOnDemandZoneFile;
+    RecursiveResolver r(sim, net, {config, topo::GeoPoint{48.85, 2.35}});
+    if (loaded) r.SetLocalZone(zone::ZoneSnapshot::Build(no_soa));
+
+    ASSERT_TRUE(ResolvesToNxdomain(sim, r, "printer.belkin."));
+    const sim::SimTime expires = sim.now() + sim::kHour;
+    sim.RunUntil(expires - 1);
+    EXPECT_TRUE(ResolvesToNxdomain(sim, r, "scanner.belkin."));
+    EXPECT_EQ(r.stats().negative_hits, 1u) << "zone loaded " << loaded;
+    sim.RunUntil(expires);
+    EXPECT_TRUE(ResolvesToNxdomain(sim, r, "nas.belkin."));
+    EXPECT_EQ(r.stats().negative_hits, 1u) << "zone loaded " << loaded;
+    EXPECT_EQ(r.stats().local_root_lookups, 2u) << "zone loaded " << loaded;
   }
 }
 

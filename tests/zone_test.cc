@@ -234,13 +234,37 @@ TEST(MasterFile, TtlAndClassInEitherOrder) {
   EXPECT_EQ((*a)[0].ttl, (*b)[0].ttl);
 }
 
+// Text that ends inside parentheses or a quoted string is truncated; every
+// other failure, down to the rdata parsers the record loop calls, is
+// corrupted text.
 TEST(MasterFile, Errors) {
-  EXPECT_FALSE(ParseMasterFile("example.com. 300 IN BOGUSTYPE data\n").ok());
-  EXPECT_FALSE(ParseMasterFile("example.com. 300 IN\n").ok());
-  EXPECT_FALSE(ParseMasterFile("example.com. 300 IN A 1.2.3\n").ok());
-  EXPECT_FALSE(ParseMasterFile("( unbalanced\n").ok());
-  EXPECT_FALSE(ParseMasterFile("x 1 IN TXT \"unterminated\n").ok());
-  EXPECT_FALSE(ParseMasterFile("$BOGUS directive\n").ok());
+  for (const std::string_view text :
+       {"com. 300 IN NS ( a.gtld-servers.net.\n", "( unbalanced\n",
+        "x 1 IN TXT \"unterminated"}) {
+    const auto result = ParseMasterFile(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
+        << text << ": " << result.error().message();
+  }
+  for (const std::string_view text : {
+           "com. 300 IN NS a.gtld-servers.net. )\n",
+           "x 1 IN TXT \"unterminated\n",
+           "$ORIGIN\n",
+           "$TTL forever\n",
+           "$BOGUS directive\n",
+           "bad..name. 300 IN A 192.0.2.1\n",
+           "example.com. 99999999999 IN A 192.0.2.1\n",
+           "example.com. 300 IN\n",
+           "example.com. 300 IN BOGUSTYPE data\n",
+           "example.com. 300 IN A 1.2.3\n",
+           "example.com. 300 IN AAAA 2001:db8::1::2\n",
+           "example.com. 300 IN MX ten mail.example.com.\n",
+       }) {
+    const auto result = ParseMasterFile(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorrupted)
+        << text << ": " << result.error().message();
+  }
 }
 
 TEST(MasterFile, SerializeParseRoundTrip) {
