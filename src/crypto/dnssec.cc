@@ -24,16 +24,58 @@ Bytes DnskeyRdataWire(const DnskeyData& dnskey) {
   return w.TakeData();
 }
 
-// Wire form of one canonicalized RR inside the signing form.
-void AppendCanonicalRR(const Name& owner, RRType type, dns::RRClass rrclass,
-                       std::uint32_t ttl, const Bytes& rdata_wire,
-                       ByteWriter& w) {
-  w.WriteBytes(owner.CanonicalWire());
-  w.WriteU16(static_cast<std::uint16_t>(type));
-  w.WriteU16(static_cast<std::uint16_t>(rrclass));
-  w.WriteU32(ttl);
-  w.WriteU16(static_cast<std::uint16_t>(rdata_wire.size()));
-  w.WriteBytes(rdata_wire);
+// Canonical RRset form (RFC 4034 §6.3) at `ttl`: one RR per rdata, rdatas
+// sorted by their wire forms, each RR led by the owner's canonical wire
+// (encoded once per RRset).
+void AppendCanonicalRRset(const RRset& rrset, std::uint32_t ttl,
+                          ByteWriter& w) {
+  std::vector<Bytes> wires;
+  wires.reserve(rrset.rdatas.size());
+  for (const auto& rd : rrset.rdatas) {
+    ByteWriter rw;
+    dns::EncodeRdata(rd, rw);
+    wires.push_back(rw.TakeData());
+  }
+  std::sort(wires.begin(), wires.end());
+  const Bytes owner = rrset.name.CanonicalWire();
+  for (const auto& rdata_wire : wires) {
+    w.WriteBytes(owner);
+    w.WriteU16(static_cast<std::uint16_t>(rrset.type));
+    w.WriteU16(static_cast<std::uint16_t>(rrset.rrclass));
+    w.WriteU32(ttl);
+    w.WriteU16(static_cast<std::uint16_t>(rdata_wire.size()));
+    w.WriteBytes(rdata_wire);
+  }
+}
+
+// A SigningKey with its per-key work done once: the HMAC key state and the
+// key tag (which encodes the DNSKEY).
+struct PreparedKey {
+  explicit PreparedKey(const SigningKey& key)
+      : mac(key.secret),
+        key_tag(key.key_tag()),
+        algorithm(key.dnskey.algorithm) {}
+
+  HmacSha256Key mac;
+  std::uint16_t key_tag;
+  std::uint8_t algorithm;
+};
+
+RrsigData SignWith(const RRset& rrset, const PreparedKey& key,
+                   const Name& signer, std::uint32_t inception,
+                   std::uint32_t expiration) {
+  RrsigData sig;
+  sig.type_covered = rrset.type;
+  sig.algorithm = key.algorithm;
+  sig.labels = static_cast<std::uint8_t>(rrset.name.label_count());
+  sig.original_ttl = rrset.ttl;
+  sig.expiration = expiration;
+  sig.inception = inception;
+  sig.key_tag = key.key_tag;
+  sig.signer = signer;
+  const Digest256 mac = key.mac.Mac(CanonicalSigningForm(sig, rrset));
+  sig.signature.assign(mac.begin(), mac.end());
+  return sig;
 }
 
 }  // namespace
@@ -74,38 +116,14 @@ Bytes CanonicalSigningForm(const RrsigData& t, const RRset& rrset) {
   w.WriteU16(t.key_tag);
   w.WriteBytes(t.signer.CanonicalWire());
 
-  // Canonicalized RRset: rdatas sorted by their wire forms.
-  std::vector<Bytes> wires;
-  wires.reserve(rrset.rdatas.size());
-  for (const auto& rd : rrset.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    wires.push_back(rw.TakeData());
-  }
-  std::sort(wires.begin(), wires.end());
-  for (const auto& rdata_wire : wires) {
-    AppendCanonicalRR(rrset.name, rrset.type, rrset.rrclass, t.original_ttl,
-                      rdata_wire, w);
-  }
+  AppendCanonicalRRset(rrset, t.original_ttl, w);
   return w.TakeData();
 }
 
 RrsigData SignRRset(const RRset& rrset, const SigningKey& key,
                     const Name& signer, std::uint32_t inception,
                     std::uint32_t expiration) {
-  RrsigData sig;
-  sig.type_covered = rrset.type;
-  sig.algorithm = key.dnskey.algorithm;
-  sig.labels = static_cast<std::uint8_t>(rrset.name.label_count());
-  sig.original_ttl = rrset.ttl;
-  sig.expiration = expiration;
-  sig.inception = inception;
-  sig.key_tag = key.key_tag();
-  sig.signer = signer;
-  const Bytes form = CanonicalSigningForm(sig, rrset);
-  const Digest256 mac = HmacSha256(key.secret, form);
-  sig.signature.assign(mac.begin(), mac.end());
-  return sig;
+  return SignWith(rrset, PreparedKey(key), signer, inception, expiration);
 }
 
 void KeyStore::AddKey(const SigningKey& key) {
@@ -178,41 +196,32 @@ Digest256 ZoneDigest(const std::vector<RRset>& rrsets) {
             [](const RRset* a, const RRset* b) { return a->key() < b->key(); });
   Sha256 h;
   for (const RRset* s : ordered) {
-    std::vector<Bytes> wires;
-    wires.reserve(s->rdatas.size());
-    for (const auto& rd : s->rdatas) {
-      ByteWriter rw;
-      dns::EncodeRdata(rd, rw);
-      wires.push_back(rw.TakeData());
-    }
-    std::sort(wires.begin(), wires.end());
     ByteWriter w;
-    for (const auto& rdata_wire : wires) {
-      AppendCanonicalRR(s->name, s->type, s->rrclass, s->ttl, rdata_wire, w);
-    }
+    AppendCanonicalRRset(*s, s->ttl, w);
     h.Update(w.span());
   }
   return h.Finish();
 }
 
-std::vector<RRset> SignZoneRRsets(const std::vector<RRset>& rrsets,
+std::vector<RRset> SignZoneRRsets(std::vector<RRset> rrsets,
                                   const SigningKey& zsk, const Name& apex,
                                   std::uint32_t inception,
                                   std::uint32_t expiration) {
-  std::vector<RRset> out = rrsets;
-  for (const auto& rrset : rrsets) {
-    if (rrset.type == RRType::kRRSIG) continue;
-    const RrsigData sig =
-        SignRRset(rrset, zsk, apex, inception, expiration);
+  const PreparedKey key(zsk);
+  const std::size_t count = rrsets.size();
+  rrsets.reserve(2 * count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (rrsets[i].type == RRType::kRRSIG) continue;
     RRset sig_set;
-    sig_set.name = rrset.name;
+    sig_set.name = rrsets[i].name;
     sig_set.type = RRType::kRRSIG;
-    sig_set.rrclass = rrset.rrclass;
-    sig_set.ttl = rrset.ttl;
-    sig_set.rdatas.push_back(dns::Rdata(sig));
-    out.push_back(std::move(sig_set));
+    sig_set.rrclass = rrsets[i].rrclass;
+    sig_set.ttl = rrsets[i].ttl;
+    sig_set.rdatas.push_back(
+        dns::Rdata(SignWith(rrsets[i], key, apex, inception, expiration)));
+    rrsets.push_back(std::move(sig_set));
   }
-  return out;
+  return rrsets;
 }
 
 util::Result<std::size_t> ValidateZoneRRsets(const std::vector<RRset>& rrsets,
@@ -260,10 +269,15 @@ namespace rootless::crypto {
 std::vector<RRset> BuildNsecChain(const std::vector<RRset>& rrsets,
                                   const Name& apex, std::uint32_t ttl) {
   // Collect the distinct owner names in canonical order with their types.
+  // Owners arriving in canonical order append with no search.
   std::map<Name, std::vector<RRType>> owners;
   for (const auto& s : rrsets) {
     if (s.type == RRType::kRRSIG || s.type == RRType::kNSEC) continue;
-    owners[s.name].push_back(s.type);
+    auto last = owners.empty() ? owners.end() : std::prev(owners.end());
+    if (last == owners.end() || !(last->first == s.name)) {
+      last = owners.try_emplace(owners.end(), s.name);
+    }
+    last->second.push_back(s.type);
   }
   std::vector<RRset> chain;
   if (owners.empty()) return chain;

@@ -55,6 +55,8 @@ util::Bytes CanonicalSigningForm(const dns::RrsigData& rrsig_template,
                                  const dns::RRset& rrset);
 
 // Signs an RRset, producing the RRSIG rdata. `signer` is the zone apex name.
+// Derives the key's HMAC state and key tag on every call; SignZoneRRsets
+// derives them once for a whole zone.
 dns::RrsigData SignRRset(const dns::RRset& rrset, const SigningKey& key,
                          const dns::Name& signer, std::uint32_t inception,
                          std::uint32_t expiration);
@@ -90,9 +92,12 @@ bool DsMatchesKey(const dns::DsData& ds, const dns::Name& owner,
 // validated quickly rather than validating each component individually".
 Digest256 ZoneDigest(const std::vector<dns::RRset>& rrsets);
 
-// Signs every RRset in a zone (skipping RRSIGs themselves), appending RRSIG
-// RRsets. Returns the signed zone's RRsets.
-std::vector<dns::RRset> SignZoneRRsets(const std::vector<dns::RRset>& rrsets,
+// Signs every RRset in a zone (skipping RRSIGs themselves), appending one
+// single-signature RRSIG RRset per signed RRset, in input order, at the
+// covered RRset's TTL. Returns the signed zone's RRsets: the input, moved
+// through, then the signatures. The key's HMAC state and key tag are derived
+// once per call, not per signature.
+std::vector<dns::RRset> SignZoneRRsets(std::vector<dns::RRset> rrsets,
                                        const SigningKey& zsk,
                                        const dns::Name& apex,
                                        std::uint32_t inception,

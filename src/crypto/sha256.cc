@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -131,28 +132,36 @@ Digest256 Sha256::Hash(std::string_view data) {
   return h.Finish();
 }
 
-Digest256 HmacSha256(std::span<const std::uint8_t> key,
-                     std::span<const std::uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     const Digest256 kh = Sha256::Hash(key);
     std::memcpy(k.data(), kh.data(), kh.size());
   } else {
-    std::memcpy(k.data(), key.data(), key.size());
+    // std::copy, not memcpy: an empty key's data() may be null.
+    std::copy(key.begin(), key.end(), k.begin());
   }
   std::array<std::uint8_t, 64> ipad, opad;
   for (int i = 0; i < 64; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(ipad);
+  inner_.Update(ipad);
+  outer_.Update(opad);
+}
+
+Digest256 HmacSha256Key::Mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Digest256 inner_digest = inner.Finish();
-  Sha256 outer;
-  outer.Update(opad);
+  Sha256 outer = outer_;
   outer.Update(inner_digest);
   return outer.Finish();
+}
+
+Digest256 HmacSha256(std::span<const std::uint8_t> key,
+                     std::span<const std::uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 }  // namespace rootless::crypto

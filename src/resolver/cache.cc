@@ -124,6 +124,7 @@ void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime now) {
     SweepStep(now);
     return;
   }
+  // Unbounded or below capacity: this insert cannot take the cache over it.
   std::uint32_t s;
   if (!free_.empty()) {
     s = free_.back();
@@ -139,7 +140,6 @@ void DnsCache::PutImpl(const SetLike& rrset, sim::SimTime now) {
   slot.live = true;
   index_.Insert(hash, s, hash_of);
   PushFront(s);
-  EvictIfNeeded();
   SweepStep(now);
 }
 
@@ -215,13 +215,6 @@ void DnsCache::EraseSlot(std::uint32_t s) {
   // rdata buffers stay in the dead slot; the next insert that pops it off
   // the free list reuses their capacity.
   free_.push_back(s);
-}
-
-void DnsCache::EvictIfNeeded() {
-  while (capacity_ != 0 && index_.size() > capacity_ && lru_tail_ != kNil) {
-    EraseSlot(lru_tail_);
-    c_.evictions.Inc();
-  }
 }
 
 void DnsCache::SweepStep(sim::SimTime now) {

@@ -122,7 +122,6 @@ class DnsCache {
   // Unlinks, removes from the index, and free-lists the slot (rdata buffers
   // are kept for reuse).
   void EraseSlot(std::uint32_t s);
-  void EvictIfNeeded();
   // Advances the roving expiry sweep by a constant number of entries.
   void SweepStep(sim::SimTime now);
 

@@ -110,11 +110,27 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
     return;
   }
 
-  const std::uint16_t id = next_id_;
-  // Skip 0 and ids still in flight.
-  do {
+  // Every nonzero id is in flight: fail now rather than search for a free
+  // one that does not exist.
+  if (pending_.size() >= kMaxInFlight) {
+    c_.failures.Inc();
+    ROOTLESS_SPAN_END(sim_.tracer(), span);
+    ResolutionResult result;
+    result.rcode = dns::RCode::kServFail;
+    result.failed = true;
+    if (cb) cb(result);
+    return;
+  }
+  // Skip 0 and ids still in flight. next_id_ is only in flight on entry
+  // after the previous call took the last free id.
+  const auto advance = [this] {
     next_id_ = static_cast<std::uint16_t>(next_id_ + 1);
     if (next_id_ == 0) next_id_ = 1;
+  };
+  while (pending_.count(next_id_) > 0) advance();
+  const std::uint16_t id = next_id_;
+  do {
+    advance();
   } while (pending_.count(next_id_) > 0);
 
   Pending pending;

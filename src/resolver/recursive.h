@@ -284,7 +284,9 @@ class RecursiveResolver {
   // recorded, so the fast path stays allocation- and histogram-free).
   obs::Histogram latency_us_;
 
-  // Resolutions that left the resolver, by query id.
+  // Resolutions that left the resolver, by query id (nonzero, so at most
+  // kMaxInFlight at once; a resolution beyond that fails at once).
+  static constexpr std::size_t kMaxInFlight = 65535;
   std::unordered_map<std::uint16_t, Pending> pending_;
   std::uint16_t next_id_ = 1;
   std::uint64_t next_generation_ = 1;

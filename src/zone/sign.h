@@ -17,6 +17,14 @@ struct SigningWindow {
 // Returns a new zone containing everything in `plain` plus the apex DNSKEY,
 // the NSEC chain, and RRSIGs signed with `zsk`. Validate the result with
 // crypto::ValidateZoneRRsets over its AllRRsets().
+//
+// One pass: `plain`'s RRsets are copied once, signed by one
+// crypto::SignZoneRRsets call (one HMAC key schedule), and handed to the
+// output zone in canonical order, so every insert appends. Each owner's
+// RRSIG RRset holds, in order, the signatures of its own RRsets (by type),
+// at the apex the DNSKEY's, then its NSEC's; its TTL is the least covered
+// TTL. RRsets `plain` already has (re-signing a signed zone) come first and
+// merge by Zone::AddRRset's rules.
 Zone SignZone(const Zone& plain, const crypto::SigningKey& zsk,
               const SigningWindow& window);
 

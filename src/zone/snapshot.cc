@@ -81,7 +81,7 @@ util::Result<SnapshotPtr> DeserializeSnapshot(
   for (std::uint64_t i = 0; i < count; ++i) {
     auto rrset = ReadRRsetWire(r);
     if (!rrset.ok()) return rrset.error();
-    if (auto added = zone.AddRRset(*rrset); !added.ok())
+    if (auto added = zone.AddRRset(std::move(*rrset)); !added.ok())
       return Error(ErrorCode::kCorrupted, added.message());
   }
   if (!r.at_end())

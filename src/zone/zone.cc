@@ -1,6 +1,8 @@
 #include "zone/zone.h"
 
 #include <algorithm>
+#include <iterator>
+#include <span>
 
 namespace rootless::zone {
 
@@ -11,34 +13,58 @@ using dns::RRsetKey;
 using dns::RRType;
 using util::Error;
 
+void MergeRdatas(RRset& into, std::uint32_t ttl,
+                 std::span<const dns::Rdata> rdatas) {
+  into.ttl = std::min(into.ttl, ttl);
+  for (const auto& rd : rdatas) {
+    if (std::find(into.rdatas.begin(), into.rdatas.end(), rd) ==
+        into.rdatas.end()) {
+      into.rdatas.push_back(rd);
+    }
+  }
+}
+
 util::Status Zone::AddRecord(const dns::ResourceRecord& record) {
+  if (!rrsets_.empty()) {
+    // The last RRset's owner already passed the in-zone check.
+    RRset& last = std::prev(rrsets_.end())->second;
+    if (record.type == last.type && record.rrclass == last.rrclass &&
+        record.name == last.name) {
+      MergeRdatas(last, record.ttl, {&record.rdata, 1});
+      return util::Status::Ok();
+    }
+  }
   RRset set;
   set.name = record.name;
   set.type = record.type;
   set.rrclass = record.rrclass;
   set.ttl = record.ttl;
   set.rdatas.push_back(record.rdata);
-  return AddRRset(set);
+  return AddRRset(std::move(set));
 }
 
-util::Status Zone::AddRRset(const RRset& rrset) {
+util::Status Zone::AddRRset(RRset rrset) {
   if (!rrset.name.IsSubdomainOf(apex_))
     return Error("zone: owner " + rrset.name.ToString() + " out of zone " +
                  apex_.ToString());
-  const RRsetKey key = rrset.key();
-  auto it = rrsets_.find(key);
-  if (it == rrsets_.end()) {
-    rrsets_.emplace(key, rrset);
-    return util::Status::Ok();
-  }
-  RRset& existing = it->second;
-  existing.ttl = std::min(existing.ttl, rrset.ttl);
-  for (const auto& rd : rrset.rdatas) {
-    if (std::find(existing.rdatas.begin(), existing.rdatas.end(), rd) ==
-        existing.rdatas.end()) {
-      existing.rdatas.push_back(rd);
+  RRsetKey key = rrset.key();
+  auto pos = rrsets_.end();
+  if (!rrsets_.empty()) {
+    const auto last = std::prev(pos);
+    const auto order = key <=> last->first;
+    if (order == 0) {
+      MergeRdatas(last->second, rrset.ttl, rrset.rdatas);
+      return util::Status::Ok();
+    }
+    if (order < 0) {
+      pos = rrsets_.lower_bound(key);
+      if (pos->first == key) {
+        MergeRdatas(pos->second, rrset.ttl, rrset.rdatas);
+        return util::Status::Ok();
+      }
     }
   }
+  rrsets_.emplace_hint(pos, std::move(key), std::move(rrset));
   return util::Status::Ok();
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,17 +36,30 @@ struct LookupResult {
   std::vector<dns::RRset> additional;
 };
 
+// Merges records of `into`'s key into it: TTL = min(into.ttl, ttl), and
+// each of `rdatas` not already present appended in order (duplicates
+// dropped).
+void MergeRdatas(dns::RRset& into, std::uint32_t ttl,
+                 std::span<const dns::Rdata> rdatas);
+
 class Zone {
  public:
   explicit Zone(dns::Name apex = dns::Name()) : apex_(std::move(apex)) {}
 
   const dns::Name& apex() const { return apex_; }
 
-  // Adds a record, merging into the existing RRset (duplicates dropped, set
-  // TTL = min). Fails if the record's class conflicts or the owner is out of
-  // zone.
+  // Adds an RRset, merging into an existing one with the same key by
+  // MergeRdatas' rules. Fails if the owner is out of zone.
+  //
+  // Cost: the key is compared with the last key first. A greater key (the
+  // input arrives in canonical order, as from AssembleAxfrStream,
+  // DeserializeSnapshot, a master file or SignZone) is appended with no
+  // search; an equal key merges into the last RRset; only an out-of-order
+  // key pays one map search. The content never depends on which case ran.
+  util::Status AddRRset(dns::RRset rrset);
+  // Adds one record the same way; a record whose key equals the last key
+  // merges straight into that RRset.
   util::Status AddRecord(const dns::ResourceRecord& record);
-  util::Status AddRRset(const dns::RRset& rrset);
 
   // Removes an entire RRset; returns false if absent.
   bool RemoveRRset(const dns::RRsetKey& key);

@@ -198,15 +198,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
       delta.emplace(key, set);
       continue;
     }
-    // AddRRset merge semantics: set TTL = min, append missing rdatas.
-    RRset& existing = it->second;
-    existing.ttl = std::min(existing.ttl, set.ttl);
-    for (const auto& rd : set.rdatas) {
-      if (std::find(existing.rdatas.begin(), existing.rdatas.end(), rd) ==
-          existing.rdatas.end()) {
-        existing.rdatas.push_back(rd);
-      }
-    }
+    MergeRdatas(it->second, set.ttl, set.rdatas);
   }
 
   auto snap = std::make_shared<ZoneSnapshot>();

@@ -81,6 +81,76 @@ TEST(Hmac, LongKeyIsHashedFirst) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+std::span<const std::uint8_t> AsBytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+// HMAC by its definition, H((K ^ opad) || H((K ^ ipad) || m)), with K the
+// key zero-padded to a block (hashed first when longer than one).
+Digest256 DefinitionHmac(std::span<const std::uint8_t> key,
+                         std::span<const std::uint8_t> message) {
+  std::vector<std::uint8_t> k(key.begin(), key.end());
+  if (k.size() > 64) {
+    const Digest256 hashed = Sha256::Hash(key);
+    k.assign(hashed.begin(), hashed.end());
+  }
+  k.resize(64, 0);
+  std::vector<std::uint8_t> inner, outer;
+  for (const std::uint8_t b : k) inner.push_back(b ^ 0x36);
+  inner.insert(inner.end(), message.begin(), message.end());
+  const Digest256 inner_digest = Sha256::Hash(inner);
+  for (const std::uint8_t b : k) outer.push_back(b ^ 0x5c);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::Hash(outer);
+}
+
+TEST(Hmac, KeyStateMatchesRfc4231Vectors) {
+  struct Vector {
+    std::vector<std::uint8_t> key;
+    std::string message;
+    std::string mac;
+  };
+  const std::string jefe = "Jefe";
+  const std::vector<Vector> vectors = {
+      {std::vector<std::uint8_t>(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {std::vector<std::uint8_t>(jefe.begin(), jefe.end()),
+       "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::vector<std::uint8_t>(131, 0xaa),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const Vector& v : vectors) {
+    const HmacSha256Key key(v.key);
+    const Digest256 mac = key.Mac(AsBytes(v.message));
+    EXPECT_EQ(HexOf(mac), v.mac);
+    EXPECT_EQ(mac, HmacSha256(v.key, AsBytes(v.message)));
+    EXPECT_EQ(mac, DefinitionHmac(v.key, AsBytes(v.message)));
+  }
+}
+
+// One key state serves any number of messages: its MACs equal fresh
+// HmacSha256 calls and the definition, for keys below, at and above the
+// block size and messages crossing the padding and block boundaries.
+TEST(Hmac, ReusedKeyStateMatchesFreshCalls) {
+  util::Rng rng(4231);
+  for (const std::size_t key_size : {0, 20, 32, 64, 65, 131}) {
+    std::vector<std::uint8_t> secret(key_size);
+    for (auto& b : secret) b = static_cast<std::uint8_t>(rng.Below(256));
+    const HmacSha256Key key(secret);
+    for (std::size_t size = 0; size <= 200; ++size) {
+      std::vector<std::uint8_t> message(size);
+      for (auto& b : message) b = static_cast<std::uint8_t>(rng.Below(256));
+      const Digest256 reused = key.Mac(message);
+      EXPECT_EQ(reused, HmacSha256(secret, message))
+          << "key " << key_size << " message " << size;
+      EXPECT_EQ(reused, DefinitionHmac(secret, message))
+          << "key " << key_size << " message " << size;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- dnssec
 
 RRset SampleRRset() {

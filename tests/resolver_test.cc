@@ -450,6 +450,46 @@ TEST(Recursive, ExhaustedRetriesFail) {
   EXPECT_EQ(r.stats().failures, 1u);
 }
 
+// With all 65,535 nonzero transaction ids in flight, one more resolution
+// fails at once with SERVFAIL (no id, no transaction) instead of searching
+// forever for a free id; the ones in flight still complete, and once ids
+// free up resolution works again.
+TEST(Recursive, TransactionIdExhaustionFailsInsteadOfHanging) {
+  E2E e2e;
+  auto r = e2e.MakeResolver(RootMode::kOnDemandZoneFile);
+  constexpr int kIds = 65535;
+  int completed = 0, failed = 0;
+  for (int i = 0; i < kIds; ++i) {
+    r->Resolve(N("h" + std::to_string(i) + ".com."), RRType::kA,
+               [&](const ResolutionResult& result) {
+                 ++completed;
+                 if (result.failed) ++failed;
+               });
+  }
+  ASSERT_EQ(completed, 0);
+
+  ResolutionResult extra;
+  bool extra_done = false;
+  r->Resolve(N("h" + std::to_string(kIds) + ".com."), RRType::kA,
+             [&](const ResolutionResult& result) {
+               extra = result;
+               extra_done = true;
+             });
+  ASSERT_TRUE(extra_done);
+  EXPECT_TRUE(extra.failed);
+  EXPECT_EQ(extra.rcode, dns::RCode::kServFail);
+  EXPECT_EQ(extra.transactions, 0);
+  EXPECT_EQ(r->stats().failures, 1u);
+
+  e2e.sim.Run();
+  EXPECT_EQ(completed, kIds);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(r->stats().failures, 1u);
+  const auto after = e2e.ResolveSync(*r, "www.example.com.");
+  EXPECT_EQ(after.rcode, dns::RCode::kNoError);
+  EXPECT_FALSE(after.failed);
+}
+
 // Resolves `name` through a local-root resolver that has no TLD farm, so
 // only its NXDOMAIN path can complete; true if the answer is NXDOMAIN.
 bool ResolvesToNxdomain(sim::Simulator& sim, RecursiveResolver& r,

@@ -43,6 +43,15 @@ constexpr std::string_view kSnapshotWireSha256 =
     "347c7b01fe2273f12698582f4a03ed88fd7db419367ef6b3484e4a110b9551c0";
 constexpr std::string_view kDiffWireSha256 =
     "3f4b3920549601312fcdc04be63d5ca0ca2a7ea6f5a0225b8d424933cc504ae0";
+// SHA-256 of SerializeSnapshot of SignZone's output: the 2019-06-07 model
+// zone signed with SigningKeyFrom(7), and that signed zone re-signed with
+// SigningKeyFrom(8) (a second DNSKEY and a second RRSIG per RRset merged
+// into the existing sets), both over kWindow.
+constexpr std::string_view kSignedSnapshotWireSha256 =
+    "e0fdda5eaced003b748dbc74e32f920544d2d4d83681224a161c25adce9f3fba";
+constexpr std::string_view kResignedSnapshotWireSha256 =
+    "38c694de25ebfd5cbd2494c170a537df649f4274db1e8788cc042859b336d3c7";
+constexpr SigningWindow kWindow{0, 2'000'000'000};
 
 std::string Sha256Hex(std::span<const std::uint8_t> bytes) {
   const crypto::Digest256 digest = crypto::Sha256::Hash(bytes);
@@ -87,11 +96,14 @@ void ExpectLookupParity(const Zone& zone, const ZoneSnapshot& snapshot,
   EXPECT_EQ(got.additional, want.additional);
 }
 
+crypto::SigningKey SigningKeyFrom(std::uint64_t seed) {
+  util::Rng rng(seed);
+  return crypto::GenerateKey(crypto::kZskFlags, rng);
+}
+
 // The model root zone of `date`, signed with a fixed key.
 Zone SignedModelZone(const RootZoneModel& model, const util::CivilDate& date) {
-  util::Rng rng(7);
-  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
-  return SignZone(model.Snapshot(date), zsk, {0, 2'000'000'000});
+  return SignZone(model.Snapshot(date), SigningKeyFrom(7), kWindow);
 }
 
 // Every owner name of `zone` with the types it owns.
@@ -474,6 +486,168 @@ TEST(ZoneSnapshot, SerializationParityWithZone) {
   EXPECT_TRUE((*restored)->SameContent(*snapshot));
   EXPECT_EQ((*restored)->Serial(), master.Serial());
   EXPECT_EQ(SerializeSnapshot(**restored), wire);
+}
+
+// SignZone's output bytes are pinned, signing is a fixed point for the same
+// key, and a second key's DNSKEY and RRSIGs merge into the existing sets.
+TEST(ZoneSnapshot, SignedSnapshotWireIsPinned) {
+  const RootZoneModel model;
+  const Zone signed_zone = SignedModelZone(model, {2019, 6, 7});
+  const util::Bytes wire =
+      SerializeSnapshot(*ZoneSnapshot::Build(signed_zone));
+  EXPECT_EQ(Sha256Hex(wire), kSignedSnapshotWireSha256);
+
+  const Zone resigned_same = SignZone(signed_zone, SigningKeyFrom(7), kWindow);
+  EXPECT_EQ(SerializeSnapshot(*ZoneSnapshot::Build(resigned_same)), wire);
+
+  const Zone resigned = SignZone(signed_zone, SigningKeyFrom(8), kWindow);
+  EXPECT_EQ(Sha256Hex(SerializeSnapshot(*ZoneSnapshot::Build(resigned))),
+            kResignedSnapshotWireSha256);
+  EXPECT_EQ(resigned.Find(Name(), RRType::kDNSKEY)->size(), 2u);
+}
+
+// One piece of a zone handed to the builder: a whole RRset (AddRRset) or a
+// single record (AddRecord), tagged with the RRset it came from.
+struct Piece {
+  RRset set;
+  bool as_record = false;
+  std::size_t source = 0;  // index of the RRset it came from
+};
+
+// Cuts `zone` into pieces in canonical order. Every other RRset is added
+// whole; the rest record by record, with every record after the first at a
+// higher TTL (so the set's TTL comes from the min rule) and the first
+// record repeated at the end (so the duplicate rule drops it).
+std::vector<Piece> CutIntoPieces(const Zone& zone) {
+  std::vector<Piece> pieces;
+  std::size_t source = 0;
+  for (const auto& [key, set] : zone.rrset_map()) {
+    if (source % 2 == 0 || set.size() == 1) {
+      pieces.push_back({set, false, source});
+    } else {
+      for (std::size_t i = 0; i <= set.size(); ++i) {
+        RRset one = set;
+        one.rdatas = {set.rdatas[i % set.size()]};
+        if (i > 0) one.ttl = set.ttl + 1;
+        pieces.push_back({std::move(one), true, source});
+      }
+    }
+    ++source;
+  }
+  return pieces;
+}
+
+util::Status AddPiece(Zone& zone, const Piece& piece) {
+  return piece.as_record ? zone.AddRecord(piece.set.ToRecords().front())
+                         : zone.AddRRset(piece.set);
+}
+
+// Adds `pieces` in the given order to a zone at `apex`; every piece whose
+// owner is outside the apex must fail and leave the zone unchanged.
+Zone BuildFromPieces(const std::vector<Piece>& pieces,
+                     const std::vector<std::size_t>& order,
+                     const Name& apex) {
+  Zone zone(apex);
+  for (const std::size_t i : order) {
+    const Piece& piece = pieces[i];
+    const std::size_t before = zone.rrset_count();
+    const util::Status added = AddPiece(zone, piece);
+    EXPECT_EQ(added.ok(), piece.set.name.IsSubdomainOf(apex))
+        << piece.set.name.ToString();
+    if (!added.ok()) {
+      EXPECT_EQ(zone.rrset_count(), before);
+    }
+  }
+  return zone;
+}
+
+// `built` holds exactly `want`'s RRsets at the same TTLs. Rdata order must
+// match where every piece of the RRset arrived in its original relative
+// order; elsewhere the rdatas must match as a set.
+void ExpectSameRRsets(const Zone& built, const std::vector<RRset>& want,
+                      const std::vector<bool>& kept_order) {
+  ASSERT_EQ(built.rrset_count(), want.size());
+  std::size_t i = 0;
+  for (const auto& [key, set] : built.rrset_map()) {
+    const RRset& expected = want[i];
+    SCOPED_TRACE(expected.name.ToString() + " " +
+                 dns::RRTypeToString(expected.type));
+    EXPECT_EQ(key, expected.key());
+    EXPECT_EQ(set.key(), expected.key());
+    EXPECT_EQ(set.ttl, expected.ttl);
+    if (kept_order[i]) {
+      EXPECT_EQ(set.rdatas, expected.rdatas);
+    } else {
+      ASSERT_EQ(set.size(), expected.size());
+      for (const auto& rd : expected.rdatas) {
+        EXPECT_NE(std::find(set.rdatas.begin(), set.rdatas.end(), rd),
+                  set.rdatas.end());
+      }
+    }
+    ++i;
+  }
+}
+
+// The builder's content does not depend on arrival order: pieces of the
+// signed model zone in canonical, reversed and shuffled order all give the
+// same RRsets, a zone cut at "net." rejects every other owner in each
+// order, and re-adding the last record changes nothing.
+TEST(ZoneSnapshot, BuilderContentIsIndependentOfArrivalOrder) {
+  const RootZoneModel model;
+  const Zone signed_zone = SignedModelZone(model, {2019, 6, 7});
+  const std::vector<Piece> pieces = CutIntoPieces(signed_zone);
+  const std::vector<RRset> all = signed_zone.AllRRsets();
+  const Name net = N("net.");
+  std::vector<RRset> under_net;
+  std::vector<std::size_t> under_net_source;
+  for (std::size_t s = 0; s < all.size(); ++s) {
+    if (!all[s].name.IsSubdomainOf(net)) continue;
+    under_net.push_back(all[s]);
+    under_net_source.push_back(s);
+  }
+  ASSERT_GT(under_net.size(), 10u);
+  ASSERT_LT(under_net.size(), all.size());
+
+  std::vector<std::size_t> canonical(pieces.size());
+  for (std::size_t i = 0; i < canonical.size(); ++i) canonical[i] = i;
+  std::vector<std::size_t> reversed(canonical.rbegin(), canonical.rend());
+  std::vector<std::size_t> shuffled = canonical;
+  util::Rng rng(0xB111D);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Below(i)]);
+  }
+
+  for (const auto& [label, order] :
+       {std::pair{"canonical", canonical}, std::pair{"reversed", reversed},
+        std::pair{"shuffled", shuffled}}) {
+    SCOPED_TRACE(label);
+    // An RRset keeps its rdata order when its pieces arrive in cut order.
+    std::vector<bool> kept_order(all.size(), true);
+    std::vector<std::size_t> last_seen(all.size(), 0);
+    std::vector<bool> seen(all.size(), false);
+    for (const std::size_t i : order) {
+      const std::size_t s = pieces[i].source;
+      if (seen[s] && last_seen[s] > i) kept_order[s] = false;
+      seen[s] = true;
+      last_seen[s] = i;
+    }
+
+    Zone built = BuildFromPieces(pieces, order, Name());
+    ExpectSameRRsets(built, all, kept_order);
+
+    const auto tail = std::prev(built.rrset_map().end());
+    const RRset tail_before = tail->second;
+    ASSERT_TRUE(built.AddRecord(tail_before.ToRecords().back()).ok());
+    EXPECT_EQ(built.rrset_count(), all.size());
+    EXPECT_EQ(tail->second, tail_before);
+
+    std::vector<bool> net_kept(under_net.size());
+    for (std::size_t j = 0; j < under_net.size(); ++j) {
+      net_kept[j] = kept_order[under_net_source[j]];
+    }
+    ExpectSameRRsets(BuildFromPieces(pieces, order, net), under_net,
+                     net_kept);
+  }
 }
 
 // Every RRset of `snapshot`, by key.
