@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/udp.h>
 #include <sys/epoll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -105,7 +106,7 @@ util::Result<std::unique_ptr<UdpServer>> UdpServer::Bind(EventLoop& loop,
   }
   server->port_ = ntohs(bound.sin_port);
 
-  server->InitRings();
+  ROOTLESS_RETURN_IF_ERROR(server->InitRings());
   auto status = loop.Add(
       fd, EPOLLIN, [s = server.get()](std::uint32_t ev) { s->HandleEvents(ev); });
   if (!status.ok()) return status.error();
@@ -119,7 +120,28 @@ UdpServer::UdpServer(EventLoop& loop, Options options)
   batch_size_ = reg.histogram("net.udp.rx_batch_size", labels);
 }
 
-void UdpServer::InitRings() {
+UdpServer::Ring::~Ring() {
+  if (base_ != nullptr) ::munmap(base_, mapped_);
+}
+
+util::Status UdpServer::Ring::Map(std::size_t size) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t span = (size + page - 1) / page * page;
+  void* base = ::mmap(nullptr, span + page, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) return Errno("udp ring mmap");
+  base_ = base;
+  mapped_ = span + page;
+  auto* bytes = static_cast<std::uint8_t*>(base);
+  if (::mprotect(bytes + span, page, PROT_NONE) != 0) {
+    return Errno("udp ring guard page");
+  }
+  // End-aligned, so even a one-byte overrun lands on the guard page.
+  data_ = bytes + (span - size);
+  return util::Status::Ok();
+}
+
+util::Status UdpServer::InitRings() {
   const std::size_t batch = options_.batch;
   // A transmit-ring slot holds one UDP response, which the answer path caps
   // well below the plain receive buffer — size slots off the configured
@@ -137,7 +159,7 @@ void UdpServer::InitRings() {
   rx_msgs_.resize(batch);
   rx_iovs_.resize(batch);
   rx_addrs_.resize(batch);
-  rx_buffers_.resize(batch * options_.rx_buffer);
+  ROOTLESS_RETURN_IF_ERROR(rx_buffers_.Map(batch * options_.rx_buffer));
   rx_ctrl_.resize(batch * kCtrlBytes);
   for (std::size_t i = 0; i < batch; ++i) {
     rx_iovs_[i].iov_base = rx_buffers_.data() + i * options_.rx_buffer;
@@ -164,11 +186,12 @@ void UdpServer::InitRings() {
   tx_queue_.reserve(flush_threshold_ * 2);
   rx_batch_now_ = std::min(kMinRxBatch, batch);
   tx_slot_count_ = flush_threshold_ * 2;
-  tx_slots_.resize(tx_slot_count_ * tx_slot_bytes_);
+  ROOTLESS_RETURN_IF_ERROR(tx_slots_.Map(tx_slot_count_ * tx_slot_bytes_));
   tx_free_slots_.reserve(tx_slot_count_);
   for (std::size_t i = tx_slot_count_; i > 0; --i) {
     tx_free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
   }
+  return util::Status::Ok();
 }
 
 UdpServer::~UdpServer() {
@@ -283,7 +306,7 @@ void UdpServer::OnReadable() {
 
 std::uint8_t* UdpServer::AcquireTxSlot() {
   if (tx_free_slots_.empty()) return nullptr;
-  if (tx_queue_.size() - tx_head_ >= kMaxTxQueue) return nullptr;
+  if (tx_queue_.size() >= kMaxTxQueue) return nullptr;
   return tx_slots_.data() + tx_free_slots_.back() * tx_slot_bytes_;
 }
 
@@ -291,19 +314,19 @@ void UdpServer::CommitTxSlot(const sockaddr_in& addr, std::size_t size) {
   const std::uint32_t slot = tx_free_slots_.back();
   tx_free_slots_.pop_back();
   tx_queue_.push_back(TxEntry{addr, {}, slot, static_cast<std::uint32_t>(size)});
-  if (tx_queue_.size() - tx_head_ >= flush_threshold_) FlushTx();
+  if (tx_queue_.size() >= flush_threshold_) FlushTx();
 }
 
 void UdpServer::Send(EndpointId src, EndpointId dst, util::Bytes payload) {
   (void)src;
   if (!(dst & kRemoteEndpointBit)) return;  // only remote peers are sendable
-  if (tx_queue_.size() - tx_head_ >= kMaxTxQueue) {
+  if (tx_queue_.size() >= kMaxTxQueue) {
     c_.dropped.Inc();
     return;
   }
   const std::size_t slot = (dst & ~kRemoteEndpointBit) & (kPeerSlots - 1);
   tx_queue_.push_back(TxEntry{peers_[slot], std::move(payload), kNoTxSlot, 0});
-  if (tx_queue_.size() - tx_head_ >= flush_threshold_) FlushTx();
+  if (tx_queue_.size() >= flush_threshold_) FlushTx();
 }
 
 void UdpServer::Flush() { FlushTx(); }
@@ -311,13 +334,20 @@ void UdpServer::Flush() { FlushTx(); }
 void UdpServer::OnWritable() { FlushTx(); }
 
 void UdpServer::FlushTx() {
-  const auto release_slot = [this](const TxEntry& e) {
-    if (e.slot != kNoTxSlot) tx_free_slots_.push_back(e.slot);
+  // Frees what an entry holds once the kernel has taken (or refused) it.
+  const auto release = [this](TxEntry& e) {
+    if (e.slot != kNoTxSlot) {
+      tx_free_slots_.push_back(e.slot);
+    } else {
+      e.payload = util::Bytes();
+    }
   };
-  while (tx_head_ < tx_queue_.size()) {
+  std::size_t head = 0;  // prefix of tx_queue_ already sent or dropped
+  bool blocked = false;
+  while (head < tx_queue_.size()) {
     const std::size_t pending =
-        std::min(tx_queue_.size() - tx_head_, flush_threshold_);
-    auto* entries = tx_queue_.data() + tx_head_;
+        std::min(tx_queue_.size() - head, flush_threshold_);
+    auto* entries = tx_queue_.data() + head;
     if (gso_on_ && pending > 1) {
       // Group the batch into GSO trains: runs of equal-size responses to
       // one destination leave as a single segmented send. UDP promises no
@@ -351,7 +381,7 @@ void UdpServer::FlushTx() {
       for (std::size_t k = 0; k < run; ++k) {
         TxEntry& e = entries[i + k];
         tx_iovs_[i + k].iov_base =
-            const_cast<std::uint8_t*>(e.data(tx_slots_, tx_slot_bytes_));
+            const_cast<std::uint8_t*>(e.data(tx_slots_.data(), tx_slot_bytes_));
         tx_iovs_[i + k].iov_len = e.size();
       }
       msghdr& hdr = tx_msgs_[trains].msg_hdr;
@@ -382,40 +412,40 @@ void UdpServer::FlushTx() {
                                 static_cast<unsigned>(trains), 0);
     if (sent < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
-        UpdateInterest(true);
-        return;
+        blocked = true;
+        break;
       }
       // Hard error (e.g. ICMP-reported unreachable peer): drop the head
       // train and keep going.
       const std::size_t run = train_sizes_.empty() ? 1 : train_sizes_[0];
       for (std::size_t k = 0; k < run; ++k) {
         c_.dropped.Inc();
-        release_slot(tx_queue_[tx_head_ + k]);
+        release(tx_queue_[head + k]);
       }
-      tx_head_ += run;
+      head += run;
       continue;
     }
     c_.tx_batches.Inc();
-    std::size_t consumed = 0;
     for (int t = 0; t < sent; ++t) {
       const std::size_t run = train_sizes_[static_cast<std::size_t>(t)];
       for (std::size_t k = 0; k < run; ++k) {
-        const TxEntry& e = tx_queue_[tx_head_ + consumed + k];
+        TxEntry& e = tx_queue_[head + k];
         c_.bytes_out.Inc(e.size());
-        release_slot(e);
+        release(e);
       }
       c_.tx_datagrams.Inc(run);
-      consumed += run;
+      head += run;
     }
-    tx_head_ += consumed;
     if (sent < static_cast<int>(trains)) {
-      UpdateInterest(true);
-      return;
+      blocked = true;
+      break;
     }
   }
-  tx_queue_.clear();
-  tx_head_ = 0;
-  UpdateInterest(false);
+  // Keep only the unsent tail: a socket that stays backed up must not hold
+  // on to the responses it already sent.
+  tx_queue_.erase(tx_queue_.begin(),
+                  tx_queue_.begin() + static_cast<std::ptrdiff_t>(head));
+  UpdateInterest(blocked);
 }
 
 void UdpServer::UpdateInterest(bool want_writable) {

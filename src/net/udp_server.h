@@ -5,10 +5,16 @@
 // contiguous datagram buffer block, the source-address array) is allocated
 // once at Bind() and reused for every batch — the steady-state receive path
 // performs no allocation beyond copying each datagram into the Packet handed
-// to the endpoint handler. Responses queue in a transmit ring and leave in
-// sendmmsg batches: at batch-size boundaries, at the end of each receive
-// batch (so a request batch's responses depart as one syscall), and on
-// EPOLLOUT once the socket signals backpressure.
+// to the endpoint handler. The two large rings (the receive block and the
+// fast lane's transmit slots) are reserved at Bind() as private anonymous
+// mappings, each ended by a PROT_NONE guard page: a page becomes resident
+// when it is first written, so a socket holds only the ring pages its
+// largest burst touched, and a write past a ring faults in every build.
+// Responses queue in a transmit ring and leave in sendmmsg batches: at
+// batch-size boundaries, at the end of each receive batch (so a request
+// batch's responses depart as one syscall), and on EPOLLOUT once the socket
+// signals backpressure. A response is released as soon as the kernel
+// accepts it; the queue holds only unsent ones.
 //
 // As a Transport: the server hosts ONE local endpoint (id 0) — the DNS
 // server object — and manufactures remote endpoint ids (kRemoteEndpointBit
@@ -70,8 +76,8 @@ class UdpServer final : public Transport {
       std::span<const std::uint8_t> datagram, std::uint64_t client,
       std::uint8_t* out, std::size_t capacity, std::size_t& out_size)>;
 
-  // Creates the socket, binds, registers on the loop. The loop must outlive
-  // the server.
+  // Creates the socket, binds, reserves the rings, registers on the loop
+  // (kUnavailable when any step fails). The loop must outlive the server.
   static util::Result<std::unique_ptr<UdpServer>> Bind(EventLoop& loop,
                                                        Options options);
   ~UdpServer() override;
@@ -96,16 +102,36 @@ class UdpServer final : public Transport {
   // Force out any queued responses (normally automatic).
   void Flush();
 
-  // Current adaptive receive batch size (grows toward Options::batch under
-  // sustained load, shrinks when the socket drains); exposed for tests.
-  std::size_t rx_batch_now() const { return rx_batch_now_; }
+  // Responses waiting for the kernel: every queued entry is unsent, since
+  // each flush drops the prefix the kernel accepted before it returns.
+  std::size_t tx_queued() const { return tx_queue_.size(); }
 
  private:
+  // A ring's bytes: one private anonymous mapping whose last byte abuts a
+  // PROT_NONE guard page. Unmapped on destruction.
+  class Ring {
+   public:
+    Ring() = default;
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+    ~Ring();
+    // Reserves `size` bytes; writes none of them.
+    util::Status Map(std::size_t size);
+    std::uint8_t* data() const { return data_; }
+
+   private:
+    void* base_ = nullptr;
+    std::size_t mapped_ = 0;  // whole mapping, guard page included
+    std::uint8_t* data_ = nullptr;
+  };
+
   UdpServer(EventLoop& loop, Options options);
 
   // Sizes every ring; called from Bind() after the GSO/GRO socket-option
-  // probe (GRO entries need 64KB buffers, plain ones only rx_buffer).
-  void InitRings();
+  // probe (GRO entries need 64KB buffers, plain ones only rx_buffer). The
+  // two large rings are reserved here and become resident page by page as
+  // they are first written; InitRings writes none of their bytes.
+  util::Status InitRings();
 
   void OnReadable();
   void OnWritable();
@@ -142,7 +168,7 @@ class UdpServer final : public Transport {
   std::vector<struct ::mmsghdr> rx_msgs_;
   std::vector<struct ::iovec> rx_iovs_;
   std::vector<sockaddr_in> rx_addrs_;
-  util::Bytes rx_buffers_;  // batch × rx_buffer contiguous block
+  Ring rx_buffers_;         // batch × rx_buffer contiguous block
   util::Bytes rx_ctrl_;     // batch × kCtrlBytes cmsg space (UDP_GRO size)
   Packet rx_packet_;        // reused delivery packet (payload reassigned)
   bool gro_on_ = false;     // UDP_GRO accepted at Bind
@@ -163,10 +189,9 @@ class UdpServer final : public Transport {
     util::Bytes payload;
     std::uint32_t slot = kNoTxSlot;
     std::uint32_t len = 0;
-    const std::uint8_t* data(const util::Bytes& ring_bytes,
+    const std::uint8_t* data(const std::uint8_t* ring,
                              std::size_t slot_bytes) const {
-      return slot == kNoTxSlot ? payload.data()
-                               : ring_bytes.data() + slot * slot_bytes;
+      return slot == kNoTxSlot ? payload.data() : ring + slot * slot_bytes;
     }
     std::size_t size() const { return slot == kNoTxSlot ? payload.size() : len; }
   };
@@ -175,8 +200,7 @@ class UdpServer final : public Transport {
   // because the size sort inside FlushTx builds longer trains from a larger
   // pending window (the whole window still leaves in one syscall round).
   std::size_t flush_threshold_ = 0;
-  std::vector<TxEntry> tx_queue_;
-  std::size_t tx_head_ = 0;  // already-sent prefix
+  std::vector<TxEntry> tx_queue_;  // unsent responses only
   std::vector<struct ::mmsghdr> tx_msgs_;
   std::vector<struct ::iovec> tx_iovs_;
   bool want_writable_ = false;
@@ -186,12 +210,14 @@ class UdpServer final : public Transport {
   std::vector<std::uint32_t> train_sizes_;
   // Fast-lane transmit ring: tx_slot_count_ preallocated response buffers of
   // rx_buffer bytes each, managed as a free-list stack — the GSO flush path
-  // reorders entries within a batch, so release order is arbitrary.
-  util::Bytes tx_slots_;
+  // reorders entries within a batch, so release order is arbitrary. The
+  // stack hands out the most recently freed slot first, so the slots ever
+  // written are as many as were once in flight together.
+  Ring tx_slots_;
   std::size_t tx_slot_count_ = 0;
   std::size_t tx_slot_bytes_ = 0;
   std::vector<std::uint32_t> tx_free_slots_;
-  // Backpressure bound: beyond this many queued responses, new ones drop
+  // Backpressure bound: beyond this many unsent responses, new ones drop
   // (counted) — a full socket buffer must not grow the heap without bound.
   static constexpr std::size_t kMaxTxQueue = 4096;
 

@@ -1,20 +1,32 @@
 // Socket front-end tests: the epoll event loop, and end-to-end parity — the
 // byte streams served through real UDP/TCP sockets must be identical to what
 // the same AuthServer configuration produces in the simulator, for the whole
-// replay-shaped query corpus including malformed input and TC truncation.
+// replay-shaped query corpus including malformed input and TC truncation —
+// and the batched UDP server's own contracts: ring memory, the transmit
+// queue under a stalled flush, and GRO train splitting.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,6 +35,8 @@
 #include "net/axfr_client.h"
 #include "net/event_loop.h"
 #include "net/frontend.h"
+#include "net/udp_server.h"
+#include "obs/metrics.h"
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -93,19 +107,27 @@ class UdpClient {
   }
   ~UdpClient() { ::close(fd_); }
 
+  int fd() const { return fd_; }
+
   void Send(const util::Bytes& payload) {
     ::send(fd_, payload.data(), payload.size(), 0);
   }
   std::optional<util::Bytes> Recv(int timeout_ms) {
     timeval tv{timeout_ms / 1000, (timeout_ms % 1000) * 1000};
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    return Take(0);
+  }
+  // A datagram that has already arrived, without waiting.
+  std::optional<util::Bytes> Poll() { return Take(MSG_DONTWAIT); }
+
+ private:
+  std::optional<util::Bytes> Take(int flags) {
     std::uint8_t buffer[8192];
-    const ssize_t got = ::recv(fd_, buffer, sizeof(buffer), 0);
+    const ssize_t got = ::recv(fd_, buffer, sizeof(buffer), flags);
     if (got < 0) return std::nullopt;
     return util::Bytes(buffer, buffer + got);
   }
 
- private:
   int fd_ = -1;
 };
 
@@ -612,6 +634,272 @@ TEST(NetParity, MultiWorkerReusePortServesEveryQuery) {
   }
   frontend.Stop();
   EXPECT_EQ(frontend.stats().queries, 200u);
+}
+
+// A metric's total over every instance in `registry`: a counter's count, or
+// the sum of the values a histogram recorded.
+std::uint64_t MetricTotal(const obs::Registry& registry,
+                          std::string_view name) {
+  std::uint64_t total = 0;
+  for (const obs::Sample& sample : registry.Snapshot()) {
+    if (sample.name != name) continue;
+    total += sample.kind == obs::Kind::kHistogram ? sample.hist->sum
+                                                  : sample.counter;
+  }
+  return total;
+}
+
+// This process's resident set in KiB (VmRSS in /proc/self/status).
+std::int64_t ResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return 0;
+}
+
+// A fast lane that answers every datagram with its own bytes.
+FastVerdict Echo(std::span<const std::uint8_t> datagram, std::uint64_t,
+                 std::uint8_t* out, std::size_t capacity,
+                 std::size_t& out_size) {
+  if (datagram.size() > capacity) return FastVerdict::kMiss;
+  std::memcpy(out, datagram.data(), datagram.size());
+  out_size = datagram.size();
+  return FastVerdict::kResponded;
+}
+
+// A default Bind reserves a 4 MiB GRO receive ring and 8 MiB of transmit
+// slots; none of it may be resident before a datagram arrives, or every
+// worker of a multi-worker frontend pays ~12 MB up front.
+TEST(UdpServer, BindLeavesTheRingsNonResident) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  obs::Registry registry;
+  UdpServer::Options options;
+  options.registry = &registry;
+  constexpr int kServers = 8;
+  std::vector<std::unique_ptr<UdpServer>> servers;
+  const std::int64_t before = ResidentKiB();
+  for (int i = 0; i < kServers; ++i) {
+    auto bound = UdpServer::Bind(loop, options);
+    ASSERT_TRUE(bound.ok()) << bound.error().message();
+    servers.push_back(std::move(*bound));
+  }
+  const std::int64_t grown = ResidentKiB() - before;
+  ASSERT_GT(before, 0);
+  EXPECT_LT(grown, 8 * 1024) << "KiB resident after " << kServers << " binds";
+
+  // Reserved, not missing: each server still answers through its rings.
+  for (auto& server : servers) {
+    server->SetFastLane(Echo);
+    UdpClient client(server->port());
+    const util::Bytes ping = {0xAB, 0xCD, 'p', 'i', 'n', 'g'};
+    client.Send(ping);
+    std::optional<util::Bytes> reply;
+    for (int round = 0; round < 300 && !reply.has_value(); ++round) {
+      loop.PollOnce(10);
+      reply = client.Poll();
+    }
+    ASSERT_TRUE(reply.has_value()) << "port " << server->port();
+    EXPECT_EQ(*reply, ping);
+  }
+}
+
+// A ring the kernel cannot map fails Bind with a code instead of throwing:
+// 64 receive entries of 2^48 bytes each are more than any address space.
+TEST(UdpServer, UnmappableRingFailsBind) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  obs::Registry registry;
+  UdpServer::Options options;
+  options.registry = &registry;
+  options.rx_buffer = std::size_t{1} << 48;
+  auto bound = UdpServer::Bind(loop, options);
+  ASSERT_FALSE(bound.ok());
+  EXPECT_EQ(bound.error().code(), ErrorCode::kUnavailable);
+}
+
+// A guard page ends each ring, in every build: with one 100-byte receive
+// entry (not a page multiple), reading one byte past a full datagram faults.
+// The child exits 0 if it binds nothing or reads without a fault; ASan
+// builds report the fault and exit nonzero instead of dying by the signal.
+TEST(UdpServer, ReadingPastTheReceiveRingFaults) {
+  const auto faulted = [](int status) {
+    if (WIFSIGNALED(status)) return WTERMSIG(status) == SIGSEGV;
+    return WIFEXITED(status) && WEXITSTATUS(status) != 0;
+  };
+  EXPECT_EXIT(
+      {
+        EventLoop loop;
+        obs::Registry registry;
+        UdpServer::Options options;
+        options.registry = &registry;
+        options.batch = 1;
+        options.rx_buffer = 100;
+        options.segmentation_offload = false;
+        auto bound = UdpServer::Bind(loop, options);
+        if (!bound.ok()) std::exit(0);
+        volatile std::uint8_t sink = 0;
+        (*bound)->SetFastLane([&sink](std::span<const std::uint8_t> datagram,
+                                      std::uint64_t, std::uint8_t*,
+                                      std::size_t, std::size_t&) {
+          sink = datagram.data()[datagram.size()];
+          return FastVerdict::kDropped;
+        });
+        UdpClient client((*bound)->port());
+        client.Send(util::Bytes(100, 0x5A));
+        for (int round = 0; round < 300; ++round) loop.PollOnce(10);
+        std::exit(0);
+      },
+      faulted, "");
+}
+
+// A response leaves the transmit queue as soon as the kernel accepts it,
+// also when a flush stops early. Loopback never tells a UDP sender EAGAIN
+// (the kernel releases the send buffer at transmit), so the early stop here
+// is a partial sendmmsg: every tenth answer is larger than a UDP datagram
+// can be, sendmmsg sends what precedes it and stops there (EMSGSIZE), and
+// the server drops it (counted) on a later flush, the last ones on EPOLLOUT.
+TEST(UdpServer, SentResponsesLeaveTheQueueWhenAFlushStopsEarly) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  obs::Registry registry;
+  UdpServer::Options options;
+  options.registry = &registry;
+  auto bound = UdpServer::Bind(loop, options);
+  ASSERT_TRUE(bound.ok()) << bound.error().message();
+  UdpServer& server = **bound;
+
+  constexpr std::uint16_t kQueries = 200;
+  constexpr std::uint16_t kOversizedEvery = 10;
+  auto query = [](std::uint16_t id) {
+    return util::Bytes{static_cast<std::uint8_t>(id >> 8),
+                       static_cast<std::uint8_t>(id), 'q',
+                       static_cast<std::uint8_t>(id * 7)};
+  };
+  auto id_of = [](const util::Bytes& wire) {
+    return static_cast<std::uint16_t>(wire[0] << 8 | wire[1]);
+  };
+  std::uint64_t produced = 0;
+  server.AddNode([&](const Packet& packet) {
+    util::Bytes answer = packet.payload;
+    if (id_of(answer) % kOversizedEvery == 0) answer.resize(70000);
+    server.Send(0, packet.src, std::move(answer));
+    ++produced;
+  });
+
+  UdpClient client(server.port());
+  const int rcvbuf = 1 << 20;
+  ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  // Every query is queued at the server before it reads any.
+  for (std::uint16_t id = 0; id < kQueries; ++id) client.Send(query(id));
+
+  const std::size_t expected = kQueries - kQueries / kOversizedEvery;
+  std::vector<int> answers(kQueries, 0);
+  std::size_t answered = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((answered < expected || server.tx_queued() > 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    loop.PollOnce(0);
+    // Whatever the server still holds is unsent: each answer is sent,
+    // dropped (counted) or queued, never two of these.
+    const std::uint64_t sent = MetricTotal(registry, "net.udp.tx_datagrams");
+    const std::uint64_t dropped = MetricTotal(registry, "net.udp.dropped");
+    ASSERT_EQ(server.tx_queued(), produced - sent - dropped)
+        << "sent " << sent << ", dropped " << dropped;
+    while (auto reply = client.Poll()) {
+      ASSERT_GE(reply->size(), 2u);
+      const std::uint16_t id = id_of(*reply);
+      ASSERT_LT(id, kQueries);
+      EXPECT_EQ(*reply, query(id));
+      ++answers[id];
+      ++answered;
+    }
+  }
+  EXPECT_EQ(produced, kQueries);
+  for (std::uint16_t id = 0; id < kQueries; ++id) {
+    EXPECT_EQ(answers[id], id % kOversizedEvery == 0 ? 0 : 1) << "id " << id;
+  }
+  EXPECT_EQ(MetricTotal(registry, "net.udp.dropped"),
+            kQueries / kOversizedEvery);
+  EXPECT_EQ(server.tx_queued(), 0u);
+}
+
+// UDP GRO: one UDP_SEGMENT send of kSegments equal datagrams plus a shorter
+// tail reaches the server as one ring entry spanning two pages, the receive
+// path splits it by the cmsg's segment size, and the echo lane answers each
+// datagram once and intact.
+TEST(UdpServer, GroTrainSplitsIntoItsDatagrams) {
+  const int probe = ::socket(AF_INET, SOCK_DGRAM, 0);
+  const int one = 1;
+  const bool gro =
+      ::setsockopt(probe, SOL_UDP, UDP_GRO, &one, sizeof(one)) == 0;
+  ::close(probe);
+  if (!gro) GTEST_SKIP() << "kernel refuses UDP_GRO";
+
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
+  obs::Registry registry;
+  UdpServer::Options options;
+  options.registry = &registry;
+  auto bound = UdpServer::Bind(loop, options);
+  ASSERT_TRUE(bound.ok()) << bound.error().message();
+  UdpServer& server = **bound;
+  server.SetFastLane(Echo);
+
+  constexpr std::size_t kSegments = 9;
+  constexpr std::uint16_t kSegment = 700;
+  constexpr std::size_t kTail = 300;  // 6600 bytes in all
+  std::vector<util::Bytes> datagrams;
+  util::Bytes train;
+  for (std::size_t i = 0; i <= kSegments; ++i) {
+    util::Bytes datagram(i < kSegments ? kSegment : kTail);
+    for (std::size_t j = 0; j < datagram.size(); ++j) {
+      datagram[j] = static_cast<std::uint8_t>(i * 31 + j);
+    }
+    datagram[0] = static_cast<std::uint8_t>(i);
+    train.insert(train.end(), datagram.begin(), datagram.end());
+    datagrams.push_back(std::move(datagram));
+  }
+
+  UdpClient client(server.port());
+  alignas(cmsghdr) std::uint8_t control[CMSG_SPACE(sizeof(kSegment))] = {};
+  iovec iov{train.data(), train.size()};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_UDP;
+  cm->cmsg_type = UDP_SEGMENT;
+  cm->cmsg_len = CMSG_LEN(sizeof(kSegment));
+  std::memcpy(CMSG_DATA(cm), &kSegment, sizeof(kSegment));
+  if (::sendmsg(client.fd(), &msg, 0) != static_cast<ssize_t>(train.size())) {
+    GTEST_SKIP() << "kernel refuses UDP_SEGMENT: " << std::strerror(errno);
+  }
+
+  std::vector<int> seen(kSegments + 1, 0);
+  std::size_t replies = 0;
+  for (int round = 0; round < 300 && replies < kSegments + 1; ++round) {
+    loop.PollOnce(10);
+    while (auto reply = client.Poll()) {
+      ASSERT_FALSE(reply->empty());
+      const std::size_t i = (*reply)[0];
+      ASSERT_LE(i, kSegments);
+      EXPECT_EQ(*reply, datagrams[i]) << "datagram " << i;
+      ++seen[i];
+      ++replies;
+    }
+  }
+  for (std::size_t i = 0; i <= kSegments; ++i) {
+    EXPECT_EQ(seen[i], 1) << "datagram " << i;
+  }
+  EXPECT_EQ(MetricTotal(registry, "net.udp.rx_datagrams"), kSegments + 1);
+  // The histogram records entries per recvmmsg, so its sum is ring entries.
+  EXPECT_LT(MetricTotal(registry, "net.udp.rx_batch_size"), kSegments + 1);
 }
 
 }  // namespace
