@@ -27,7 +27,6 @@
 #include "dns/name.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "resolver/cache.h"
 #include "resolver/recursive.h"
 #include "rootsrv/auth_server.h"
@@ -537,23 +536,12 @@ double BenchSimQueueMillion(sim::QueuePolicy policy) {
 
 // ------------------------------------------------ observability overhead
 //
-// What the metrics/trace layer itself costs, so the ≤2% hot-path budget is
-// measured, not assumed: a pre-resolved counter bump, an enabled span
-// start/end pair, the compiled-in-but-untraced span site (the state every
-// sim run without a tracer is in), and steady-state allocations per span.
-struct ObsOverheadResult {
-  double counter_inc_ns = 0;
-  double span_pair_ns = 0;
-  double span_disabled_ns = 0;
-  double span_allocs = 0;
-};
-
-ObsOverheadResult BenchObsOverhead() {
-  ObsOverheadResult result;
-
+// What a metric bump itself costs, so the ≤2% hot-path budget is measured,
+// not assumed: a pre-resolved counter increment.
+double BenchCounterInc() {
   obs::Registry reg;  // private registry: keep the default export clean
   obs::Counter counter = reg.counter("bench.obs.counter");
-  result.counter_inc_ns = MeasureNsPerOp([&](std::uint64_t iters) {
+  return MeasureNsPerOp([&](std::uint64_t iters) {
     for (std::uint64_t i = 0; i < iters; ++i) {
       counter.Inc();
       // The clobber keeps the optimizer from folding the loop into a
@@ -563,48 +551,6 @@ ObsOverheadResult BenchObsOverhead() {
     }
     if (counter.value() == 1) std::printf("impossible\n");
   });
-
-  obs::SimTime clock = 0;
-  obs::Tracer tracer(&clock);
-  obs::Tracer* tp = &tracer;
-  tracer.set_enabled(true);
-  result.span_pair_ns = MeasureNsPerOp([&](std::uint64_t iters) {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      // Periodic Clear keeps memory bounded; capacity is retained, so the
-      // steady state exercises the real push-into-reserved-storage path.
-      if ((i & 0xFFFF) == 0) tracer.Clear();
-      const obs::SpanId id = ROOTLESS_SPAN_START(tp, "bench.span", 0);
-      ROOTLESS_SPAN_END(tp, id);
-      acc += id;
-    }
-    if (acc == 1) std::printf("impossible\n");
-  });
-
-  obs::Tracer* none = nullptr;
-  result.span_disabled_ns = MeasureNsPerOp([&](std::uint64_t iters) {
-    std::uint64_t acc = 0;
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      const obs::SpanId id = ROOTLESS_SPAN_START(none, "bench.span", 0);
-      ROOTLESS_SPAN_END(none, id);
-      acc += id;
-    }
-    if (acc != 0) std::printf("impossible\n");
-  });
-
-  constexpr std::uint64_t kAllocIters = 20000;
-  tracer.Clear();
-  for (std::uint64_t i = 0; i < kAllocIters; ++i) {  // warm the capacity
-    tracer.End(tracer.Start("bench.span"));
-  }
-  tracer.Clear();
-  const std::uint64_t before = g_allocs;
-  for (std::uint64_t i = 0; i < kAllocIters; ++i) {
-    tracer.End(tracer.Start("bench.span"));
-  }
-  result.span_allocs =
-      static_cast<double>(g_allocs - before) / static_cast<double>(kAllocIters);
-  return result;
 }
 
 struct ReplayResult {
@@ -825,11 +771,7 @@ int main(int argc, char** argv) {
   const ZoneSwapBenchResult swap = BenchZoneSwap();
   run("zone_swap_ns", swap.apply_ns);
   run("zone_build_ns", swap.build_ns);
-  const ObsOverheadResult obs_overhead = BenchObsOverhead();
-  run("obs_counter_inc_ns", obs_overhead.counter_inc_ns);
-  run("obs_span_pair_ns", obs_overhead.span_pair_ns);
-  run("obs_span_disabled_ns", obs_overhead.span_disabled_ns);
-  run("obs_span_allocs", obs_overhead.span_allocs);
+  run("obs_counter_inc_ns", BenchCounterInc());
   std::printf("zone_swap: %zu/%zu rrsets in delta page, %zu pages shared "
               "with base\n",
               swap.delta_rrsets, swap.total_rrsets, swap.shared_pages);

@@ -8,10 +8,16 @@ namespace rootless::distrib {
 
 using util::Error;
 
+namespace {
+
+// Records per transfer message. Each message travels as one TCP frame,
+// which caps its encoding at 65,535 bytes.
+constexpr std::size_t kRecordsPerMessage = 100;
+
+}  // namespace
+
 std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
-                                         const dns::Message& query,
-                                         std::size_t records_per_message) {
-  if (records_per_message == 0) records_per_message = 1;
+                                         const dns::Message& query) {
   const auto soa = snapshot.soa();
   if (!soa || soa->rdatas.empty()) return {};
   const dns::ResourceRecord soa_record{*soa->name, soa->type, soa->rrclass,
@@ -38,7 +44,7 @@ std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
   msg.questions = query.questions;  // echoed in the first message only
   for (std::size_t i = 0; i < records.size(); ++i) {
     msg.answers.push_back(records[i]);
-    if (msg.answers.size() == records_per_message ||
+    if (msg.answers.size() == kRecordsPerMessage ||
         i + 1 == records.size()) {
       out.push_back(dns::EncodeMessage(msg));
       msg.answers.clear();

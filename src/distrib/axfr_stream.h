@@ -24,13 +24,12 @@
 
 namespace rootless::distrib {
 
-// Encodes the transfer as framed-ready DNS messages (no length prefixes —
-// the TCP server frames each). `query` supplies the message id and the
-// question echoed in the first message. Returns an empty vector if the
-// snapshot has no SOA (not transferable).
+// Encodes the transfer as framed-ready DNS messages of up to 100 records
+// each (no length prefixes — the TCP server frames each). `query` supplies
+// the message id and the question echoed in the first message. Returns an
+// empty vector if the snapshot has no SOA (not transferable).
 std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
-                                         const dns::Message& query,
-                                         std::size_t records_per_message = 100);
+                                         const dns::Message& query);
 
 // Decodes and validates a transfer stream: every message must parse with
 // rcode NOERROR, the record sequence must open and close with the same SOA

@@ -15,16 +15,13 @@ ZoneFetchService::ZoneFetchService(sim::Simulator& sim, Options options)
 }
 
 void ZoneFetchService::Fetch(FetchCallback callback) {
-  // Distribution-lifecycle span: all attempts → (verify) → delivery.
-  const obs::SpanId span =
-      ROOTLESS_SPAN_START(sim_.tracer(), "distrib.fetch", obs::kNoSpan);
   auto schedule = std::make_shared<sim::RetrySchedule>(config_.retry);
   (void)schedule->NextDelay(rng_);  // first attempt starts immediately
-  Attempt(std::move(schedule), std::move(callback), span);
+  Attempt(std::move(schedule), std::move(callback));
 }
 
 void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
-                               FetchCallback callback, obs::SpanId span) {
+                               FetchCallback callback) {
   c_.fetches.Inc();
   if (InOutage(sim_.now())) {
     c_.failures.Inc();
@@ -34,16 +31,14 @@ void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
       c_.retries.Inc();
       const sim::SimTime backoff = schedule->NextDelay(rng_);
       sim_.Schedule(detect + backoff,
-                    [this, schedule = std::move(schedule), span,
+                    [this, schedule = std::move(schedule),
                      callback = std::move(callback)]() mutable {
-                      Attempt(std::move(schedule), std::move(callback), span);
+                      Attempt(std::move(schedule), std::move(callback));
                     });
       return;
     }
     const int attempts = schedule->attempts_started();
-    sim_.Schedule(detect, [this, attempts, span,
-                           callback = std::move(callback)]() {
-      ROOTLESS_SPAN_END(sim_.tracer(), span);
+    sim_.Schedule(detect, [attempts, callback = std::move(callback)]() {
       callback(util::Error(ErrorCode::kUnreachable,
                            "fetch: service unavailable (" +
                                std::to_string(attempts) + " attempts)"));
@@ -58,24 +53,19 @@ void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
       static_cast<sim::SimTime>(static_cast<double>(size) /
                                 config_.bandwidth_bytes_per_sec * sim::kSecond);
   const bool verify = config_.verify_signatures;
-  sim_.Schedule(transfer, [this, z = std::move(z), verify, span,
+  sim_.Schedule(transfer, [this, z = std::move(z), verify,
                            callback = std::move(callback)]() {
     if (verify) {
-      const obs::SpanId vspan =
-          ROOTLESS_SPAN_START(sim_.tracer(), "distrib.verify", span);
       auto validated = crypto::ValidateZoneRRsets(
           z->AllRRsets(), dnskey_, store_, config_.validation_now);
-      ROOTLESS_SPAN_END(sim_.tracer(), vspan);
       if (!validated.ok()) {
         c_.validation_failures.Inc();
-        ROOTLESS_SPAN_END(sim_.tracer(), span);
         callback(util::Error(ErrorCode::kVerifyFailed,
                              "fetch: validation failed: " +
                                  validated.error().message()));
         return;
       }
     }
-    ROOTLESS_SPAN_END(sim_.tracer(), span);
     callback(z);
   });
 }

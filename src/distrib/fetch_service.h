@@ -16,7 +16,6 @@
 
 #include "crypto/dnssec.h"
 #include "obs/counter_set.h"
-#include "obs/trace.h"
 #include "sim/retry.h"
 #include "sim/simulator.h"
 #include "util/result.h"
@@ -96,7 +95,7 @@ class ZoneFetchService {
 
   // One attempt of an in-flight fetch operation; retries reschedule it.
   void Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
-               FetchCallback callback, obs::SpanId span);
+               FetchCallback callback);
 
   sim::Simulator& sim_;
   FetchServiceConfig config_;

@@ -136,9 +136,8 @@ void DnsFrontend::HandleTcpPacket(Worker& worker, const Packet& packet) {
   auto query = dns::DecodeMessage(packet.payload);
   if (query.ok() && !query->header.qr && query->questions.size() == 1 &&
       query->questions.front().type == dns::RRType::kAXFR) {
-    auto stream = distrib::BuildAxfrStream(*worker.tcp_auth->snapshot(),
-                                           *query,
-                                           options_.axfr_records_per_message);
+    auto stream =
+        distrib::BuildAxfrStream(*worker.tcp_auth->snapshot(), *query);
     if (stream.empty()) {
       worker.tcp->Send(0, packet.src,
                        dns::EncodeMessage(

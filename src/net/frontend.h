@@ -83,7 +83,6 @@ struct FrontendOptions {
   // (the simulator's AuthServer default stays 1232 — see EdnsConfig).
   rootsrv::EdnsConfig edns{.default_udp_payload = 512};
   std::size_t batch = 64;  // recvmmsg/sendmmsg batch size
-  std::size_t axfr_records_per_message = 100;
   // Response rate limiting: when enabled, the frontend owns ONE limiter
   // shared by every SO_REUSEPORT UDP worker (per-client budgets hold across
   // workers — the kernel hashes a flooding source onto one worker, but a

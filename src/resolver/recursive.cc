@@ -74,10 +74,6 @@ void RecursiveResolver::Resolve(const Name& qname, RRType qtype,
 void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
                                     const ResolveCallback& cb, bool is_chase) {
   c_.resolutions.Inc();
-  // Lifecycle span: query → answer. Synchronous paths (cache hit, negative
-  // hit) close it immediately; async paths park it in the Pending node.
-  const obs::SpanId span =
-      ROOTLESS_SPAN_START(sim_.tracer(), "resolve", obs::kNoSpan);
 
   // Fast path: the answer itself is cached. Completes synchronously with no
   // transaction state — no id, no Pending node, no callback copy. The scratch
@@ -86,8 +82,6 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
   // RRset reuses the previous hit's rdata capacity.
   if (const RRset* hit = cache_.Get(qname, qtype, sim_.now())) {
     c_.answered_from_cache.Inc();
-    ROOTLESS_SPAN_INSTANT(sim_.tracer(), "cache-hit", span);
-    ROOTLESS_SPAN_END(sim_.tracer(), span);
     ResolutionResult result;
     result.rcode = dns::RCode::kNoError;
     result.answers = std::move(answer_scratch_);
@@ -102,8 +96,6 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
   if (config_.negative_cache && NegativeCached(qname.tld_view())) {
     c_.negative_hits.Inc();
     c_.nxdomain.Inc();
-    ROOTLESS_SPAN_INSTANT(sim_.tracer(), "negative-hit", span);
-    ROOTLESS_SPAN_END(sim_.tracer(), span);
     ResolutionResult result;
     result.rcode = dns::RCode::kNXDomain;
     if (cb) cb(result);
@@ -114,7 +106,6 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
   // one that does not exist.
   if (pending_.size() >= kMaxInFlight) {
     c_.failures.Inc();
-    ROOTLESS_SPAN_END(sim_.tracer(), span);
     ResolutionResult result;
     result.rcode = dns::RCode::kServFail;
     result.failed = true;
@@ -140,7 +131,6 @@ void RecursiveResolver::ResolveImpl(const Name& qname, RRType qtype,
   pending.start = sim_.now();
   pending.retries_left = config_.retry.max_attempts - 1;
   pending.is_chase = is_chase;
-  pending.span = span;
   auto [it, inserted] = pending_.emplace(id, std::move(pending));
   StartResolution(id, it->second);
 }
@@ -240,9 +230,6 @@ void RecursiveResolver::AskRoot(std::uint16_t id) {
 
 void RecursiveResolver::AskRootServers(std::uint16_t id) {
   Pending& pending = pending_.at(id);
-  ROOTLESS_SPAN_END(sim_.tracer(), pending.stage_span);
-  pending.stage_span =
-      ROOTLESS_SPAN_START(sim_.tracer(), "root", pending.span);
   sim::NodeId target = 0;
   if (config_.mode == RootMode::kLoopbackAuth) {
     ROOTLESS_CHECK(has_loopback_);
@@ -276,12 +263,6 @@ void RecursiveResolver::AskLocalStore(std::uint16_t id) {
   // Consulting the local store costs db_lookup_latency (zero-ish for the
   // preloaded cache, configurable for the on-demand DB).
   c_.local_root_lookups.Inc();
-  {
-    Pending& pending = pending_.at(id);
-    ROOTLESS_SPAN_END(sim_.tracer(), pending.stage_span);
-    pending.stage_span =
-        ROOTLESS_SPAN_START(sim_.tracer(), "local-root", pending.span);
-  }
   const sim::SimTime cost = config_.mode == RootMode::kOnDemandZoneFile
                                 ? config_.db_lookup_latency
                                 : 0;
@@ -350,8 +331,6 @@ bool RecursiveResolver::TldNodeFor(const Name& qname, sim::NodeId& node,
 void RecursiveResolver::AskTld(std::uint16_t id) {
   Pending& pending = pending_.at(id);
   pending.stage = Pending::Stage::kTld;
-  ROOTLESS_SPAN_END(sim_.tracer(), pending.stage_span);
-  pending.stage_span = ROOTLESS_SPAN_START(sim_.tracer(), "tld", pending.span);
 
   sim::NodeId target = 0;
   bool extra_hop = false;
@@ -549,8 +528,6 @@ void RecursiveResolver::Finish(std::uint16_t id, dns::RCode rcode,
   ROOTLESS_CHECK(it != pending_.end());
   Pending pending = std::move(it->second);
   pending_.erase(it);
-  ROOTLESS_SPAN_END(sim_.tracer(), pending.stage_span);
-  ROOTLESS_SPAN_END(sim_.tracer(), pending.span);
 
   ResolutionResult result;
   result.rcode = rcode;

@@ -25,7 +25,6 @@
 #include "crypto/dnssec.h"
 #include "obs/counter_set.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/strings.h"
 #include "dns/message.h"
 #include "resolver/cache.h"
@@ -202,10 +201,6 @@ class RecursiveResolver {
     int attempt = 1;  // 1-based attempt number (for backoff + histogram)
     sim::SimTime last_send = 0;
     std::uint64_t generation = 0;  // invalidates stale timeout events
-    // Resolution-lifecycle trace spans (kNoSpan when the sim has no tracer):
-    // `span` covers query → answer, `stage_span` the current root/TLD leg.
-    obs::SpanId span = obs::kNoSpan;
-    obs::SpanId stage_span = obs::kNoSpan;
   };
 
   // Resolve() body; `is_chase` marks fire-and-forget NS-target lookups.

@@ -37,13 +37,6 @@ void RefreshDaemon::Attempt() {
   round_attempts_ = 0;
   schedule_ = sim::RetrySchedule(config_.retry);
   (void)schedule_.NextDelay(rng_);  // first attempt starts immediately
-  // Distribution lifecycle: one "distrib.refresh" span per attempt chain;
-  // an already-open span (a failed round being retried) keeps running
-  // until a fetch finally lands or fails terminally.
-  if (fetch_span_ == obs::kNoSpan) {
-    fetch_span_ =
-        ROOTLESS_SPAN_START(sim_.tracer(), "distrib.refresh", obs::kNoSpan);
-  }
   IssueNow();
 }
 
@@ -84,11 +77,8 @@ void RefreshDaemon::OnFetched(FetchResult result) {
   c_.refreshes.Inc();
   attempts_per_refresh_.Record(static_cast<std::uint64_t>(round_attempts_));
   expiry_ = sim_.now() + config_.zone_validity;
-  // The swap is atomic in sim time: mark it as an instant inside the span.
-  ROOTLESS_SPAN_INSTANT(sim_.tracer(), "distrib.swap", fetch_span_);
-  apply_(std::move(*result));
-  ROOTLESS_SPAN_END(sim_.tracer(), fetch_span_);
-  fetch_span_ = obs::kNoSpan;
+  // A null snapshot is "up to date": the copy already installed stays.
+  if (*result != nullptr) apply_(std::move(*result));
   ScheduleNextAttempt(config_.zone_validity - config_.refresh_lead);
 }
 

@@ -23,7 +23,6 @@
 
 #include "obs/counter_set.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/retry.h"
 #include "sim/simulator.h"
 #include "util/result.h"
@@ -61,7 +60,7 @@ enum class ZoneState {
 #define ROOTLESS_REFRESH_COUNTERS(X)                                          \
   X(fetch_attempts)                                                           \
   X(fetch_failures)                                                           \
-  X(refreshes)         /* successful applies */                               \
+  X(refreshes)         /* successful rounds, "up to date" included */         \
   X(expirations)       /* times the copy lapsed before a refresh */           \
   X(retries)           /* extra same-source attempts within rounds */         \
   X(fallbacks)         /* ladder steps to a lower-preference source */        \
@@ -76,16 +75,19 @@ struct RefreshStats : RefreshCounts {
 
 class RefreshDaemon {
  public:
-  // Fetch is asynchronous: call the continuation with a new snapshot or an
-  // error. Apply installs a fetched snapshot into the resolver — the same
-  // zone::SnapshotPtr RecursiveResolver::SetLocalZone takes, so a refresh is
-  // an atomic pointer swap end-to-end.
+  // Fetch is asynchronous: call the continuation with a new snapshot, an
+  // ok null snapshot, or an error. A null snapshot means "the copy you hold
+  // is current" (what AxfrClient::Fetch and net::FetchZoneTcp answer when
+  // asked with the held serial): the round succeeds and renews the copy's
+  // validity, but apply is not called. Apply installs a fetched snapshot into
+  // the resolver — the same zone::SnapshotPtr RecursiveResolver::SetLocalZone
+  // takes, so a refresh is an atomic pointer swap end-to-end.
   using FetchResult = util::Result<zone::SnapshotPtr>;
   using FetchFn = std::function<void(std::function<void(FetchResult)>)>;
   using ApplyFn = std::function<void(zone::SnapshotPtr)>;
 
   // One rung of the fallback ladder; rounds try sources in declaration
-  // order. The name labels log/trace output only.
+  // order. The name is descriptive only; the daemon does not read it.
   struct RefreshSource {
     std::string name;
     FetchFn fetch;
@@ -144,9 +146,6 @@ class RefreshDaemon {
   RefreshCounters c_;
   obs::Gauge stale_time_;
   obs::Histogram attempts_per_refresh_;
-  // Distribution-lifecycle span: covers attempt → applied (kNoSpan when the
-  // sim has no tracer or the fetch succeeded synchronously between events).
-  obs::SpanId fetch_span_ = obs::kNoSpan;
 };
 
 }  // namespace rootless::resolver

@@ -17,7 +17,6 @@
 
 #include "net/transport.h"
 #include "obs/counter_set.h"
-#include "obs/trace.h"
 #include "sim/faults.h"
 #include "sim/simulator.h"
 #include "util/bytes.h"
@@ -147,20 +146,6 @@ class Network final : public net::Transport {
     }
     const SimTime latency =
         LatencyBetween(datagram.src, datagram.dst) + extra_latency;
-    // Traced runs stamp a "net.flight" span per datagram (send → delivery,
-    // i.e. the one-way latency in sim time). The span id rides in a separate
-    // lambda so the common untraced delivery stays within EventFn's inline
-    // capture budget ({this, Datagram} is exactly 40 bytes — adding the id
-    // would push every delivery onto the heap).
-    const obs::SpanId flight =
-        ROOTLESS_SPAN_START(sim_.tracer(), "net.flight", obs::kNoSpan);
-    if (flight != obs::kNoSpan) {
-      sim_.Schedule(latency, [this, datagram = std::move(datagram), flight]() {
-        ROOTLESS_SPAN_END(sim_.tracer(), flight);
-        Deliver(datagram);
-      });
-      return;
-    }
     sim_.Schedule(latency, [this, datagram = std::move(datagram)]() {
       Deliver(datagram);
     });

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "obs/trace.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
 #include "util/check.h"
@@ -57,16 +56,6 @@ class Simulator {
   // events (see EventQueue::Reserve). Purely an allocation hint.
   void ReserveEvents(std::size_t n) { queue_.Reserve(n); }
 
-  // --- observability --------------------------------------------------
-  // The event loop is the natural home for the sim-time tracer: every
-  // component reaches its Simulator, and span timestamps must come from
-  // this clock (never the wall clock) to keep traced runs deterministic.
-  // MakeTracer binds a tracer to the clock; SetTracer publishes it to the
-  // components (resolver, network, distribution) that stamp spans.
-  obs::Tracer MakeTracer() const { return obs::Tracer(&now_); }
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() const { return tracer_; }
-
   // Runs a single event; returns false if none remain.
   bool Step() {
     if (queue_.empty()) return false;
@@ -95,7 +84,6 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace rootless::sim

@@ -168,21 +168,6 @@ Topology::RttDistribution DistributionOf(std::vector<sim::SimTime>& rtts) {
 
 }  // namespace
 
-Topology::RttDistribution Topology::RegionLetterRtt(int region, char letter,
-                                                    int samples) const {
-  ROOTLESS_CHECK(samples > 0);
-  std::vector<sim::SimTime> rtts;
-  rtts.reserve(static_cast<std::size_t>(samples));
-  for (int s = 0; s < samples; ++s) {
-    const auto salt = static_cast<std::uint64_t>(s);
-    const GeoPoint where = SampleInRegion(region, salt);
-    const std::uint64_t rid =
-        (static_cast<std::uint64_t>(region) << 32) + salt;
-    rtts.push_back(CatchmentRtt(where, rid, letter));
-  }
-  return DistributionOf(rtts);
-}
-
 Topology::RttDistribution Topology::RegionRootRtt(int region,
                                                   int samples) const {
   ROOTLESS_CHECK(samples > 0);

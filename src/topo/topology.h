@@ -131,12 +131,8 @@ class Topology {
     sim::SimTime p99 = 0;
     double mean_us = 0;
   };
-  // Catchment RTT distribution for resolvers sampled inside a region
-  // querying one letter.
-  RttDistribution RegionLetterRtt(int region, char letter,
-                                  int samples = 64) const;
-  // Same, but each sampled resolver uses its best letter — what a converged
-  // RTT-based root selector sees.
+  // Catchment RTT distribution for resolvers sampled inside a region, each
+  // using its best letter — what a converged RTT-based root selector sees.
   RttDistribution RegionRootRtt(int region, int samples = 64) const;
 
   // --- node placement and network latency ------------------------------

@@ -118,7 +118,6 @@ class ShardLabelSpace {
                   const std::vector<std::string>& real_tlds);
 
   const TldTable& tlds() const { return tlds_; }
-  bool IsRealTld(TldId id) const { return tld_real_[id] != 0; }
   std::uint32_t chunk_count() const { return chunk_count_; }
 
  private:
@@ -165,7 +164,6 @@ class ShardTraceGenerator {
   std::uint32_t chunk_count() const { return chunk_count_; }
   // Fully built before generation starts; never grows during it.
   const TldTable& tlds() const { return labels_->tlds(); }
-  bool IsRealTld(TldId id) const { return labels_->IsRealTld(id); }
   const ShardRange& range() const { return range_; }
   // Tallies over everything generated so far; final after the last chunk.
   const ShardTally& tally() const { return tally_; }

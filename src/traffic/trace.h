@@ -7,13 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "util/bytes.h"
-#include "util/result.h"
 
 namespace rootless::traffic {
 
@@ -53,15 +49,5 @@ struct Trace {
 
   std::size_t query_count() const { return events.size(); }
 };
-
-}  // namespace rootless::traffic
-
-namespace rootless::traffic {
-
-// Binary trace file format (magic | tld table | events with delta-encoded
-// timestamps) so generated days can be archived and replayed, the way DITL
-// captures are.
-util::Bytes SerializeTrace(const Trace& trace);
-util::Result<Trace> DeserializeTrace(std::span<const std::uint8_t> wire);
 
 }  // namespace rootless::traffic

@@ -36,17 +36,6 @@
 
 namespace rootless::util::simd {
 
-// Which backend this translation unit compiled in (for bench/doc output).
-inline const char* BackendName() {
-#if defined(ROOTLESS_SIMD_SSE2)
-  return "sse2";
-#elif defined(ROOTLESS_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
 // ---------------------------------------------------------------- folding
 //
 // Fold one byte: 'A'..'Z' -> 'a'..'z', everything else unchanged. This is

@@ -56,11 +56,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 Result<std::uint64_t> ParseU64(std::string_view s) {
   if (s.empty()) return Error("empty integer");
   std::uint64_t v = 0;

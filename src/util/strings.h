@@ -60,7 +60,6 @@ std::vector<std::string_view> SplitWhitespace(std::string_view s);
 std::string_view TrimWhitespace(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Strict unsigned parse of the entire string; fails on junk or overflow.
 Result<std::uint64_t> ParseU64(std::string_view s);

@@ -9,7 +9,6 @@
 #include "sim/simulator.h"
 #include "distrib/rsync.h"
 #include "dns/message.h"
-#include "traffic/trace.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
 #include "zone/master_file.h"
@@ -305,90 +304,6 @@ TEST(Fuzz, RsyncDeltaPrefixesAreTruncated) {
   ASSERT_GT(full->copied_bytes(), 0u);
   for (std::size_t n = 0; n < wire.size(); ++n) {
     const auto result = distrib::DeserializeDelta(std::span(wire.data(), n));
-    ASSERT_FALSE(result.ok()) << "prefix " << n;
-    EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
-        << "prefix " << n << ": " << result.error().message();
-  }
-}
-
-// A small trace whose varints take one to five bytes.
-util::Bytes SampleTraceWire(util::Rng& rng) {
-  traffic::Trace trace;
-  for (const char* label : {"com", "net", "belkin", "local", "xn--p1ai"}) {
-    trace.tlds.Intern(label);
-  }
-  std::uint32_t t = 0;
-  for (int i = 0; i < 200; ++i) {
-    t += static_cast<std::uint32_t>(rng.Below(i % 50 == 0 ? 1u << 20 : 300));
-    trace.events.push_back(
-        {t, static_cast<std::uint32_t>(rng.Below(i % 7 == 0 ? 1u << 30 : 100)),
-         static_cast<traffic::TldId>(rng.Below(trace.tlds.size()))});
-  }
-  return traffic::SerializeTrace(trace);
-}
-
-TEST(Fuzz, TraceDecoderNeverCrashes) {
-  util::Rng rng(137);
-  const util::Bytes valid = SampleTraceWire(rng);
-  ASSERT_TRUE(traffic::DeserializeTrace(valid).ok());
-  for (int i = 0; i < 2000; ++i) {
-    const auto decoded = traffic::DeserializeTrace(Mutate(valid, rng));
-    ExpectCodedFailure(decoded);
-    if (decoded.ok()) {
-      const auto wire = traffic::SerializeTrace(*decoded);
-      const auto again = traffic::DeserializeTrace(wire);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(traffic::SerializeTrace(*again), wire);
-    }
-    ExpectCodedFailure(traffic::DeserializeTrace(RandomBytes(rng, 64)));
-  }
-}
-
-// 11 bytes: the magic, no labels and a count of 2^40 events, which must be
-// refused before anything reserves room for them; and a time delta that
-// would carry the timestamp past 2^32-1.
-TEST(Fuzz, TraceDecoderBoundsCountsAndTimes) {
-  util::ByteWriter huge;
-  huge.WriteU32(0x44495452);  // "DITR"
-  huge.WriteVarint(0);
-  huge.WriteVarint(1ULL << 40);
-  const util::Bytes wire = huge.TakeData();
-  ASSERT_EQ(wire.size(), 11u);
-  const auto decoded = traffic::DeserializeTrace(wire);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.error().code(), ErrorCode::kTruncated);
-
-  const auto two_events = [](std::uint64_t second_delta) {
-    util::ByteWriter w;
-    w.WriteU32(0x44495452);
-    w.WriteVarint(1);
-    w.WriteVarint(3);
-    w.WriteString("com");
-    w.WriteVarint(2);
-    for (const std::uint64_t dt : {std::uint64_t{0xFFFFFFF0}, second_delta}) {
-      w.WriteVarint(dt);
-      w.WriteVarint(1);  // resolver
-      w.WriteVarint(0);  // tld
-    }
-    return w.TakeData();
-  };
-  const auto at_limit = traffic::DeserializeTrace(two_events(0xF));
-  ASSERT_TRUE(at_limit.ok());
-  EXPECT_EQ(at_limit->events.back().time_sec, 0xFFFFFFFFu);
-  for (const std::uint64_t dt : {std::uint64_t{0x10}, ~std::uint64_t{0}}) {
-    const auto past = traffic::DeserializeTrace(two_events(dt));
-    ASSERT_FALSE(past.ok()) << dt;
-    EXPECT_EQ(past.error().code(), ErrorCode::kCorrupted);
-  }
-}
-
-// Every proper prefix of a valid trace wire is a short read.
-TEST(Fuzz, TracePrefixesAreTruncated) {
-  util::Rng rng(139);
-  const util::Bytes wire = SampleTraceWire(rng);
-  ASSERT_TRUE(traffic::DeserializeTrace(wire).ok());
-  for (std::size_t n = 0; n < wire.size(); ++n) {
-    const auto result = traffic::DeserializeTrace(std::span(wire.data(), n));
     ASSERT_FALSE(result.ok()) << "prefix " << n;
     EXPECT_EQ(result.error().code(), ErrorCode::kTruncated)
         << "prefix " << n << ": " << result.error().message();

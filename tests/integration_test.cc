@@ -204,17 +204,7 @@ TEST(Integration, RefreshDaemonOverAxfrTransport) {
       {resolver::RefreshConfig{},
        {{"axfr",
          [&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
-           client.Fetch(server.node(), applied_serial,
-                        [done = std::move(done), &current](
-                            util::Result<zone::SnapshotPtr> result) {
-                          if (!result.ok()) {
-                            done(result.error());
-                          } else if (*result == nullptr) {
-                            done(current);  // up to date: keep serving
-                          } else {
-                            done(std::move(*result));
-                          }
-                        });
+           client.Fetch(server.node(), applied_serial, std::move(done));
          }}},
        [&](zone::SnapshotPtr z) { applied_serial = z->Serial(); }});
   daemon.Start(current);
@@ -233,6 +223,72 @@ TEST(Integration, RefreshDaemonOverAxfrTransport) {
   // The resolver's copy tracked the publisher through real transfers.
   EXPECT_GT(applied_serial, zone::RootZoneModel::SerialFor(start_date));
   EXPECT_GT(client.stats().transfers, 0u);
+}
+
+// A source that answers "up to date" (AxfrClient::Fetch asked with the held
+// serial returns an ok null snapshot) renews the copy without replacing it:
+// the resolver keeps answering from the zone it holds, in both local-root
+// modes.
+TEST(Integration, RefreshDaemonKeepsZoneWhenSourceIsUpToDate) {
+  const zone::RootZoneModel model(SmallModel());
+  const zone::SnapshotPtr published = ModelSnapshot(model, {2019, 6, 1});
+  for (const resolver::RootMode mode : {resolver::RootMode::kOnDemandZoneFile,
+                                        resolver::RootMode::kCachePreload}) {
+    SCOPED_TRACE(mode == resolver::RootMode::kCachePreload ? "preload"
+                                                           : "on-demand");
+    sim::Simulator sim;
+    sim::Network net(sim, 45);
+    topo::Topology registry;
+    net.set_latency_fn(registry.LatencyFn());
+    distrib::AxfrServer server(net, [&]() { return published; });
+    distrib::AxfrClient client(sim, net, {});
+    registry.PlaceNode(server.node(), {40, -74});
+    registry.PlaceNode(client.node(), {48, 2});
+    rootsrv::TldFarm farm(net, registry, *published, 2);
+
+    resolver::ResolverConfig config;
+    config.mode = mode;
+    config.seed = 2;
+    resolver::RecursiveResolver resolver(
+        sim, net, {config, topo::GeoPoint{48.85, 2.35}, nullptr, &registry});
+    resolver.SetTldFarm(&farm);
+
+    std::uint32_t held_serial = 0;
+    int null_applies = 0;
+    resolver::RefreshDaemon daemon(
+        sim,
+        {resolver::RefreshConfig{},
+         {{"axfr",
+           [&](std::function<void(resolver::RefreshDaemon::FetchResult)>
+                   done) {
+             client.Fetch(server.node(), held_serial, std::move(done));
+           }}},
+         [&](zone::SnapshotPtr z) {
+           if (z == nullptr) {
+             ++null_applies;  // SetLocalZone(nullptr) would drop the zone
+             return;
+           }
+           held_serial = z->Serial();
+           resolver.SetLocalZone(std::move(z));
+         }});
+    daemon.Start(published);
+    // The daemon reschedules forever, so run a bounded window: three days
+    // span the refresh at 42 h and the initial copy's expiry at 48 h.
+    sim.RunUntil(3 * sim::kDay);
+
+    EXPECT_EQ(null_applies, 0);
+    EXPECT_EQ(daemon.stats().refreshes, 1u);
+    EXPECT_EQ(held_serial, published->Serial());
+    EXPECT_TRUE(daemon.zone_valid());  // the initial copy alone lapsed at 48 h
+
+    dns::RCode rcode = dns::RCode::kServFail;
+    resolver.Resolve(N("www.com."), RRType::kA,
+                     [&](const resolver::ResolutionResult& result) {
+                       rcode = result.rcode;
+                     });
+    sim.RunUntil(3 * sim::kDay + sim::kMinute);
+    EXPECT_EQ(rcode, dns::RCode::kNoError);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Observability layer: metrics registry, histograms, sim-time trace spans,
-// and the shared bench exporter — plus the stats transitions of the two
-// distribution-side consumers (RefreshDaemon, ZoneFetchService) that ride on
-// registry handles.
+// Observability layer: metrics registry, histograms and the shared bench
+// exporter — plus the stats transitions of the two distribution-side
+// consumers (RefreshDaemon, ZoneFetchService) that ride on registry handles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,18 +11,12 @@
 #include "obs/counter_set.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "distrib/fetch_service.h"
 #include "resolver/cache.h"
-#include "resolver/recursive.h"
 #include "resolver/refresh_daemon.h"
 #include "rootsrv/pipeline.h"
-#include "rootsrv/tld_farm.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
-#include "topo/topology.h"
 #include "util/result.h"
-#include "zone/evolution.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless {
@@ -241,124 +234,6 @@ TEST(ObsHistogram, RecordTracksMomentsAndPercentiles) {
   EXPECT_LE(h.Percentile(50), 64u);
   EXPECT_GE(h.Percentile(99), 99u);
   EXPECT_LE(h.Percentile(99), 127u);
-}
-
-// ---------------------------------------------------------------- tracer
-
-TEST(ObsTracer, SpansUseSimClock) {
-  obs::SimTime clock = 100;
-  obs::Tracer tracer(&clock);
-  tracer.set_enabled(true);
-  const obs::SpanId a = tracer.Start("outer");
-  clock = 250;
-  const obs::SpanId b = tracer.Start("inner", a);
-  clock = 300;
-  tracer.End(b);
-  tracer.End(a);
-  ASSERT_EQ(tracer.spans().size(), 2u);
-  EXPECT_EQ(tracer.spans()[0].name, std::string("outer"));
-  EXPECT_EQ(tracer.spans()[0].start, 100);
-  EXPECT_EQ(tracer.spans()[0].end, 300);
-  EXPECT_EQ(tracer.spans()[1].parent, a);
-  EXPECT_EQ(tracer.spans()[1].start, 250);
-}
-
-TEST(ObsTracer, DisabledTracerRecordsNothing) {
-  obs::SimTime clock = 0;
-  obs::Tracer tracer(&clock);
-  EXPECT_EQ(tracer.Start("x"), obs::kNoSpan);
-  tracer.End(obs::kNoSpan);  // ignored
-  EXPECT_TRUE(tracer.spans().empty());
-}
-
-TEST(ObsTracer, MacrosTolerateNullTracer) {
-  obs::Tracer* none = nullptr;
-  const obs::SpanId id = ROOTLESS_SPAN_START(none, "x", obs::kNoSpan);
-  EXPECT_EQ(id, obs::kNoSpan);
-  ROOTLESS_SPAN_END(none, id);
-  ROOTLESS_SPAN_INSTANT(none, "x", obs::kNoSpan);
-}
-
-TEST(ObsTracer, NetworkFlightSpansCoverLatency) {
-  sim::Simulator sim;
-  obs::Registry reg;
-  sim::Network net(sim, 1, &reg);
-  obs::Tracer tracer = sim.MakeTracer();
-  tracer.set_enabled(true);
-  sim.SetTracer(&tracer);
-
-  const sim::NodeId a = net.AddNode(nullptr);
-  bool received = false;
-  const sim::NodeId b = net.AddNode([&](const sim::Datagram&) {
-    received = true;
-  });
-  net.Send(a, b, util::Bytes{1, 2, 3});
-  sim.Run();
-  EXPECT_TRUE(received);
-#if ROOTLESS_OBS_TRACE
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  EXPECT_EQ(tracer.spans()[0].name, std::string("net.flight"));
-  EXPECT_EQ(tracer.spans()[0].end - tracer.spans()[0].start,
-            20 * sim::kMillisecond);  // default uniform latency
-#endif
-}
-
-TEST(ObsTracer, ResolutionLifecycleSpans) {
-  sim::Simulator sim;
-  obs::Registry& reg = obs::Registry::Default();
-  sim::Network net(sim, 5, &reg);
-  topo::Topology geo;
-  net.set_latency_fn(geo.LatencyFn());
-  obs::Tracer tracer = sim.MakeTracer();
-  tracer.set_enabled(true);
-  sim.SetTracer(&tracer);
-
-  zone::EvolutionConfig zconfig;
-  zconfig.legacy_tld_count = 20;
-  zconfig.peak_tld_count = 30;
-  const zone::RootZoneModel model(zconfig);
-  const zone::SnapshotPtr snapshot =
-      zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1}));
-  rootsrv::TldFarm farm(net, geo, *snapshot, 2);
-
-  resolver::ResolverConfig rconfig;
-  rconfig.mode = resolver::RootMode::kOnDemandZoneFile;
-  rconfig.seed = 3;
-  resolver::RecursiveResolver r(sim, net, {rconfig, {0, 0}});
-  r.SetTldFarm(&farm);
-  r.SetLocalZone(snapshot);
-
-  bool done = false;
-  r.Resolve(*dns::Name::Parse("www.com."), dns::RRType::kA,
-            [&](const resolver::ResolutionResult& result) {
-              done = result.rcode == dns::RCode::kNoError;
-            });
-  sim.Run();
-  EXPECT_TRUE(done);
-#if ROOTLESS_OBS_TRACE
-  std::vector<std::string> names;
-  for (const auto& s : tracer.spans()) names.push_back(s.name);
-  // The lifecycle: resolve → local-root leg → tld leg (plus net.flight
-  // spans for each datagram). Every span must be closed at sim.Run() end.
-  EXPECT_NE(std::find(names.begin(), names.end(), "resolve"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "local-root"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "tld"), names.end());
-  for (const auto& s : tracer.spans()) {
-    EXPECT_GE(s.end, s.start) << s.name << " left open";
-  }
-  // Stage spans are children of the resolve span.
-  const auto& spans = tracer.spans();
-  obs::SpanId resolve_id = obs::kNoSpan;
-  for (const auto& s : spans) {
-    if (std::string(s.name) == "resolve") resolve_id = s.id;
-  }
-  for (const auto& s : spans) {
-    if (std::string(s.name) == "local-root" ||
-        std::string(s.name) == "tld") {
-      EXPECT_EQ(s.parent, resolve_id);
-    }
-  }
-#endif
 }
 
 // ---------------------------------------------------------------- export

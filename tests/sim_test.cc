@@ -93,6 +93,17 @@ TEST(Network, DeliversAfterLatency) {
   EXPECT_EQ(received, (util::Bytes{1, 2, 3}));
   EXPECT_EQ(net.stats().datagrams_sent, 1u);
   EXPECT_EQ(net.stats().bytes_sent, 3u);
+
+  // With no latency function installed, every hop takes 20 ms.
+  Simulator plain_sim;
+  Network plain(plain_sim, 1);
+  SimTime plain_at = -1;
+  const NodeId c = plain.AddNode(nullptr);
+  const NodeId d =
+      plain.AddNode([&](const Datagram&) { plain_at = plain_sim.now(); });
+  plain.Send(c, d, {4});
+  plain_sim.Run();
+  EXPECT_EQ(plain_at, 20 * kMillisecond);
 }
 
 TEST(Network, SourceAndDestinationAreReported) {

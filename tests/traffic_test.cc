@@ -292,45 +292,5 @@ TEST(SortEvents, RefusesSpansWiderThanAYear) {
   EXPECT_THROW(SortEvents(events, scratch), std::logic_error);
 }
 
-TEST(TraceFile, RoundTrip) {
-  WorkloadConfig config;
-  config.scale = 0.00005;
-  const Trace original = GenerateDitlTrace(config, RealTlds());
-  const auto wire = SerializeTrace(original);
-  auto decoded = DeserializeTrace(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-  ASSERT_EQ(decoded->events.size(), original.events.size());
-  ASSERT_EQ(decoded->tlds.size(), original.tlds.size());
-  for (std::size_t i = 0; i < original.events.size(); i += 101) {
-    EXPECT_EQ(decoded->events[i].time_sec, original.events[i].time_sec);
-    EXPECT_EQ(decoded->events[i].resolver_id, original.events[i].resolver_id);
-    EXPECT_EQ(decoded->tlds.LabelOf(decoded->events[i].tld),
-              original.tlds.LabelOf(original.events[i].tld));
-  }
-  // Classifying the round-tripped trace gives identical results.
-  const auto a = ClassifyTrace(original, RealTldPredicate());
-  const auto b = ClassifyTrace(*decoded, RealTldPredicate());
-  EXPECT_EQ(a.bogus_tld_queries, b.bogus_tld_queries);
-  EXPECT_EQ(a.valid_budget, b.valid_budget);
-}
-
-TEST(TraceFile, DeltaTimestampsCompress) {
-  WorkloadConfig config;
-  config.scale = 0.00005;
-  const Trace trace = GenerateDitlTrace(config, RealTlds());
-  const auto wire = SerializeTrace(trace);
-  // Well under 8 bytes/event thanks to varint + delta encoding.
-  EXPECT_LT(wire.size(), trace.events.size() * 8);
-}
-
-TEST(TraceFile, RejectsCorruption) {
-  EXPECT_FALSE(DeserializeTrace(util::Bytes{1, 2, 3}).ok());
-  WorkloadConfig config;
-  config.scale = 0.00002;
-  auto wire = SerializeTrace(GenerateDitlTrace(config, RealTlds()));
-  wire.resize(wire.size() / 2);
-  EXPECT_FALSE(DeserializeTrace(wire).ok());
-}
-
 }  // namespace
 }  // namespace rootless::traffic
