@@ -93,17 +93,19 @@ TEST(Network, DeliversAfterLatency) {
   EXPECT_EQ(received, (util::Bytes{1, 2, 3}));
   EXPECT_EQ(net.stats().datagrams_sent, 1u);
   EXPECT_EQ(net.stats().bytes_sent, 3u);
+}
 
+TEST(Network, DefaultLatencyIsTwentyMilliseconds) {
   // With no latency function installed, every hop takes 20 ms.
-  Simulator plain_sim;
-  Network plain(plain_sim, 1);
-  SimTime plain_at = -1;
-  const NodeId c = plain.AddNode(nullptr);
-  const NodeId d =
-      plain.AddNode([&](const Datagram&) { plain_at = plain_sim.now(); });
-  plain.Send(c, d, {4});
-  plain_sim.Run();
-  EXPECT_EQ(plain_at, 20 * kMillisecond);
+  Simulator sim;
+  Network net(sim, 1);
+  SimTime delivered_at = -1;
+  const NodeId a = net.AddNode(nullptr);
+  const NodeId b =
+      net.AddNode([&](const Datagram&) { delivered_at = sim.now(); });
+  net.Send(a, b, {4});
+  sim.Run();
+  EXPECT_EQ(delivered_at, 20 * kMillisecond);
 }
 
 TEST(Network, SourceAndDestinationAreReported) {
