@@ -182,7 +182,7 @@ OutagePoint RunOutagePoint(int outage_hours, bool with_ladder) {
   auto subscriber = std::make_shared<distrib::DiffSubscriber>(snapshot);
 
   resolver::RefreshConfig config;  // validity 48h, lead 6h, retry 1h
-  std::vector<resolver::RefreshDaemon::RefreshSource> sources;
+  std::vector<resolver::RefreshDaemon::FetchFn> sources;
   using FetchResult = resolver::RefreshDaemon::FetchResult;
   if (with_ladder) {
     config.retry = sim::RetryPolicy{.max_attempts = 2,
@@ -190,38 +190,37 @@ OutagePoint RunOutagePoint(int outage_hours, bool with_ladder) {
                                     .backoff_multiplier = 2.0,
                                     .max_backoff = 30 * sim::kMinute,
                                     .jitter = 0.25};
-    sources.push_back(
-        {"diff", [&, start, dur](std::function<void(FetchResult)> done) {
-           if (sim.now() >= start && sim.now() < start + dur) {
-             sim.Schedule(5 * sim::kSecond, [done = std::move(done)]() {
-               done(util::Error(ErrorCode::kUnreachable,
-                                "diff endpoint unreachable"));
-             });
-             return;
-           }
-           sim.Schedule(200 * sim::kMillisecond, [&, done = std::move(
-                                                        done)]() {
-             auto status =
-                 subscriber->Apply(publisher.UpdatesSince(subscriber->serial()));
-             if (!status.ok()) {
-               done(util::Error(status.error()));
-               return;
-             }
-             done(subscriber->snapshot());
-           });
-         }});
-    sources.push_back(
-        {"axfr", [&](std::function<void(FetchResult)> done) {
-           axfr_client.Fetch(
-               axfr_server.node(), 0,
-               [done = std::move(done)](util::Result<zone::SnapshotPtr> r) {
-                 done(std::move(r));
-               });
-         }});
+    sources.push_back(  // rung 1: the diff channel
+        [&, start, dur](std::function<void(FetchResult)> done) {
+          if (sim.now() >= start && sim.now() < start + dur) {
+            sim.Schedule(5 * sim::kSecond, [done = std::move(done)]() {
+              done(util::Error(ErrorCode::kUnreachable,
+                               "diff endpoint unreachable"));
+            });
+            return;
+          }
+          sim.Schedule(200 * sim::kMillisecond, [&, done = std::move(
+                                                       done)]() {
+            auto status =
+                subscriber->Apply(publisher.UpdatesSince(subscriber->serial()));
+            if (!status.ok()) {
+              done(util::Error(status.error()));
+              return;
+            }
+            done(subscriber->snapshot());
+          });
+        });
+    sources.push_back([&](std::function<void(FetchResult)> done) {  // rung 2
+      axfr_client.Fetch(
+          axfr_server.node(), 0,
+          [done = std::move(done)](util::Result<zone::SnapshotPtr> r) {
+            done(std::move(r));
+          });
+    });
   }
-  sources.push_back({"full", [&](std::function<void(FetchResult)> done) {
-                       full.Fetch(std::move(done));
-                     }});
+  sources.push_back([&](std::function<void(FetchResult)> done) {  // rung 3
+    full.Fetch(std::move(done));
+  });
 
   resolver::RefreshDaemon daemon(
       sim, {config, std::move(sources), [](zone::SnapshotPtr) {}});

@@ -16,7 +16,9 @@
 // from smaller machines are interpretable); the determinism assertions are
 // unconditional.
 //
-// Usage: ditl_scale_replay [--out BENCH_ditl_replay.json] [--quick]
+// Usage: ditl_scale_replay [--out FILE.json] [--quick]
+//   --out defaults to ditl_scale_replay.bench.json (git-ignored); the
+//   bench_ditl_replay target passes the committed BENCH_ditl_replay.json.
 //   --quick drops the scale-0.1 point (~10x the runtime of the rest).
 
 #include <chrono>
@@ -123,7 +125,7 @@ void CheckMix(const RunRecord& record) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_ditl_replay.json";
+  std::string out_path = "ditl_scale_replay.bench.json";
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {

@@ -4,7 +4,10 @@
 // It is meant to be *run by the build* (the `bench_hotpath` target) and to
 // leave a machine-readable record of the repo's perf trajectory. Usage:
 //
-//   hotpath_bench [--out BENCH_hotpath.json] [--baseline old.json]
+//   hotpath_bench [--out FILE.json] [--baseline old.json]
+//
+// --out defaults to hotpath_bench.bench.json (git-ignored); the
+// bench_hotpath target passes the committed BENCH_hotpath.json.
 //
 // With --baseline the previous run's metrics are embedded under "baseline"
 // and per-metric speedups are computed, so a committed JSON documents both
@@ -34,7 +37,7 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "topo/geo.h"
-#include "traffic/workload.h"
+#include "traffic/shard.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
 #include "zone/master_file.h"
@@ -654,7 +657,17 @@ ReplayResult BenchTrafficReplay() {
   }
   traffic::WorkloadConfig config;
   config.scale = 0.0002;  // ~1.1M queries
-  const traffic::Trace trace = traffic::GenerateDitlTrace(config, real_tlds);
+  // A one-shard day: its chunks, appended in order, are in trace order.
+  const traffic::ShardPlan plan = traffic::MakeShardPlan(config, 1);
+  const traffic::ShardLabelSpace labels(config, real_tlds);
+  traffic::ShardTraceGenerator gen(config, plan, 0, labels);
+  traffic::Trace trace;
+  trace.tlds = labels.tlds();
+  traffic::ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    trace.events.insert(trace.events.end(), chunk.events.begin(),
+                        chunk.events.end());
+  }
 
   std::vector<dns::Name> qnames;
   qnames.reserve(trace.tlds.size());
@@ -710,7 +723,7 @@ std::map<std::string, double> LoadBaseline(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_hotpath.json";
+  std::string out_path = "hotpath_bench.bench.json";
   std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {

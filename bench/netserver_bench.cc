@@ -22,6 +22,8 @@
 //
 // Usage: netserver_bench [--out FILE.json] [--baseline OLD.json]
 //                        [--duration MS] [--workers N]
+// --out defaults to netserver_bench.bench.json (git-ignored); the
+// bench_netserver target passes the committed BENCH_netserver.json.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -293,7 +295,7 @@ std::map<std::string, double> LoadJsonNumbers(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_netserver.json";
+  std::string out_path = "netserver_bench.bench.json";
   std::string baseline_path;
   std::string hotpath_path = "BENCH_hotpath.json";
   int duration_ms = 2000;

@@ -1,6 +1,6 @@
 // §2.2 — "Root Nameserver Traffic": the in-text DITL-2018 analysis.
 //
-// Generates a scaled DITL day against the root zone of 2018-04-11, runs the
+// Streams a scaled DITL day against the root zone of 2018-04-11 through the
 // paper's classifier, and prints the decomposition next to the published
 // numbers:
 //   * 5.7B queries (~66K qps) from 4.1M resolvers, 723K bogus-only,
@@ -11,13 +11,11 @@
 // Also distributes the day across the j-root anycast catchment to report
 // per-instance load.
 #include <cstdio>
-#include <set>
 #include <vector>
 
 #include "analysis/report.h"
 #include "topo/topology.h"
-#include "traffic/classify.h"
-#include "traffic/workload.h"
+#include "traffic/shard.h"
 #include "util/strings.h"
 #include "zone/evolution.h"
 #include "obs/export.h"
@@ -35,24 +33,31 @@ int main() {
 
   const zone::RootZoneModel zone_model;
   std::vector<std::string> real_tlds;
-  std::set<std::string> tld_set;
   for (const auto* tld : zone_model.ActiveTlds({2018, 4, 11})) {
     real_tlds.push_back(tld->label);
-    tld_set.insert(tld->label);
   }
 
   traffic::WorkloadConfig config;
   config.scale = 0.001;  // 5.7M queries, 4.1K resolvers
-  traffic::WorkloadSummary summary;
-  const traffic::Trace trace =
-      traffic::GenerateDitlTrace(config, real_tlds, &summary);
-  const auto report = traffic::ClassifyTrace(
-      trace, [&](const std::string& label) { return tld_set.count(label) > 0; });
+  // One shard streams the whole day and classifies it as it goes; the
+  // per-instance table below needs only each resolver's query count.
+  const traffic::ShardPlan plan = traffic::MakeShardPlan(config, 1);
+  const traffic::ShardLabelSpace labels(config, real_tlds);
+  traffic::ShardTraceGenerator gen(config, plan, 0, labels);
+  std::vector<std::uint64_t> resolver_queries(plan.resolver_count, 0);
+  traffic::ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    for (const traffic::QueryEvent& e : chunk.events) {
+      ++resolver_queries[e.resolver_id];
+    }
+  }
+  const traffic::TrafficMixReport report = gen.tally().ToReport();
 
   const double scale_up = 1.0 / config.scale;
-  std::printf("generated %zu queries at scale %.4f (models %s full-scale)\n\n",
-              trace.events.size(), config.scale,
-              util::FormatCount(static_cast<double>(trace.events.size()) *
+  std::printf("generated %llu queries at scale %.4f (models %s full-scale)\n\n",
+              static_cast<unsigned long long>(report.total_queries),
+              config.scale,
+              util::FormatCount(static_cast<double>(report.total_queries) *
                                 scale_up)
                   .c_str());
 
@@ -90,22 +95,16 @@ int main() {
   const topo::Topology topology;  // defaults to the DITL collection day
   const auto j_sites = topology.deployment().SitesOn('j', topology.date());
   std::vector<std::uint64_t> per_instance(j_sites.size(), 0);
-  util::Rng rng(17);
-  // One location per resolver; its whole query volume lands on one site.
-  std::vector<std::uint32_t> resolver_site;
-  std::vector<std::uint64_t> resolver_queries;
   {
     std::vector<topo::DeploymentModel::Instance> instances;
     for (std::size_t i = 0; i < j_sites.size(); ++i) {
       instances.push_back({'j', static_cast<int>(i), j_sites[i]});
     }
-    std::vector<std::uint32_t> site_of_resolver(report.resolvers_total + 1000);
-    for (auto& s : site_of_resolver) {
-      s = static_cast<std::uint32_t>(
-          topo::NearestInstance(instances, topo::SamplePopulationPoint(rng)));
-    }
-    for (const auto& e : trace.events) {
-      per_instance[site_of_resolver[e.resolver_id % site_of_resolver.size()]]++;
+    // One location per resolver; its whole query volume lands on one site.
+    util::Rng rng(17);
+    for (const std::uint64_t queries : resolver_queries) {
+      per_instance[topo::NearestInstance(
+          instances, topo::SamplePopulationPoint(rng))] += queries;
     }
   }
   std::uint64_t max_load = 0, nonzero = 0;
@@ -125,7 +124,7 @@ int main() {
                util::FormatCount(mean_valid_qps_per_instance)});
   load.AddRow({"hottest instance share", "-",
                util::FormatPercent(static_cast<double>(max_load) /
-                                   static_cast<double>(trace.events.size()))});
+                                   static_cast<double>(report.total_queries))});
   std::printf("%s\n", load.Render().c_str());
   rootless::obs::ExportRun(run_info);
   return 0;

@@ -6,14 +6,13 @@
 // adoption-lag model: for a TTL/refresh interval T, a resolver first learns
 // about a new TLD T/2 later on average — quantifying the §5.2 TTL trade-off
 // and the paper's "recent additions diff file" mitigation.
+#include <algorithm>
 #include <cstdio>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/report.h"
-#include "traffic/classify.h"
-#include "traffic/workload.h"
+#include "traffic/shard.h"
 #include "util/strings.h"
 #include "zone/evolution.h"
 #include "zone/snapshot.h"
@@ -43,28 +42,52 @@ int main() {
   for (const auto* tld : model.ActiveTlds({2018, 4, 11})) {
     real_tlds.push_back(tld->label);
   }
+  // Scale 0.01 (57M queries, 41K resolvers): each regular resolver adopts
+  // .llc with probability floor(0.00044 * resolvers) / regulars, so scale
+  // 0.001 expects a single adopter and can draw none.
   traffic::WorkloadConfig config;
-  config.scale = 0.001;
-  const traffic::Trace trace = traffic::GenerateDitlTrace(config, real_tlds);
-  const traffic::TldShare share = traffic::MeasureTldShare(trace, "llc");
+  config.scale = 0.01;
+  const traffic::ShardPlan plan = traffic::MakeShardPlan(config, 1);
+  const traffic::ShardLabelSpace labels(config, real_tlds);
+  traffic::ShardTraceGenerator gen(config, plan, 0, labels);
+  traffic::TldId llc_id = 0;
+  while (labels.tlds().LabelOf(llc_id) != "llc") ++llc_id;
+  std::uint64_t llc_queries = 0;
+  std::vector<bool> queried_llc(plan.resolver_count, false);
+  traffic::ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    for (const traffic::QueryEvent& e : chunk.events) {
+      if (e.tld != llc_id) continue;
+      ++llc_queries;
+      queried_llc[e.resolver_id] = true;
+    }
+  }
+  const traffic::ShardTally& tally = gen.tally();
+  const auto llc_resolvers = static_cast<std::uint64_t>(
+      std::count(queried_llc.begin(), queried_llc.end(), true));
 
   analysis::Table table({"metric", "paper (DITL 2018)", "measured (scaled)"});
   char buf[64];
   table.AddRow({"queries for .llc", "6.5K of 5.7B",
-                std::to_string(share.queries) + " of " +
-                    std::to_string(trace.events.size())});
-  std::snprintf(buf, sizeof(buf), "%.5f%%", share.query_fraction * 100);
+                std::to_string(llc_queries) + " of " +
+                    std::to_string(tally.total_queries)});
+  std::snprintf(buf, sizeof(buf), "%.5f%%",
+                100.0 * static_cast<double>(llc_queries) /
+                    static_cast<double>(tally.total_queries));
   table.AddRow({"query share", "<0.0002%", buf});
   table.AddRow({"resolvers querying .llc", "1,817 of 4.1M",
-                std::to_string(share.resolvers)});
-  std::snprintf(buf, sizeof(buf), "%.3f%%", share.resolver_fraction * 100);
+                std::to_string(llc_resolvers) + " of " +
+                    std::to_string(tally.resolvers_total)});
+  std::snprintf(buf, sizeof(buf), "%.3f%%",
+                100.0 * static_cast<double>(llc_resolvers) /
+                    static_cast<double>(tally.resolvers_total));
   table.AddRow({"resolver share", "<0.1%", buf});
   std::printf("%s\n", table.Render().c_str());
 
   // ---- adoption lag under TTL choices ---------------------------------
   analysis::Table lag({"refresh interval", "mean lag until visible",
                        "worst-case lag", "queries lost in lag window*"});
-  const double llc_qps = static_cast<double>(share.queries) / 86400.0;
+  const double llc_qps = static_cast<double>(llc_queries) / 86400.0;
   for (const double days : {1.0, 2.0, 7.0, 14.0}) {
     std::snprintf(buf, sizeof(buf), "%.1f days", days / 2.0);
     char worst[32];
@@ -72,7 +95,7 @@ int main() {
     char lost[48];
     std::snprintf(lost, sizeof(lost), "%.1f (of %llu/day observed)",
                   llc_qps * 86400.0 * days / 2.0,
-                  static_cast<unsigned long long>(share.queries));
+                  static_cast<unsigned long long>(llc_queries));
     char label[32];
     std::snprintf(label, sizeof(label), "%.0f days", days);
     lag.AddRow({label, buf, worst, lost});

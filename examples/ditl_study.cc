@@ -1,17 +1,16 @@
-// A DITL-style traffic study: generate a scaled day of root traffic and
-// decompose it with the paper's §2.2 classifier. Use the scale argument to
-// trade runtime for statistical tightness.
+// A DITL-style traffic study: stream a scaled day of root traffic through
+// the paper's §2.2 classifier. Use the scale argument to trade runtime for
+// statistical tightness.
 //
 //   $ ./ditl_study [scale]       (default 0.0005 ~ 2.85M queries)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "traffic/classify.h"
-#include "traffic/workload.h"
+#include "traffic/shard.h"
 #include "util/strings.h"
 #include "zone/evolution.h"
 
@@ -29,14 +28,20 @@ int main(int argc, char** argv) {
     tld_set.insert(tld->label);
   }
 
-  traffic::WorkloadSummary summary;
-  const traffic::Trace trace =
-      traffic::GenerateDitlTrace(config, tlds, &summary);
-  std::printf("generated %zu queries from %u resolvers (scale %.4f)\n",
-              trace.events.size(), summary.resolver_count, config.scale);
-
-  const auto report = traffic::ClassifyTrace(
-      trace, [&](const std::string& t) { return tld_set.count(t) > 0; });
+  // One shard streams the whole day and classifies it as it goes; the
+  // junk table below needs only the query count per label.
+  const traffic::ShardPlan plan = traffic::MakeShardPlan(config, 1);
+  const traffic::ShardLabelSpace labels(config, tlds);
+  traffic::ShardTraceGenerator gen(config, plan, 0, labels);
+  std::vector<std::uint64_t> label_queries(labels.tlds().size(), 0);
+  traffic::ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    for (const traffic::QueryEvent& e : chunk.events) ++label_queries[e.tld];
+  }
+  const traffic::TrafficMixReport report = gen.tally().ToReport();
+  std::printf("generated %llu queries from %u resolvers (scale %.4f)\n",
+              static_cast<unsigned long long>(report.total_queries),
+              plan.resolver_count, config.scale);
 
   std::printf("\nquery decomposition (paper Sec 2.2):\n");
   std::printf("  bogus TLDs:                 %6.1f%%  (paper 61.0%%)\n",
@@ -54,20 +59,20 @@ int main(int argc, char** argv) {
                   std::max(1u, report.resolvers_total));
 
   // Top junk labels, the way root-traffic studies tabulate them.
-  std::map<std::string, std::uint64_t> junk;
-  for (const auto& e : trace.events) {
-    const std::string& label = trace.tlds.LabelOf(e.tld);
-    if (tld_set.count(label) == 0) ++junk[label];
-  }
   std::vector<std::pair<std::uint64_t, std::string>> top;
-  for (const auto& [label, count] : junk) top.push_back({count, label});
+  for (traffic::TldId id = 0; id < label_queries.size(); ++id) {
+    const std::string& label = labels.tlds().LabelOf(id);
+    if (label_queries[id] > 0 && tld_set.count(label) == 0) {
+      top.push_back({label_queries[id], label});
+    }
+  }
   std::sort(top.rbegin(), top.rend());
   std::printf("\ntop bogus TLDs:\n");
   for (std::size_t i = 0; i < std::min<std::size_t>(top.size(), 8); ++i) {
     std::printf("  %-14s %8llu (%s)\n", top[i].second.c_str(),
                 static_cast<unsigned long long>(top[i].first),
                 util::FormatPercent(static_cast<double>(top[i].first) /
-                                    trace.events.size())
+                                    static_cast<double>(report.total_queries))
                     .c_str());
   }
   return 0;

@@ -102,11 +102,10 @@ int main() {
   resolver::RefreshDaemon daemon(
       sim,
       {.config = {},
-       .sources = {{"fetch",
-                    [&](std::function<void(
-                            resolver::RefreshDaemon::FetchResult)> done) {
-                      service.Fetch(std::move(done));
-                    }}},
+       .sources = {[&](std::function<void(
+                          resolver::RefreshDaemon::FetchResult)> done) {
+                    service.Fetch(std::move(done));
+                  }},
        .apply =
            [&](zone::SnapshotPtr z) {
              std::printf("  [t=%5.1f h] applied zone serial %u\n",

@@ -81,6 +81,10 @@ util::Result<zone::SnapshotPtr> AssembleAxfrStream(
 
   zone::Zone zone(open.name);
   for (std::size_t i = 0; i + 1 < records.size(); ++i) {
+    // A zone has one SOA record, and it only brackets the transfer.
+    if (i > 0 && records[i].type == dns::RRType::kSOA) {
+      return Error(ErrorCode::kProtocol, "axfr: SOA inside the stream");
+    }
     auto status = zone.AddRecord(records[i]);
     if (!status.ok()) {
       return Error(ErrorCode::kProtocol,

@@ -33,9 +33,10 @@ std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
 
 // Decodes and validates a transfer stream: every message must parse with
 // rcode NOERROR, the record sequence must open and close with the same SOA
-// (serial included). Returns the rebuilt snapshot. Error codes: kCorrupted
-// for undecodable messages, kProtocol for a broken SOA bracket or an error
-// rcode.
+// (serial included) and hold no other SOA. Returns the rebuilt snapshot. Error codes: the message
+// decoder's kTruncated (a message cut short) or kCorrupted (malformed
+// bytes); kProtocol for an error rcode, a broken SOA bracket, an SOA inside
+// the stream or a record the zone refuses.
 util::Result<zone::SnapshotPtr> AssembleAxfrStream(
     std::span<const util::Bytes> messages);
 

@@ -43,7 +43,7 @@ void RefreshDaemon::Attempt() {
 void RefreshDaemon::IssueNow() {
   c_.fetch_attempts.Inc();
   ++round_attempts_;
-  sources_[round_source_].fetch(
+  sources_[round_source_](
       [this](FetchResult result) { OnFetched(std::move(result)); });
 }
 

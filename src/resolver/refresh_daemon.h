@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/counter_set.h"
@@ -86,17 +85,12 @@ class RefreshDaemon {
   using FetchFn = std::function<void(std::function<void(FetchResult)>)>;
   using ApplyFn = std::function<void(zone::SnapshotPtr)>;
 
-  // One rung of the fallback ladder; rounds try sources in declaration
-  // order. The name is descriptive only; the daemon does not read it.
-  struct RefreshSource {
-    std::string name;
-    FetchFn fetch;
-  };
-
   // Aggregate options (designated-initializer friendly).
   struct Options {
     RefreshConfig config;
-    std::vector<RefreshSource> sources;
+    // The fallback ladder, one fetch per rung; rounds try the rungs in
+    // order.
+    std::vector<FetchFn> sources;
     ApplyFn apply;
     obs::Registry* registry = nullptr;
   };
@@ -131,7 +125,7 @@ class RefreshDaemon {
 
   sim::Simulator& sim_;
   RefreshConfig config_;
-  std::vector<RefreshSource> sources_;
+  std::vector<FetchFn> sources_;
   ApplyFn apply_;
   util::Rng rng_;
   sim::SimTime expiry_ = 0;

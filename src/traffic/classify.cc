@@ -69,27 +69,4 @@ TrafficMixReport ClassifyTrace(
   return report;
 }
 
-TldShare MeasureTldShare(const Trace& trace, const std::string& tld_label) {
-  TldShare share;
-  std::unordered_set<std::uint32_t> tld_resolvers;
-  std::unordered_set<std::uint32_t> all_resolvers;
-  for (const auto& e : trace.events) {
-    all_resolvers.insert(e.resolver_id);
-    if (trace.tlds.LabelOf(e.tld) == tld_label) {
-      ++share.queries;
-      tld_resolvers.insert(e.resolver_id);
-    }
-  }
-  share.resolvers = static_cast<std::uint32_t>(tld_resolvers.size());
-  if (!trace.events.empty()) {
-    share.query_fraction = static_cast<double>(share.queries) /
-                           static_cast<double>(trace.events.size());
-  }
-  if (!all_resolvers.empty()) {
-    share.resolver_fraction = static_cast<double>(share.resolvers) /
-                              static_cast<double>(all_resolvers.size());
-  }
-  return share;
-}
-
 }  // namespace rootless::traffic

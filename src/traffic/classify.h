@@ -68,20 +68,12 @@ struct ClassifyOptions {
 };
 
 // `is_real_tld` decides delegation membership (e.g. a lookup against the
-// root zone snapshot for the collection day).
+// root zone snapshot for the collection day). The generated day classifies
+// itself while it streams (ShardTally, traffic/shard.h); this whole-trace
+// classifier is the reference that tally is tested against.
 TrafficMixReport ClassifyTrace(
     const Trace& trace,
     const std::function<bool(const std::string&)>& is_real_tld,
     const ClassifyOptions& options = {});
-
-// Per-TLD share report used by the §5.3 ".llc" analysis.
-struct TldShare {
-  std::uint64_t queries = 0;
-  std::uint32_t resolvers = 0;
-  double query_fraction = 0;     // of all queries in the trace
-  double resolver_fraction = 0;  // of all resolvers in the trace
-};
-
-TldShare MeasureTldShare(const Trace& trace, const std::string& tld_label);
 
 }  // namespace rootless::traffic

@@ -30,19 +30,12 @@ constexpr std::uint64_t kChunkSalt = 0x4348554EULL;    // per-(resolver,chunk)
 constexpr std::uint64_t kPoolSalt = 0x504F4F4CULL;     // shared garbage pool
 constexpr std::uint64_t kAttackSalt = 0x41545443ULL;   // adversarial stream
 
-// Mirrors SampleBogusTld's label pool (same vendor-default suffixes).
-constexpr const char* kCommonJunk[] = {
-    "local",   "home",        "lan",    "internal",  "corp",
-    "domain",  "localdomain", "belkin", "dlink",     "workgroup",
-    "invalid", "test",        "router", "localhost", "intranet"};
-
 }  // namespace
 
 ShardPlan MakeShardPlan(const WorkloadConfig& config, int num_shards) {
   ROOTLESS_CHECK(num_shards >= 1);
   ROOTLESS_CHECK(config.scale > 0);
   ShardPlan plan;
-  // Population sizing must match GenerateDitlTrace exactly.
   plan.resolver_count = static_cast<std::uint32_t>(std::max<std::uint64_t>(
       10, static_cast<std::uint64_t>(
               static_cast<double>(config.full_scale_resolvers) * config.scale)));
@@ -122,18 +115,11 @@ ShardLabelSpace::ShardLabelSpace(const WorkloadConfig& config,
   for (const char* label : kCommonJunk) {
     common_junk_ids_.push_back(tlds_.Intern(label));
   }
-  // Fixed garbage pool replacing GenerateDitlTrace's unbounded one-off
-  // labels; seeded from config.seed only so all shards agree.
+  // Fixed garbage pool, seeded from config.seed only so all shards agree.
   util::Rng pool_rng(DeriveSeed(config.seed, kPoolSalt, 0));
   garbage_pool_.reserve(kGarbagePoolSize);
-  std::string label;
   for (std::uint32_t i = 0; i < kGarbagePoolSize; ++i) {
-    label.clear();
-    const std::size_t len = 6 + pool_rng.Below(10);
-    for (std::size_t j = 0; j < len; ++j) {
-      label.push_back(static_cast<char>('a' + pool_rng.Below(26)));
-    }
-    garbage_pool_.push_back(tlds_.Intern(label));
+    garbage_pool_.push_back(tlds_.Intern(GarbageLabel(pool_rng)));
   }
   if (!config.new_tld.empty() && !new_tld_delegated_) {
     new_tld_id_ = tlds_.Intern(config.new_tld);
@@ -147,9 +133,8 @@ ShardLabelSpace::ShardLabelSpace(const WorkloadConfig& config,
 
   tld_zipf_ = util::ZipfSampler(real_ids_.size(), config.tld_zipf_s);
 
-  // Diurnal modulation: the same day/night swing GenerateDitlTrace applies
-  // via rejection sampling, discretized per chunk and normalized so the
-  // weights average to exactly 1 (rates stay calibrated).
+  // Diurnal modulation: a mild day/night swing, 0.75 + 0.25·sin per chunk,
+  // normalized so the weights average to exactly 1 (rates stay calibrated).
   diurnal_.resize(chunk_count_);
   double sum = 0;
   for (std::uint32_t c = 0; c < chunk_count_; ++c) {
@@ -176,8 +161,8 @@ ShardTraceGenerator::ShardTraceGenerator(const WorkloadConfig& config,
   ROOTLESS_CHECK(chunk_count_ == labels.chunk_count());
 
   // ---- calibration ----------------------------------------------------
-  // Re-express GenerateDitlTrace's day-level targets as per-resolver,
-  // per-chunk rates so each (resolver, chunk) cell is independent.
+  // Re-express the config's day-level targets as per-resolver, per-chunk
+  // rates so each (resolver, chunk) cell is independent.
   const auto total_queries = static_cast<std::uint64_t>(
       static_cast<double>(config.full_scale_queries) * config.scale);
   const double n = plan.resolver_count;
@@ -206,8 +191,9 @@ ShardTraceGenerator::ShardTraceGenerator(const WorkloadConfig& config,
   slot_prob_ = spp / chunks;
   extra_mean_ = (qpp - spp) / spp + 0.5;
 
-  // §5.3 adoption: the same expected adopter count as the single-threaded
-  // generator (which draws max(1, fraction*N) adopters with replacement).
+  // §5.3 adoption: each regular resolver adopts independently, so the day
+  // expects max(1, floor(fraction*N)) adopters and a small day can draw
+  // none (scale 0.001 expects one).
   if (!config.new_tld.empty()) {
     const double adopters = std::max<double>(
         1, static_cast<std::uint64_t>(config.new_tld_resolver_fraction * n));

@@ -17,16 +17,17 @@
 //   3. Generation is streamed in 900-second chunks (the budget-model window,
 //      96 per day), so no shard ever materializes its full day. Memory is
 //      O(events per chunk) and the TLD table is fully built at construction
-//      (bogus labels come from a fixed pool instead of unbounded one-off
-//      interning — the one substitution relative to GenerateDitlTrace).
+//      (garbage labels come from a fixed seeded pool).
 //
-// Statistically the generator is calibrated to the same §2.2 marginals as
-// GenerateDitlTrace (61.0% bogus, ~0.5% ideal-cache valid, ~3.3% budget
-// valid, 17.6% bogus-only resolvers, §5.3 new-TLD adoption), but expressed
-// per resolver: each resolver draws a day profile (population membership,
-// junk vocabulary, its (resolver, TLD) pairs, adoption) and then emits each
-// chunk independently, with a diurnal rate modulation matching the
-// single-threaded generator's day/night swing.
+// This is the only DITL-day generator: the §2.2/§5.3 benches, the
+// ditl_study example and the hotpath replay drain a one-shard day, and the
+// sharded replay runs K shards of the same day. It is calibrated to the
+// WorkloadConfig marginals (61.0% bogus, ~0.5% ideal-cache valid, ~3.3%
+// budget valid, 17.6% bogus-only resolvers, §5.3 new-TLD adoption),
+// expressed per resolver: each resolver draws a day profile (population
+// membership, junk vocabulary, its (resolver, TLD) pairs, adoption) and
+// then emits each chunk independently, with a diurnal rate modulation (a
+// mild day/night swing).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,8 @@ struct ShardTally {
 
 // One generated chunk: all of the shard's queries with
 // time_sec in [index*kChunkSec, (index+1)*kChunkSec), in trace order
-// (SortEvents, the order GenerateDitlTrace gives its day).
+// (SortEvents). A shard's chunks, appended in order, are its day in trace
+// order.
 struct ShardChunk {
   std::uint32_t index = 0;
   std::vector<QueryEvent> events;
@@ -141,8 +143,6 @@ class ShardLabelSpace {
 class ShardTraceGenerator {
  public:
   static constexpr std::uint32_t kChunkSec = ShardLabelSpace::kChunkSec;
-  static constexpr std::uint32_t kGarbagePoolSize =
-      ShardLabelSpace::kGarbagePoolSize;
 
   // Shares `labels` (which must outlive the generator and have been built
   // from an identical WorkloadConfig).

@@ -19,6 +19,15 @@ std::uint64_t ResolverTld(const QueryEvent& e) {
 
 }  // namespace
 
+TldId TldTable::Intern(const std::string& label) {
+  auto it = index_.find(label);
+  if (it != index_.end()) return it->second;
+  const TldId id = static_cast<TldId>(labels_.size());
+  labels_.push_back(label);
+  index_.emplace(label, id);
+  return id;
+}
+
 void SortEvents(std::vector<QueryEvent>& events,
                 std::vector<QueryEvent>& scratch) {
   const std::size_t n = events.size();

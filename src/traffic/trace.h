@@ -46,8 +46,6 @@ void SortEvents(std::vector<QueryEvent>& events,
 struct Trace {
   TldTable tlds;
   std::vector<QueryEvent> events;  // ascending by time_sec
-
-  std::size_t query_count() const { return events.size(); }
 };
 
 }  // namespace rootless::traffic

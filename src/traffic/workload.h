@@ -1,8 +1,9 @@
-// DITL-style workload generator — the substitute for the DNS-OARC
+// DITL-style workload configuration — the substitute for the DNS-OARC
 // Day-In-The-Life j-root capture (DESIGN.md §2).
 //
-// The generator produces a synthetic day of root-directed queries whose
-// marginal statistics are calibrated to the paper's §2.2 measurements:
+// ShardTraceGenerator (traffic/shard.h) streams the synthetic day of
+// root-directed queries this config describes. Its marginal statistics are
+// calibrated to the paper's §2.2 measurements:
 //   * 5.7B queries from 4.1M resolvers (scaled by `scale`),
 //   * 61.0% of queries carry bogus TLDs,
 //   * 723K resolvers (17.6%) query only bogus TLDs,
@@ -15,9 +16,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "traffic/trace.h"
 #include "util/rng.h"
 
 namespace rootless::traffic {
@@ -55,25 +54,19 @@ struct WorkloadConfig {
   std::uint32_t window_sec = 86400;
 };
 
-struct WorkloadSummary {
-  std::uint64_t total_queries = 0;
-  std::uint64_t bogus_queries = 0;
-  std::uint64_t valid_stream_queries = 0;
-  std::uint64_t new_tld_queries = 0;
-  std::uint32_t resolver_count = 0;
-  std::uint32_t bogus_only_resolvers = 0;
-  std::uint64_t valid_pairs = 0;  // distinct (resolver, TLD) pairs generated
-};
+// The classic junk observed at the roots: RFC 6762-adjacent suffixes,
+// vendor defaults and search-list leakage.
+inline constexpr const char* kCommonJunk[] = {
+    "local",   "home",        "lan",    "internal",  "corp",
+    "domain",  "localdomain", "belkin", "dlink",     "workgroup",
+    "invalid", "test",        "router", "localhost", "intranet"};
 
-// Generates a trace over the given set of real TLD labels (the root zone's
-// delegations at collection time). `out_summary` reports generation-side
-// ground truth for tests.
-Trace GenerateDitlTrace(const WorkloadConfig& config,
-                        const std::vector<std::string>& real_tlds,
-                        WorkloadSummary* out_summary = nullptr);
+// A random garbage label (typo squat / chromium-style probe): 6 to 15
+// lowercase letters.
+std::string GarbageLabel(util::Rng& rng);
 
-// The bogus-TLD label pool observed at roots: search-list suffixes, vendor
-// defaults, and random garbage. Deterministic per rng stream.
+// The bogus-TLD label pool observed at roots: a kCommonJunk suffix 70% of
+// the time, else a GarbageLabel. Deterministic per rng stream.
 std::string SampleBogusTld(util::Rng& rng);
 
 }  // namespace rootless::traffic

@@ -463,20 +463,18 @@ TEST(ServeStale, LadderFallsThroughAndServesStale) {
   resolver::RefreshDaemon daemon(
       sim,
       {config,
-       {{"diff",
-         [&](std::function<void(FetchResult)> done) {
-           ++diff_calls;
-           done(util::Error(ErrorCode::kUnreachable, "diff down"));
-         }},
-        {"full",
-         [&](std::function<void(FetchResult)> done) {
-           ++full_calls;
-           if (sim.now() < outage_end) {
-             done(util::Error(ErrorCode::kUnreachable, "mirror down"));
-           } else {
-             done(snapshot);
-           }
-         }}},
+       {[&](std::function<void(FetchResult)> done) {  // the diff channel
+          ++diff_calls;
+          done(util::Error(ErrorCode::kUnreachable, "diff down"));
+        },
+        [&](std::function<void(FetchResult)> done) {  // a full fetch
+          ++full_calls;
+          if (sim.now() < outage_end) {
+            done(util::Error(ErrorCode::kUnreachable, "mirror down"));
+          } else {
+            done(snapshot);
+          }
+        }},
        [](zone::SnapshotPtr) {}});
 
   daemon.Start(snapshot);

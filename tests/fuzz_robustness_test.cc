@@ -3,6 +3,8 @@
 // out of bounds — malformed network input is data, not a programming error.
 #include <gtest/gtest.h>
 
+#include "crypto/dnssec.h"
+#include "distrib/axfr_stream.h"
 #include "distrib/diff_channel.h"
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
@@ -13,6 +15,7 @@
 #include "zone/evolution.h"
 #include "zone/master_file.h"
 #include "zone/rzc.h"
+#include "zone/sign.h"
 #include "zone/snapshot.h"
 #include "zone/zone_snapshot.h"
 #include "zone/zone_diff.h"
@@ -366,6 +369,128 @@ TEST(Fuzz, MessageDecodeErrorsAreCoded) {
     EXPECT_TRUE(code == ErrorCode::kTruncated ||
                 code == ErrorCode::kCorrupted)
         << ErrorCodeName(code);
+  }
+}
+
+// AssembleAxfrStream refuses a bad stream with the decoder's code
+// (kTruncated, kCorrupted) or kProtocol (error rcode, broken SOA bracket,
+// a record the zone refuses).
+void ExpectCodedAxfrFailure(const util::Result<zone::SnapshotPtr>& result) {
+  if (result.ok()) return;
+  const ErrorCode code = result.error().code();
+  EXPECT_TRUE(code == ErrorCode::kTruncated ||
+              code == ErrorCode::kCorrupted || code == ErrorCode::kProtocol)
+      << ErrorCodeName(code) << ": " << result.error().message();
+}
+
+// Decodes `wire`, lets `edit` change the message, and encodes it again.
+template <typename Edit>
+util::Bytes Reencode(const util::Bytes& wire, Edit edit) {
+  auto message = dns::DecodeMessage(wire);
+  EXPECT_TRUE(message.ok());
+  if (!message.ok()) return wire;
+  edit(*message);
+  return dns::EncodeMessage(*message);
+}
+
+TEST(Fuzz, AxfrStreamAssemblerNeverCrashes) {
+  zone::EvolutionConfig config;
+  config.legacy_tld_count = 20;
+  config.peak_tld_count = 25;
+  const zone::RootZoneModel model(config);
+  util::Rng rng(149);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(
+      zone::SignZone(model.Snapshot({2019, 4, 1}), zsk, {0, 10000}));
+  const dns::Message query =
+      dns::MakeQuery(11, dns::Name(), dns::RRType::kAXFR);
+  const std::vector<util::Bytes> stream =
+      distrib::BuildAxfrStream(*snapshot, query);
+  ASSERT_GE(stream.size(), 3u);
+  const auto assemble = [](const std::vector<util::Bytes>& messages) {
+    return distrib::AssembleAxfrStream(messages);
+  };
+  const auto expect_code = [](const util::Result<zone::SnapshotPtr>& result,
+                              ErrorCode code) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), code) << result.error().message();
+  };
+
+  // The stream as built assembles to the snapshot it came from.
+  const auto whole = assemble(stream);
+  ASSERT_TRUE(whole.ok()) << whole.error().message();
+  EXPECT_TRUE((*whole)->SameContent(*snapshot));
+
+  // Named cases: nothing, the opening message alone, an error rcode, and a
+  // closing SOA whose serial differs from the opening one.
+  expect_code(assemble({}), ErrorCode::kProtocol);
+  expect_code(assemble({stream.front()}), ErrorCode::kProtocol);
+  for (const std::size_t i : {std::size_t{0}, stream.size() - 1}) {
+    std::vector<util::Bytes> refused = stream;
+    refused[i] = Reencode(stream[i], [](dns::Message& m) {
+      m.header.rcode = dns::RCode::kRefused;
+    });
+    expect_code(assemble(refused), ErrorCode::kProtocol);
+  }
+  std::vector<util::Bytes> new_serial = stream;
+  new_serial.back() = Reencode(stream.back(), [](dns::Message& m) {
+    ASSERT_EQ(m.answers.back().type, dns::RRType::kSOA);
+    ++std::get<dns::SoaData>(m.answers.back().rdata).serial;
+  });
+  expect_code(assemble(new_serial), ErrorCode::kProtocol);
+  // A second SOA inside the stream would make a two-record SOA RRset that
+  // a re-transfer could not reproduce.
+  std::vector<util::Bytes> extra_soa = stream;
+  extra_soa[1] = Reencode(stream[1], [&](dns::Message& m) {
+    dns::ResourceRecord soa_record =
+        dns::DecodeMessage(stream.front())->answers.front();
+    ++std::get<dns::SoaData>(soa_record.rdata).serial;
+    m.answers.push_back(soa_record);
+  });
+  expect_code(assemble(extra_soa), ErrorCode::kProtocol);
+
+  // A transfer of one message: a zone that fits in it assembles.
+  zone::Zone tiny;
+  dns::SoaData soa;
+  soa.serial = 7;
+  ASSERT_TRUE(tiny.AddRecord({dns::Name(), dns::RRType::kSOA,
+                              dns::RRClass::kIN, 86400, soa})
+                  .ok());
+  ASSERT_TRUE(tiny.AddRecord({*dns::Name::Parse("com."), dns::RRType::kNS,
+                              dns::RRClass::kIN, 172800,
+                              dns::NsData{*dns::Name::Parse("a.nic.com.")}})
+                  .ok());
+  const zone::SnapshotPtr tiny_snapshot = zone::ZoneSnapshot::Build(tiny);
+  const auto one = distrib::BuildAxfrStream(*tiny_snapshot, query);
+  ASSERT_EQ(one.size(), 1u);
+  const auto tiny_result = assemble(one);
+  ASSERT_TRUE(tiny_result.ok()) << tiny_result.error().message();
+  EXPECT_TRUE((*tiny_result)->SameContent(*tiny_snapshot));
+
+  // Dropping trailing messages loses the closing SOA.
+  for (std::size_t keep = 1; keep < stream.size(); ++keep) {
+    const std::vector<util::Bytes> head(stream.begin(), stream.begin() + keep);
+    expect_code(assemble(head), ErrorCode::kProtocol);
+  }
+  // Every proper prefix of the last message is a short read.
+  for (std::size_t n = 0; n < stream.back().size(); ++n) {
+    std::vector<util::Bytes> cut = stream;
+    cut.back().resize(n);
+    expect_code(assemble(cut), ErrorCode::kTruncated);
+  }
+
+  // Mutated messages: a coded error, or a zone that transfers again to
+  // the same content.
+  for (int i = 0; i < 600; ++i) {
+    std::vector<util::Bytes> mutated = stream;
+    auto& victim = mutated[rng.Below(mutated.size())];
+    victim = Mutate(victim, rng);
+    const auto result = assemble(mutated);
+    ExpectCodedAxfrFailure(result);
+    if (!result.ok()) continue;
+    const auto again = assemble(distrib::BuildAxfrStream(**result, query));
+    ASSERT_TRUE(again.ok()) << again.error().message();
+    EXPECT_TRUE((*again)->SameContent(**result));
   }
 }
 

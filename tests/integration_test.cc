@@ -88,10 +88,9 @@ TEST(Integration, SignedZoneDistributedAndServedLocally) {
   resolver::RefreshDaemon daemon(
       sim,
       {resolver::RefreshConfig{},
-       {{"fetch",
-         [&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
-           service.Fetch(std::move(done));
-         }}},
+       {[&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
+         service.Fetch(std::move(done));
+       }},
        [&](zone::SnapshotPtr z) {
          resolver.SetLocalZone(z);
          farm.RefreshAddresses(*z);
@@ -202,10 +201,9 @@ TEST(Integration, RefreshDaemonOverAxfrTransport) {
   resolver::RefreshDaemon daemon(
       sim,
       {resolver::RefreshConfig{},
-       {{"axfr",
-         [&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
-           client.Fetch(server.node(), applied_serial, std::move(done));
-         }}},
+       {[&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
+         client.Fetch(server.node(), applied_serial, std::move(done));
+       }},
        [&](zone::SnapshotPtr z) { applied_serial = z->Serial(); }});
   daemon.Start(current);
   EXPECT_EQ(applied_serial, current->Serial());
@@ -258,11 +256,10 @@ TEST(Integration, RefreshDaemonKeepsZoneWhenSourceIsUpToDate) {
     resolver::RefreshDaemon daemon(
         sim,
         {resolver::RefreshConfig{},
-         {{"axfr",
-           [&](std::function<void(resolver::RefreshDaemon::FetchResult)>
-                   done) {
-             client.Fetch(server.node(), held_serial, std::move(done));
-           }}},
+         {[&](std::function<void(resolver::RefreshDaemon::FetchResult)>
+                 done) {
+           client.Fetch(server.node(), held_serial, std::move(done));
+         }},
          [&](zone::SnapshotPtr z) {
            if (z == nullptr) {
              ++null_applies;  // SetLocalZone(nullptr) would drop the zone

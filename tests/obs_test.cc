@@ -320,14 +320,13 @@ TEST(ObsPorts, RefreshDaemonStatsTransitions) {
   resolver::RefreshDaemon daemon(
       sim,
       {config,
-       {{"fetch",
-         [&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
-           if (fail) {
-             done(util::Error("mirror down"));
-           } else {
-             done(zone_ptr);
-           }
-         }}},
+       {[&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
+         if (fail) {
+           done(util::Error("mirror down"));
+         } else {
+           done(zone_ptr);
+         }
+       }},
        [&](zone::SnapshotPtr) { ++applies; }});
 
   daemon.Start(zone_ptr);

@@ -488,14 +488,13 @@ TEST_P(RefreshLeadProperty, OutageShorterThanLeadNeverExpires) {
   resolver::RefreshDaemon daemon(
       sim,
       {config,
-       {{"fetch",
-         [&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
-           if (sim.now() >= outage_start && sim.now() < outage_end) {
-             done(util::Error("outage"));
-           } else {
-             done(zone::ZoneSnapshot::Build(zone::Zone()));
-           }
-         }}},
+       {[&](std::function<void(resolver::RefreshDaemon::FetchResult)> done) {
+         if (sim.now() >= outage_start && sim.now() < outage_end) {
+           done(util::Error("outage"));
+         } else {
+           done(zone::ZoneSnapshot::Build(zone::Zone()));
+         }
+       }},
        [](zone::SnapshotPtr) {}});
   daemon.Start(zone::ZoneSnapshot::Build(zone::Zone()));
   sim.RunUntil(4 * sim::kDay);

@@ -577,13 +577,12 @@ TEST(RefreshDaemon, RefreshesBeforeExpiry) {
   RefreshDaemon daemon(
       sim,
       {RefreshConfig{},
-       {{"fetch",
-         [&](std::function<void(RefreshDaemon::FetchResult)> done) {
-           ++fetches;
-           sim.Schedule(sim::kMinute, [done = std::move(done)]() {
-             done(zone::ZoneSnapshot::Build(zone::Zone()));
-           });
-         }}},
+       {[&](std::function<void(RefreshDaemon::FetchResult)> done) {
+         ++fetches;
+         sim.Schedule(sim::kMinute, [done = std::move(done)]() {
+           done(zone::ZoneSnapshot::Build(zone::Zone()));
+         });
+       }},
        [&](zone::SnapshotPtr) { ++applies; }});
   daemon.Start(zone::ZoneSnapshot::Build(zone::Zone()));
   EXPECT_EQ(applies, 1);
@@ -604,14 +603,13 @@ TEST(RefreshDaemon, RetriesDuringOutageWithoutExpiring) {
   RefreshDaemon daemon(
       sim,
       {RefreshConfig{},
-       {{"fetch",
-         [&](std::function<void(RefreshDaemon::FetchResult)> done) {
-           if (in_outage()) {
-             done(util::Error("outage"));
-           } else {
-             done(zone::ZoneSnapshot::Build(zone::Zone()));
-           }
-         }}},
+       {[&](std::function<void(RefreshDaemon::FetchResult)> done) {
+         if (in_outage()) {
+           done(util::Error("outage"));
+         } else {
+           done(zone::ZoneSnapshot::Build(zone::Zone()));
+         }
+       }},
        [](zone::SnapshotPtr) {}});
   daemon.Start(zone::ZoneSnapshot::Build(zone::Zone()));
   sim.RunUntil(3 * sim::kDay);
@@ -631,14 +629,13 @@ TEST(RefreshDaemon, LongOutageExpiresZone) {
   RefreshDaemon daemon(
       sim,
       {RefreshConfig{},
-       {{"fetch",
-         [&](std::function<void(RefreshDaemon::FetchResult)> done) {
-           if (in_outage()) {
-             done(util::Error("outage"));
-           } else {
-             done(zone::ZoneSnapshot::Build(zone::Zone()));
-           }
-         }}},
+       {[&](std::function<void(RefreshDaemon::FetchResult)> done) {
+         if (in_outage()) {
+           done(util::Error("outage"));
+         } else {
+           done(zone::ZoneSnapshot::Build(zone::Zone()));
+         }
+       }},
        [](zone::SnapshotPtr) {}});
   daemon.Start(zone::ZoneSnapshot::Build(zone::Zone()));
   sim.RunUntil(48 * sim::kHour - 1);

@@ -1,13 +1,17 @@
-// Tests for the workload generator and the §2.2 classifier, including the
-// calibration targets from the paper.
+// Tests for the DITL-day generator and the §2.2 classifier: the
+// calibration targets from the paper, and the generated day's structure
+// beyond the headline mix (diurnal shape, per-pair burst structure, scaling
+// behaviour, the bogus-only/regular split).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "traffic/classify.h"
+#include "traffic/shard.h"
 #include "traffic/trace.h"
 #include "traffic/workload.h"
 #include "util/rng.h"
@@ -16,7 +20,7 @@
 namespace rootless::traffic {
 namespace {
 
-std::vector<std::string> RealTlds() {
+const std::vector<std::string>& RealTlds() {
   static const std::vector<std::string>* tlds = [] {
     const zone::RootZoneModel model;
     auto* out = new std::vector<std::string>();
@@ -28,20 +32,44 @@ std::vector<std::string> RealTlds() {
   return *tlds;
 }
 
-std::function<bool(const std::string&)> RealTldPredicate() {
-  static const std::set<std::string>* tld_set = [] {
-    auto* s = new std::set<std::string>();
-    for (const auto& t : RealTlds()) s->insert(t);
-    return s;
-  }();
-  return [](const std::string& label) { return tld_set->count(label) > 0; };
+const std::set<std::string>& TldSet() {
+  static const std::set<std::string>* s =
+      new std::set<std::string>(RealTlds().begin(), RealTlds().end());
+  return *s;
+}
+
+bool IsReal(const std::string& label) { return TldSet().count(label) > 0; }
+
+WorkloadConfig Config(double scale) {
+  WorkloadConfig config;
+  config.scale = scale;
+  return config;
 }
 
 // A small-scale config for fast tests.
 WorkloadConfig SmallConfig() {
-  WorkloadConfig config;
-  config.scale = 0.0001;  // 570K queries, 410 resolvers
-  return config;
+  return Config(0.0001);  // 570K queries, 410 resolvers
+}
+
+// The generated day of `config`: one shard's chunks appended in order
+// (which is trace order), and the tally it classified while streaming.
+struct Day {
+  Trace trace;
+  ShardTally tally;
+};
+
+Day GenerateDay(const WorkloadConfig& config) {
+  const ShardLabelSpace labels(config, RealTlds());
+  ShardTraceGenerator gen(config, MakeShardPlan(config, 1), 0, labels);
+  Day day;
+  day.trace.tlds = labels.tlds();
+  ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    day.trace.events.insert(day.trace.events.end(), chunk.events.begin(),
+                            chunk.events.end());
+  }
+  day.tally = gen.tally();
+  return day;
 }
 
 TEST(TldTable, InternsAndDedupes) {
@@ -55,39 +83,41 @@ TEST(TldTable, InternsAndDedupes) {
 }
 
 TEST(Workload, DeterministicForSeed) {
-  const auto a = GenerateDitlTrace(SmallConfig(), RealTlds());
-  const auto b = GenerateDitlTrace(SmallConfig(), RealTlds());
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); i += 997) {
-    EXPECT_EQ(a.events[i].time_sec, b.events[i].time_sec);
-    EXPECT_EQ(a.events[i].resolver_id, b.events[i].resolver_id);
+  const Day a = GenerateDay(SmallConfig());
+  const Day b = GenerateDay(SmallConfig());
+  ASSERT_EQ(a.trace.events.size(), b.trace.events.size());
+  for (std::size_t i = 0; i < a.trace.events.size(); i += 997) {
+    EXPECT_EQ(a.trace.events[i].time_sec, b.trace.events[i].time_sec);
+    EXPECT_EQ(a.trace.events[i].resolver_id, b.trace.events[i].resolver_id);
   }
 }
 
 TEST(Workload, EventsSortedWithinWindow) {
-  const auto trace = GenerateDitlTrace(SmallConfig(), RealTlds());
+  const Trace trace = GenerateDay(SmallConfig()).trace;
   for (std::size_t i = 1; i < trace.events.size(); ++i) {
     EXPECT_LE(trace.events[i - 1].time_sec, trace.events[i].time_sec);
     EXPECT_LT(trace.events[i].time_sec, 86400u);
   }
 }
 
+// Every generated query is counted once: bogus, or real and placed by each
+// cache model.
 TEST(Workload, SummaryAccounting) {
-  WorkloadSummary summary;
-  const auto trace = GenerateDitlTrace(SmallConfig(), RealTlds(), &summary);
-  EXPECT_EQ(summary.total_queries, trace.events.size());
-  EXPECT_EQ(summary.total_queries, summary.bogus_queries +
-                                       summary.valid_stream_queries +
-                                       summary.new_tld_queries);
-  EXPECT_GT(summary.bogus_only_resolvers, 0u);
+  const Day day = GenerateDay(SmallConfig());
+  const ShardTally& t = day.tally;
+  EXPECT_EQ(t.total_queries, day.trace.events.size());
+  EXPECT_EQ(t.total_queries,
+            t.bogus_tld_queries + t.valid_ideal + t.cache_spurious_ideal);
+  EXPECT_EQ(t.total_queries,
+            t.bogus_tld_queries + t.valid_budget + t.cache_spurious_budget);
+  EXPECT_GT(t.resolvers_bogus_only, 0u);
 }
 
 TEST(Workload, BogusTldsAvoidRealLabels) {
   util::Rng rng(5);
-  const auto is_real = RealTldPredicate();
   int real_hits = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (is_real(SampleBogusTld(rng))) ++real_hits;
+    if (IsReal(SampleBogusTld(rng))) ++real_hits;
   }
   // "test" and random collisions are possible but must be rare.
   EXPECT_LT(real_hits, 100);
@@ -96,13 +126,11 @@ TEST(Workload, BogusTldsAvoidRealLabels) {
 // The headline §2.2 calibration: the generated day must classify close to
 // the paper's published mix.
 TEST(Workload, MatchesPaperTrafficMix) {
-  WorkloadConfig config;
-  config.scale = 0.0005;  // 2.85M queries — enough for tight fractions
-  WorkloadSummary summary;
-  const auto trace = GenerateDitlTrace(config, RealTlds(), &summary);
-  const auto report = ClassifyTrace(trace, RealTldPredicate());
+  // 2.85M queries — enough for tight fractions.
+  const Day day = GenerateDay(Config(0.0005));
+  const TrafficMixReport report = day.tally.ToReport();
 
-  EXPECT_EQ(report.total_queries, trace.events.size());
+  EXPECT_EQ(report.total_queries, day.trace.events.size());
 
   // Paper: 61.0% bogus.
   EXPECT_NEAR(report.bogus_fraction(), 0.610, 0.02);
@@ -119,15 +147,129 @@ TEST(Workload, MatchesPaperTrafficMix) {
 }
 
 TEST(Workload, NewTldShareMatchesPaper) {
-  WorkloadConfig config;
-  config.scale = 0.001;
-  const auto trace = GenerateDitlTrace(config, RealTlds());
-  const TldShare share = MeasureTldShare(trace, "llc");
+  // Scale 0.005: each regular resolver adopts .llc with probability
+  // floor(0.00044 * resolvers) / regulars, so scale 0.001 expects a single
+  // adopter and can draw none (seeds 2018 and 777 both do).
+  // The day (28.5M queries) is counted as it streams, not kept.
+  const WorkloadConfig config = Config(0.005);
+  const ShardLabelSpace labels(config, RealTlds());
+  ShardTraceGenerator gen(config, MakeShardPlan(config, 1), 0, labels);
+  TldId llc = 0;
+  while (labels.tlds().LabelOf(llc) != "llc") ++llc;
+  std::uint64_t queries = 0;
+  std::set<std::uint32_t> resolvers;
+  ShardChunk chunk;
+  while (gen.NextChunk(chunk)) {
+    for (const QueryEvent& e : chunk.events) {
+      if (e.tld != llc) continue;
+      ++queries;
+      resolvers.insert(e.resolver_id);
+    }
+  }
+  const double query_fraction = static_cast<double>(queries) /
+                                static_cast<double>(gen.tally().total_queries);
+  const double resolver_fraction =
+      static_cast<double>(resolvers.size()) / gen.tally().resolvers_total;
   // Paper §5.3: <0.0002% of queries... our scaled trace has quantization,
   // so allow an order of magnitude while requiring "tiny".
-  EXPECT_GT(share.queries, 0u);
-  EXPECT_LT(share.query_fraction, 2e-5);
-  EXPECT_LT(share.resolver_fraction, 0.002);  // paper: <0.1%
+  EXPECT_GT(queries, 0u);
+  EXPECT_LT(query_fraction, 2e-5);
+  EXPECT_LT(resolver_fraction, 0.002);  // paper: <0.1%
+}
+
+TEST(WorkloadStructure, QueryCountScalesLinearly) {
+  const auto small = GenerateDay(Config(0.0001)).trace;
+  const auto large = GenerateDay(Config(0.0002)).trace;
+  const double ratio = static_cast<double>(large.events.size()) /
+                       static_cast<double>(small.events.size());
+  EXPECT_NEAR(ratio, 2.0, 0.1);
+}
+
+TEST(WorkloadStructure, DiurnalShapeIsPresent) {
+  const Trace trace = GenerateDay(Config(0.0003)).trace;
+  // Split the day into 8 bins; max/min bin ratio should show the swing but
+  // stay bounded (the per-chunk rate weight is 0.75 + 0.25 sin).
+  std::uint64_t bins[8] = {};
+  for (const auto& e : trace.events) ++bins[e.time_sec / (86400 / 8)];
+  std::uint64_t lo = bins[0], hi = bins[0];
+  for (auto b : bins) {
+    lo = std::min(lo, b);
+    hi = std::max(hi, b);
+  }
+  EXPECT_GT(static_cast<double>(hi) / lo, 1.15);
+  EXPECT_LT(static_cast<double>(hi) / lo, 3.0);
+}
+
+TEST(WorkloadStructure, BogusOnlyResolversNeverQueryRealTlds) {
+  const WorkloadConfig config = Config(0.0002);
+  const Trace trace = GenerateDay(config).trace;
+  // Resolver ids below bogus_only_count are the junk-only population.
+  const std::uint32_t bogus_only = MakeShardPlan(config, 1).bogus_only_count;
+  for (const auto& e : trace.events) {
+    if (e.resolver_id < bogus_only) {
+      EXPECT_FALSE(IsReal(trace.tlds.LabelOf(e.tld)))
+          << trace.tlds.LabelOf(e.tld);
+    }
+  }
+}
+
+TEST(WorkloadStructure, ValidPairsAreBursty) {
+  // The §2.2 numbers require per-(resolver,TLD) queries concentrated in few
+  // 15-minute slots: mean slots-per-pair must be near the configured 6.6,
+  // far below the mean queries-per-pair (~78).
+  const Trace trace = GenerateDay(Config(0.0005)).trace;
+  std::map<std::uint64_t, std::set<std::uint32_t>> slots;
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const auto& e : trace.events) {
+    if (!IsReal(trace.tlds.LabelOf(e.tld))) continue;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(e.resolver_id) << 20) | e.tld;
+    slots[key].insert(e.time_sec / 900);
+    ++counts[key];
+  }
+  double slot_sum = 0, count_sum = 0;
+  for (const auto& [key, s] : slots) slot_sum += static_cast<double>(s.size());
+  for (const auto& [key, c] : counts) count_sum += static_cast<double>(c);
+  const double mean_slots = slot_sum / static_cast<double>(slots.size());
+  const double mean_queries = count_sum / static_cast<double>(counts.size());
+  EXPECT_NEAR(mean_slots, 6.6, 1.5);
+  EXPECT_GT(mean_queries, 8 * mean_slots);
+}
+
+TEST(WorkloadStructure, DifferentSeedsDifferButCalibrationHolds) {
+  WorkloadConfig a = Config(0.0003);
+  WorkloadConfig b = Config(0.0003);
+  b.seed = 777;
+  const Day day_a = GenerateDay(a);
+  const Day day_b = GenerateDay(b);
+  const auto& events_a = day_a.trace.events;
+  const auto& events_b = day_b.trace.events;
+  // Different event streams...
+  bool any_diff = events_a.size() != events_b.size();
+  for (std::size_t i = 0; !any_diff && i < events_a.size(); i += 1009) {
+    any_diff = events_a[i].time_sec != events_b[i].time_sec;
+  }
+  EXPECT_TRUE(any_diff);
+  // ...same calibrated mix.
+  const TrafficMixReport report_a = day_a.tally.ToReport();
+  const TrafficMixReport report_b = day_b.tally.ToReport();
+  EXPECT_NEAR(report_a.bogus_fraction(), report_b.bogus_fraction(), 0.01);
+  EXPECT_NEAR(report_a.valid_budget_fraction(),
+              report_b.valid_budget_fraction(), 0.01);
+}
+
+TEST(WorkloadStructure, CustomMixParametersRespected) {
+  WorkloadConfig config = Config(0.0002);
+  config.bogus_query_fraction = 0.30;
+  EXPECT_NEAR(GenerateDay(config).tally.ToReport().bogus_fraction(), 0.30,
+              0.02);
+}
+
+TEST(WorkloadStructure, WindowParameterBoundsTimestamps) {
+  WorkloadConfig config = Config(0.0001);
+  config.window_sec = 3600;
+  const Trace trace = GenerateDay(config).trace;
+  for (const auto& e : trace.events) EXPECT_LT(e.time_sec, 3600u);
 }
 
 TEST(Classify, IdealModelCountsFirstQueryPerPairOnly) {
@@ -208,22 +350,6 @@ TEST(Classify, EmptyTrace) {
       ClassifyTrace(trace, [](const std::string&) { return true; });
   EXPECT_EQ(report.total_queries, 0u);
   EXPECT_EQ(report.bogus_fraction(), 0.0);
-}
-
-TEST(MeasureTldShare, CountsQueriesAndResolvers) {
-  Trace trace;
-  const TldId com = trace.tlds.Intern("com");
-  const TldId llc = trace.tlds.Intern("llc");
-  trace.events.push_back({1, 1, com});
-  trace.events.push_back({2, 2, llc});
-  trace.events.push_back({3, 2, llc});
-  trace.events.push_back({4, 3, com});
-
-  const TldShare share = MeasureTldShare(trace, "llc");
-  EXPECT_EQ(share.queries, 2u);
-  EXPECT_EQ(share.resolvers, 1u);
-  EXPECT_DOUBLE_EQ(share.query_fraction, 0.5);
-  EXPECT_DOUBLE_EQ(share.resolver_fraction, 1.0 / 3.0);
 }
 
 }  // namespace
