@@ -156,8 +156,9 @@ bool AppendSection(const std::vector<RRsetView>& section, std::size_t max_size,
   return true;
 }
 
-// Up-front buffer size: the largest EDNS payload a UDP answer is held to.
-// TCP answers (limit 65535) grow past it only as far as they need.
+// Up-front scratch size: the largest EDNS payload a UDP answer is held to.
+// TCP answers (limit 65535) grow past it only as far as they need. A kept
+// writer reserves once; results leave it as exact-size copies.
 constexpr std::size_t kReserveCap = 4096;
 
 // The one encoder body, for Message and MessageView alike. It encodes once
@@ -166,8 +167,8 @@ constexpr std::size_t kReserveCap = 4096;
 // so every kept byte is what a shorter re-encode would write; only the
 // section counts and TC need patching.
 template <typename Msg>
-util::Bytes Encode(const Msg& m, std::size_t max_size) {
-  util::ByteWriter w;
+void Encode(const Msg& m, std::size_t max_size, util::ByteWriter& w) {
+  w.Clear();
   w.Reserve(std::min(max_size ? max_size : 512, kReserveCap));
   Header h = m.header;
   h.tc = false;
@@ -194,7 +195,13 @@ util::Bytes Encode(const Msg& m, std::size_t max_size) {
     w.PatchU16(2, HeaderFlags(h));
   }
   for (std::size_t s = 0; s < 3; ++s) w.PatchU16(6 + 2 * s, counts[s]);
-  return w.TakeData();
+}
+
+template <typename Msg>
+util::Bytes Encode(const Msg& m, std::size_t max_size) {
+  util::ByteWriter w;
+  Encode(m, max_size, w);
+  return w.Copy();
 }
 
 }  // namespace
@@ -207,6 +214,16 @@ util::Bytes EncodeMessage(const Message& m, std::size_t max_size) {
 
 util::Bytes EncodeMessage(const MessageView& m, std::size_t max_size) {
   return Encode(m, max_size);
+}
+
+void EncodeMessage(const Message& m, std::size_t max_size,
+                   util::ByteWriter& writer) {
+  Encode(m, max_size, writer);
+}
+
+void EncodeMessage(const MessageView& m, std::size_t max_size,
+                   util::ByteWriter& writer) {
+  Encode(m, max_size, writer);
 }
 
 Result<Message> DecodeMessage(std::span<const std::uint8_t> wire) {

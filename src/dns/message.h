@@ -63,8 +63,16 @@ struct Message {
 // section counts say what was kept, and TC is set iff a record was dropped
 // (the query's TC bit is never copied). The kept records are a byte-exact
 // prefix of the untruncated encoding — compression pointers only point
-// backwards — so one encoding pass suffices.
+// backwards — so one encoding pass suffices. The returned buffer's capacity
+// equals its size.
 util::Bytes EncodeMessage(const Message& message, std::size_t max_size = 0);
+
+// The same encoding written into `writer`, replacing what it held. A caller
+// that encodes once per answer keeps one writer and copies each result out
+// (ByteWriter::Copy): one exact-size allocation per message, where the
+// returning overloads pay a second for their scratch buffer.
+void EncodeMessage(const Message& message, std::size_t max_size,
+                   util::ByteWriter& writer);
 
 // Borrowed message: sections are RRset views over storage owned elsewhere
 // (typically a zone::ZoneSnapshot arena). Lets an authoritative server go
@@ -90,6 +98,8 @@ struct MessageView {
 // rdata). Same encoder body as the Message overload, so byte-identical to
 // EncodeMessage on the equivalent expanded Message, truncation included.
 util::Bytes EncodeMessage(const MessageView& message, std::size_t max_size = 0);
+void EncodeMessage(const MessageView& message, std::size_t max_size,
+                   util::ByteWriter& writer);
 
 util::Result<Message> DecodeMessage(std::span<const std::uint8_t> wire);
 

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstring>
 #include <variant>
-#include <vector>
 
 #include "distrib/axfr_stream.h"
 #include "dns/message.h"
@@ -20,6 +19,9 @@ namespace rootless::net {
 namespace {
 
 using util::Error;
+
+// Frames a transfer may take before the fetch gives up on it.
+constexpr std::size_t kMaxFrames = std::size_t{1} << 20;
 
 class Socket {
  public:
@@ -83,12 +85,15 @@ util::Status WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
   return util::Status::Ok();
 }
 
+// Reads `size` bytes. A peer that closes first is a kProtocol error.
 util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
     const ssize_t n = ::read(fd, data + done, size - done);
     if (n == 0) {
-      return Error(ErrorCode::kProtocol, "axfr: connection closed mid-frame");
+      return Error(ErrorCode::kProtocol,
+                   done == 0 ? "axfr: connection closed"
+                             : "axfr: connection closed mid-frame");
     }
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -109,13 +114,12 @@ util::Status SendFrame(int fd, const util::Bytes& payload) {
   return WriteAll(fd, payload.data(), payload.size());
 }
 
-util::Result<util::Bytes> RecvFrame(int fd) {
+// Reads one length-prefixed frame into `payload`, reusing its buffer.
+util::Status RecvFrame(int fd, util::Bytes& payload) {
   std::uint8_t prefix[2];
   ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, prefix, 2));
-  const std::size_t len = static_cast<std::size_t>(prefix[0]) << 8 | prefix[1];
-  util::Bytes payload(len);
-  ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len));
-  return payload;
+  payload.resize(static_cast<std::size_t>(prefix[0]) << 8 | prefix[1]);
+  return ReadAll(fd, payload.data(), payload.size());
 }
 
 }  // namespace
@@ -126,15 +130,15 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
   auto fd = ConnectTcp(host, port, options.timeout_ms);
   if (!fd.ok()) return fd.error();
   Socket sock(*fd);
+  util::Bytes frame;  // every frame of the fetch is read into this buffer
 
   // Serial probe: SOA query first; equal serial means nothing to move.
   if (options.have_serial != 0) {
     const dns::Message probe =
         dns::MakeQuery(0x50A, dns::Name(), dns::RRType::kSOA);
     ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(probe)));
-    auto frame = RecvFrame(sock.get());
-    if (!frame.ok()) return frame.error();
-    auto response = dns::DecodeMessage(*frame);
+    ROOTLESS_RETURN_IF_ERROR(RecvFrame(sock.get(), frame));
+    auto response = dns::DecodeMessage(frame);
     if (!response.ok()) return response.error();
     std::uint32_t serial = 0;
     bool found = false;
@@ -155,28 +159,17 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
       dns::MakeQuery(0xAFF, dns::Name(), dns::RRType::kAXFR);
   ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(axfr)));
 
-  // Read messages until the record stream closes with the second SOA.
-  std::vector<util::Bytes> messages;
-  std::size_t soa_seen = 0;
-  while (soa_seen < 2) {
-    auto frame = RecvFrame(sock.get());
-    if (!frame.ok()) return frame.error();
-    auto msg = dns::DecodeMessage(*frame);
-    if (!msg.ok()) return msg.error();
-    if (msg->header.rcode != dns::RCode::kNoError) {
-      return Error(ErrorCode::kProtocol,
-                   "axfr: server answered " +
-                       dns::RCodeToString(msg->header.rcode));
-    }
-    for (const auto& rr : msg->answers) {
-      if (rr.type == dns::RRType::kSOA) ++soa_seen;
-    }
-    messages.push_back(std::move(*frame));
-    if (messages.size() > 1u << 20) {
+  // Feed each frame to the assembler as it arrives until the record stream
+  // closes with the second SOA.
+  distrib::AxfrStreamAssembler assembler;
+  for (std::size_t frames = 0; !assembler.done(); ++frames) {
+    if (frames == kMaxFrames) {
       return Error(ErrorCode::kProtocol, "axfr: unbounded stream");
     }
+    ROOTLESS_RETURN_IF_ERROR(RecvFrame(sock.get(), frame));
+    ROOTLESS_RETURN_IF_ERROR(assembler.Add(frame));
   }
-  return distrib::AssembleAxfrStream(messages);
+  return assembler.Finish();
 }
 
 }  // namespace rootless::net

@@ -5,12 +5,22 @@
 // FetchZoneTcp first asks the server for its SOA; if the serial matches
 // `have_serial` the fetch returns a null SnapshotPtr (the caller keeps its
 // copy — the cheap steady-state poll). Otherwise it issues an AXFR query and
-// assembles the streamed messages into a fresh snapshot
-// (distrib::AssembleAxfrStream validates the SOA bracket).
+// streams the answer: each length-prefixed frame is read into one reused
+// buffer and handed to a distrib::AxfrStreamAssembler, which decodes it,
+// checks the rcode and the SOA bracket and moves its records into the zone
+// being rebuilt, so no frame outlives its turn. The fetch holds the Zone and
+// the snapshot built from it, not the stream. On the signed 2018-04-11 model
+// root zone (2.36 MB of wire in 528 frames) its heap peak, in bytes
+// requested from a counting operator new, fell from +44.5 MB (every frame
+// kept, each decoded twice, then every record decoded again and held
+// beside the Zone) to +27.7 MB.
 //
 // Blocking by design: refresh runs on its own cadence (minutes), not on the
 // serving loop. Error codes follow the shared vocabulary: kUnreachable
-// (connect), kTimeout (deadline), kCorrupted/kProtocol (stream).
+// (connect), kTimeout (deadline, e.g. a peer that stalls mid-frame),
+// kTruncated/kCorrupted (a frame the message decoder refuses, a zero-length
+// frame included) and kProtocol (the peer closes mid-frame or before the
+// closing SOA, an error rcode, a broken SOA bracket).
 #pragma once
 
 #include <cstdint>

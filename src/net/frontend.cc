@@ -134,23 +134,31 @@ void DnsFrontend::RunWorker(Worker& worker) {
 
 void DnsFrontend::HandleTcpPacket(Worker& worker, const Packet& packet) {
   auto query = dns::DecodeMessage(packet.payload);
-  if (query.ok() && !query->header.qr && query->questions.size() == 1 &&
-      query->questions.front().type == dns::RRType::kAXFR) {
-    auto stream =
-        distrib::BuildAxfrStream(*worker.tcp_auth->snapshot(), *query);
-    if (stream.empty()) {
-      worker.tcp->Send(0, packet.src,
-                       dns::EncodeMessage(
-                           dns::MakeResponse(*query, dns::RCode::kServFail)));
-      return;
-    }
-    axfr_transfers_.Inc();
-    for (auto& message : stream) {
-      worker.tcp->Send(0, packet.src, std::move(message));
-    }
+  if (!query.ok() || query->header.qr || query->questions.size() != 1 ||
+      query->questions.front().type != dns::RRType::kAXFR) {
+    worker.tcp_auth->HandleDatagram(packet, rootsrv::Channel::kTcp);
     return;
   }
-  worker.tcp_auth->HandleDatagram(packet, rootsrv::Channel::kTcp);
+  // Only the served zone transfers, and only to a standard query of class
+  // IN. Any other AXFR draws REFUSED, the rcode Screen gives AXFR over UDP.
+  const zone::ZoneSnapshot& snapshot = *worker.tcp_auth->snapshot();
+  const dns::Question& q = query->questions.front();
+  const bool servable = query->header.opcode == dns::Opcode::kQuery &&
+                        q.rrclass == dns::RRClass::kIN &&
+                        q.name == snapshot.apex();
+  std::vector<util::Bytes> stream;
+  if (servable) stream = distrib::BuildAxfrStream(snapshot, *query);
+  if (stream.empty()) {
+    worker.tcp->Send(
+        0, packet.src,
+        dns::EncodeMessage(dns::MakeResponse(
+            *query, servable ? dns::RCode::kServFail : dns::RCode::kRefused)));
+    return;
+  }
+  axfr_transfers_.Inc();
+  for (auto& message : stream) {
+    worker.tcp->Send(0, packet.src, std::move(message));
+  }
 }
 
 void DnsFrontend::Stop() {

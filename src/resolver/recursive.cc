@@ -361,7 +361,8 @@ void RecursiveResolver::SendDnsQuery(sim::NodeId target,
     c_.handshakes.Inc();
     delay += 4 * network_.LatencyBetween(node_, target);
   }
-  auto wire = dns::EncodeMessage(query, 1232);
+  dns::EncodeMessage(query, 1232, query_wire_);
+  util::Bytes wire = query_wire_.Copy();
   if (delay == 0) {
     network_.Send(node_, target, std::move(wire));
     return;

@@ -36,6 +36,7 @@
 #include "sim/simulator.h"
 #include "topo/geo.h"
 #include "topo/topology.h"
+#include "util/bytes.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::resolver {
@@ -287,6 +288,9 @@ class RecursiveResolver {
   std::uint64_t next_generation_ = 1;
   // Capacity-recycled buffer for the cache-hit fast path (see Finish).
   std::vector<dns::RRset> answer_scratch_;
+  // Encode scratch for outgoing queries; each query leaves it as one
+  // exact-size copy.
+  util::ByteWriter query_wire_;
 };
 
 }  // namespace rootless::resolver

@@ -42,7 +42,8 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
           static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
           opt_rdata_});
     }
-    return dns::EncodeMessage(response, edns.payload_limit);
+    dns::EncodeMessage(response, edns.payload_limit, wire_);
+    return wire_.Copy();
   }
 
   const RateLimitStage::Verdict verdict = rrl_stage_.Charge(channel, client);
@@ -52,7 +53,8 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
     // retries over TCP; a spoofed-source flood reflects 12 bytes, not an
     // amplified answer. Never cached.
     Message response = MakeResponse(query, dns::RCode::kRefused);
-    util::Bytes wire = dns::EncodeMessage(response, edns.payload_limit);
+    dns::EncodeMessage(response, edns.payload_limit, wire_);
+    util::Bytes wire = wire_.Copy();
     // EncodeMessage derives TC from size alone; a slip is forced truncation.
     if (wire.size() > 2) wire[2] |= 0x02;
     return wire;
@@ -109,17 +111,18 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
         static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
         std::span<const dns::Rdata>(&opt_rdata_, 1)});
   }
-  util::Bytes wire = dns::EncodeMessage(response, edns.payload_limit);
+  dns::EncodeMessage(response, edns.payload_limit, wire_);
+  const std::span<const std::uint8_t> wire = wire_.span();
   const bool truncated = wire.size() > 2 && (wire[2] & 0x02);
   if (truncated) c_.truncated.Inc();
   if (cache_stage_.enabled()) {
     cache_stage_.Insert(key, key_hash, disposition, truncated, wire);
   }
-  return wire;
+  return wire_.Copy();
 }
 
 util::Bytes AuthServer::GarbageResponse(
-    std::span<const std::uint8_t> payload) const {
+    std::span<const std::uint8_t> payload) {
   // Need a readable header to know who to answer; and never answer
   // something that claims to be a response (loop protection).
   if (payload.size() < 12 || (payload[2] & 0x80)) return {};
@@ -129,7 +132,8 @@ util::Bytes AuthServer::GarbageResponse(
   response.header.qr = true;
   response.header.opcode = static_cast<dns::Opcode>((payload[2] >> 3) & 0xF);
   response.header.rcode = dns::RCode::kFormErr;
-  return dns::EncodeMessage(response);
+  dns::EncodeMessage(response, 0, wire_);
+  return wire_.Copy();
 }
 
 util::Bytes AuthServer::AnswerDatagram(std::span<const std::uint8_t> payload,

@@ -171,7 +171,7 @@ class AuthServer {
  private:
   // FORMERR wire response for an undecodable datagram (empty when even the
   // header is unreadable — those stay dropped).
-  util::Bytes GarbageResponse(std::span<const std::uint8_t> payload) const;
+  util::Bytes GarbageResponse(std::span<const std::uint8_t> payload);
 
   net::Transport* transport_;
   zone::SnapshotPtr snapshot_;
@@ -187,8 +187,12 @@ class AuthServer {
   RateLimitStage rrl_stage_;
   AnswerCacheStage cache_stage_;
   SnapshotAnswerStage answer_stage_;
-  // Per-query scratch (capacity retained across queries).
+  // Per-query scratch (capacity retained across queries). Every answer is
+  // encoded into wire_ and leaves as one exact-size copy, so an uncached
+  // answer costs one allocation and the answers a caller keeps hold no
+  // spare capacity.
   dns::MessageView response_scratch_;
+  util::ByteWriter wire_;
   // Storage backing the OPT record echoed on EDNS responses (the response
   // scratch borrows views; these members are what they point at).
   dns::Name opt_owner_;                      // root

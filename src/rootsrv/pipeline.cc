@@ -120,7 +120,7 @@ bool AnswerCacheStage::Probe(const WireKey& key, std::uint64_t key_hash,
 
 void AnswerCacheStage::Insert(const WireKey& key, std::uint64_t key_hash,
                               LookupDisposition disposition, bool truncated,
-                              const util::Bytes& wire) {
+                              std::span<const std::uint8_t> wire) {
   CachedAnswer entry;
   entry.hash = key_hash;
   entry.name.assign(key.qname.begin(), key.qname.end());
@@ -130,7 +130,7 @@ void AnswerCacheStage::Insert(const WireKey& key, std::uint64_t key_hash,
   entry.payload_limit = static_cast<std::uint32_t>(key.payload_limit);
   entry.disposition = disposition;
   entry.truncated = truncated;
-  entry.wire = wire;
+  entry.wire.assign(wire.begin(), wire.end());
   entry.wire[0] = 0;
   entry.wire[1] = 0;
 

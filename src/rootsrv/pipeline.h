@@ -266,7 +266,7 @@ class AnswerCacheStage {
   // Memoizes the live answer to a query that missed.
   void Insert(const WireKey& key, std::uint64_t key_hash,
               zone::LookupDisposition disposition, bool truncated,
-              const util::Bytes& wire);
+              std::span<const std::uint8_t> wire);
 
   void Drop() {
     entries_.clear();

@@ -99,7 +99,8 @@ void TldFarm::HandleQuery(sim::NodeId node, const std::string& tld,
              dns::NsData{*Name::Parse(ns_host)}});
       }
       ++mal_referrals_;
-      network_.Send(node, datagram.src, dns::EncodeMessage(referral, 1232));
+      dns::EncodeMessage(referral, 1232, wire_);
+      network_.Send(node, datagram.src, wire_.Copy());
       return;
     }
   }
@@ -132,7 +133,8 @@ void TldFarm::HandleQuery(sim::NodeId node, const std::string& tld,
         break;
     }
   }
-  network_.Send(node, datagram.src, dns::EncodeMessage(response, 1232));
+  dns::EncodeMessage(response, 1232, wire_);
+  network_.Send(node, datagram.src, wire_.Copy());
 }
 
 }  // namespace rootless::rootsrv

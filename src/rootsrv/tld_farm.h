@@ -17,6 +17,7 @@
 #include "dns/message.h"
 #include "sim/network.h"
 #include "topo/topology.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "zone/zone_snapshot.h"
@@ -78,6 +79,9 @@ class TldFarm {
       malicious_;
   std::uint64_t mal_serial_ = 0;
   std::uint64_t mal_referrals_ = 0;
+  // Encode scratch kept across queries; each response leaves it as one
+  // exact-size copy.
+  util::ByteWriter wire_;
 };
 
 }  // namespace rootless::rootsrv

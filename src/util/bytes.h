@@ -120,7 +120,9 @@ class ByteReader {
   std::size_t offset_ = 0;
 };
 
-// Append-only writer producing an owned buffer.
+// Append-only writer producing an owned buffer. A writer kept across
+// messages (Clear, write, Copy) reuses one buffer and hands out exact-size
+// copies: one allocation per message once the buffer has grown.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -128,6 +130,10 @@ class ByteWriter {
   std::size_t size() const { return data_.size(); }
   const Bytes& data() const& { return data_; }
   Bytes&& TakeData() { return std::move(data_); }
+  // What was written, copied into a buffer whose capacity equals its size.
+  Bytes Copy() const { return Bytes(data_.begin(), data_.end()); }
+  // Drops what was written and keeps the capacity.
+  void Clear() { data_.clear(); }
   void Reserve(std::size_t n) { data_.reserve(n); }
   std::span<const std::uint8_t> span() const { return data_; }
 

@@ -24,22 +24,27 @@ void MergeRdatas(RRset& into, std::uint32_t ttl,
   }
 }
 
-util::Status Zone::AddRecord(const dns::ResourceRecord& record) {
+util::Status Zone::AddRecord(dns::ResourceRecord record) {
   if (!rrsets_.empty()) {
     // The last RRset's owner already passed the in-zone check.
     RRset& last = std::prev(rrsets_.end())->second;
     if (record.type == last.type && record.rrclass == last.rrclass &&
         record.name == last.name) {
-      MergeRdatas(last, record.ttl, {&record.rdata, 1});
+      // MergeRdatas' rules, with the rdata moved in.
+      last.ttl = std::min(last.ttl, record.ttl);
+      if (std::find(last.rdatas.begin(), last.rdatas.end(), record.rdata) ==
+          last.rdatas.end()) {
+        last.rdatas.push_back(std::move(record.rdata));
+      }
       return util::Status::Ok();
     }
   }
   RRset set;
-  set.name = record.name;
+  set.name = std::move(record.name);
   set.type = record.type;
   set.rrclass = record.rrclass;
   set.ttl = record.ttl;
-  set.rdatas.push_back(record.rdata);
+  set.rdatas.push_back(std::move(record.rdata));
   return AddRRset(std::move(set));
 }
 

@@ -58,8 +58,10 @@ class Zone {
   // key pays one map search. The content never depends on which case ran.
   util::Status AddRRset(dns::RRset rrset);
   // Adds one record the same way; a record whose key equals the last key
-  // merges straight into that RRset.
-  util::Status AddRecord(const dns::ResourceRecord& record);
+  // merges straight into that RRset. The record is moved in, so a caller
+  // done with it (AxfrStreamAssembler) passes it by std::move and nothing
+  // is copied.
+  util::Status AddRecord(dns::ResourceRecord record);
 
   // Removes an entire RRset; returns false if absent.
   bool RemoveRRset(const dns::RRsetKey& key);

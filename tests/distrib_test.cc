@@ -2,11 +2,17 @@
 // algorithm, cost models, swarm simulation, and the fetch service.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "crypto/sha256.h"
+#include "distrib/axfr_stream.h"
 #include "distrib/fetch_service.h"
 #include "distrib/mechanisms.h"
 #include "distrib/rsync.h"
+#include "util/base64.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
+#include "zone/sign.h"
 #include "zone/snapshot.h"
 #include "zone/zone_snapshot.h"
 
@@ -44,6 +50,78 @@ TEST(Snapshot, RejectsCorruption) {
   EXPECT_FALSE(zone::DeserializeSnapshot(util::Bytes{9, 9, 9, 9}).ok());
   wire.resize(wire.size() / 2);
   EXPECT_FALSE(zone::DeserializeSnapshot(wire).ok());
+}
+
+// ------------------------------------------------------------ axfr stream
+
+// SHA-256 of BuildAxfrStream(SignedAxfrSnapshot(), MakeQuery(0x4242, ".",
+// AXFR)), each message hashed as it travels on TCP: a 2-byte length, then
+// the message.
+constexpr std::string_view kAxfrStreamSha256 =
+    "b4381fa36bc7a35ec8ed3f2a41811024ae3868d6f84bb81f52509063253c9889";
+
+// A signed model root zone of 2019-06-07 (60 TLDs), signed with a fixed key.
+zone::SnapshotPtr SignedAxfrSnapshot() {
+  zone::EvolutionConfig config;
+  config.legacy_tld_count = 60;
+  config.peak_tld_count = 120;
+  const zone::RootZoneModel model(config);
+  util::Rng rng(0xA5F4);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  return zone::ZoneSnapshot::Build(
+      zone::SignZone(model.Snapshot({2019, 6, 7}), zsk, {0, 2'000'000'000}));
+}
+
+TEST(AxfrStream, WireIsPinned) {
+  const zone::SnapshotPtr snapshot = SignedAxfrSnapshot();
+  const std::vector<util::Bytes> stream = BuildAxfrStream(
+      *snapshot, dns::MakeQuery(0x4242, dns::Name(), dns::RRType::kAXFR));
+  ASSERT_GE(stream.size(), 3u);
+  crypto::Sha256 sha;
+  for (const util::Bytes& message : stream) {
+    EXPECT_EQ(message.capacity(), message.size());
+    const std::uint8_t prefix[2] = {
+        static_cast<std::uint8_t>(message.size() >> 8),
+        static_cast<std::uint8_t>(message.size() & 0xFF)};
+    sha.Update(prefix);
+    sha.Update(message);
+  }
+  EXPECT_EQ(util::HexEncode(sha.Finish()), kAxfrStreamSha256);
+
+  // Some RRset straddles a message boundary: the last record of one message
+  // and the first of the next share owner and type.
+  bool straddles = false;
+  for (std::size_t i = 0; i + 1 < stream.size(); ++i) {
+    const auto left = dns::DecodeMessage(stream[i]);
+    const auto right = dns::DecodeMessage(stream[i + 1]);
+    ASSERT_TRUE(left.ok() && right.ok());
+    const dns::ResourceRecord& last = left->answers.back();
+    const dns::ResourceRecord& first = right->answers.front();
+    straddles |= last.name == first.name && last.type == first.type;
+  }
+  EXPECT_TRUE(straddles);
+}
+
+// The assembler fed one message at a time, each dropped once added, gives
+// what the whole-stream call gives, and says done() only after the last.
+TEST(AxfrStream, AssemblerFedMessageByMessageMatchesWholeStream) {
+  const zone::SnapshotPtr snapshot = SignedAxfrSnapshot();
+  std::vector<util::Bytes> stream = BuildAxfrStream(
+      *snapshot, dns::MakeQuery(7, dns::Name(), dns::RRType::kAXFR));
+  const auto whole = AssembleAxfrStream(stream);
+  ASSERT_TRUE(whole.ok()) << whole.error().message();
+  EXPECT_TRUE((*whole)->SameContent(*snapshot));
+
+  AxfrStreamAssembler assembler;
+  for (util::Bytes& message : stream) {
+    EXPECT_FALSE(assembler.done());
+    ASSERT_TRUE(assembler.Add(message).ok());
+    util::Bytes().swap(message);
+  }
+  EXPECT_TRUE(assembler.done());
+  const auto streamed = assembler.Finish();
+  ASSERT_TRUE(streamed.ok()) << streamed.error().message();
+  EXPECT_TRUE((*streamed)->SameContent(**whole));
 }
 
 // ------------------------------------------------------------------ rsync

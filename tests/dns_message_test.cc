@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
 #include "crypto/dnssec.h"
 #include "dns/message.h"
@@ -330,15 +331,52 @@ TEST(Message, OnePassTruncationMatchesReencodeOracle) {
     ASSERT_EQ(full[2] & 0x02, 0);
     ASSERT_GE(owned.record_count(), 3u);
     std::size_t truncated = 0;
+    // One writer kept across every limit, as a server keeps one: a shorter
+    // encoding after a longer one leaves nothing of the longer behind.
+    util::ByteWriter writer;
     for (std::size_t max = 12; max <= full.size() + 1; ++max) {
       const util::Bytes want = ReencodeTruncation(owned, max);
       ASSERT_EQ(EncodeMessage(owned, max), want) << "max_size=" << max;
       ASSERT_EQ(EncodeMessage(view, max), want) << "max_size=" << max;
+      EncodeMessage(view, 0, writer);
+      EncodeMessage(view, max, writer);
+      ASSERT_EQ(writer.data(), want) << "max_size=" << max;
       if (want[2] & 0x02) ++truncated;
     }
     EXPECT_EQ(EncodeMessage(owned), full);
     EXPECT_EQ(EncodeMessage(view), full);
     EXPECT_EQ(truncated, full.size() - 12);  // every limit below full drops
+  }
+}
+
+// Encoded messages hold no spare capacity: a server keeps answers (the
+// answer cache, a bench's reference set), so every byte of slack is resident.
+TEST(Message, EncodeReturnsExactSizeBuffers) {
+  const Message owned = SampleReferral();
+  std::vector<RRset> sets;
+  for (const auto* section : {&owned.authority, &owned.additional}) {
+    for (const RRset& set : GroupIntoRRsets(*section)) sets.push_back(set);
+  }
+  MessageView view;
+  view.header = owned.header;
+  view.questions = owned.questions;
+  view.authority = {RRsetView::Of(sets[0])};
+  view.additional = {RRsetView::Of(sets[1])};
+
+  const util::Bytes full = EncodeMessage(owned);
+  for (const std::size_t max : {std::size_t{0}, std::size_t{512},
+                                full.size() - 1, std::size_t{12}}) {
+    SCOPED_TRACE(max);
+    const util::Bytes from_owned = EncodeMessage(owned, max);
+    const util::Bytes from_view = EncodeMessage(view, max);
+    EXPECT_EQ(from_owned.capacity(), from_owned.size());
+    EXPECT_EQ(from_view.capacity(), from_view.size());
+    EXPECT_EQ(from_view, from_owned);
+    util::ByteWriter writer;
+    EncodeMessage(owned, max, writer);
+    const util::Bytes copied = writer.Copy();
+    EXPECT_EQ(copied, from_owned);
+    EXPECT_EQ(copied.capacity(), copied.size());
   }
 }
 

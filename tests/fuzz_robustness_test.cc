@@ -421,8 +421,9 @@ TEST(Fuzz, AxfrStreamAssemblerNeverCrashes) {
   ASSERT_TRUE(whole.ok()) << whole.error().message();
   EXPECT_TRUE((*whole)->SameContent(*snapshot));
 
-  // Named cases: nothing, the opening message alone, an error rcode, and a
-  // closing SOA whose serial differs from the opening one.
+  // Named cases: nothing, the opening message alone, an error rcode, a
+  // closing SOA whose serial differs from the opening one, an SOA inside
+  // the stream and records after the closing SOA.
   expect_code(assemble({}), ErrorCode::kProtocol);
   expect_code(assemble({stream.front()}), ErrorCode::kProtocol);
   for (const std::size_t i : {std::size_t{0}, stream.size() - 1}) {
@@ -448,6 +449,17 @@ TEST(Fuzz, AxfrStreamAssemblerNeverCrashes) {
     m.answers.push_back(soa_record);
   });
   expect_code(assemble(extra_soa), ErrorCode::kProtocol);
+  // Records after the closing SOA, in its message or in one more message.
+  const dns::ResourceRecord first_record =
+      dns::DecodeMessage(stream[1])->answers.front();
+  std::vector<util::Bytes> trailing_record = stream;
+  trailing_record.back() = Reencode(stream.back(), [&](dns::Message& m) {
+    m.answers.push_back(first_record);
+  });
+  expect_code(assemble(trailing_record), ErrorCode::kProtocol);
+  std::vector<util::Bytes> trailing_message = stream;
+  trailing_message.push_back(stream[1]);
+  expect_code(assemble(trailing_message), ErrorCode::kProtocol);
 
   // A transfer of one message: a zone that fits in it assembles.
   zone::Zone tiny;

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "crypto/dnssec.h"
+#include "distrib/axfr_stream.h"
 #include "dns/message.h"
 #include "net/axfr_client.h"
 #include "net/event_loop.h"
@@ -131,6 +132,36 @@ class UdpClient {
   int fd_ = -1;
 };
 
+// `message` with its 2-byte length prefix.
+util::Bytes Frame(std::span<const std::uint8_t> message) {
+  util::Bytes frame;
+  frame.reserve(2 + message.size());
+  frame.push_back(static_cast<std::uint8_t>(message.size() >> 8));
+  frame.push_back(static_cast<std::uint8_t>(message.size() & 0xFF));
+  frame.insert(frame.end(), message.begin(), message.end());
+  return frame;
+}
+
+// Blocking stream-socket loops; false once the peer closes or errs.
+bool SendAll(int fd, std::span<const std::uint8_t> bytes) {
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool RecvAll(int fd, std::uint8_t* out, std::size_t len) {
+  for (std::size_t off = 0; off < len;) {
+    const ssize_t n = ::recv(fd, out + off, len - off, 0);
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 // Blocking loopback TCP client speaking 2-byte length-prefixed DNS frames.
 class TcpClient {
  public:
@@ -150,40 +181,19 @@ class TcpClient {
 
   bool connected() const { return connected_; }
 
-  void SendFrame(const util::Bytes& payload) {
-    util::Bytes frame;
-    frame.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
-    frame.push_back(static_cast<std::uint8_t>(payload.size()));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    std::size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off, 0);
-      if (n <= 0) return;
-      off += static_cast<std::size_t>(n);
-    }
-  }
+  void SendFrame(const util::Bytes& payload) { SendAll(fd_, Frame(payload)); }
 
   std::optional<util::Bytes> RecvFrame() {
     std::uint8_t len_bytes[2];
-    if (!ReadAll(len_bytes, 2)) return std::nullopt;
+    if (!RecvAll(fd_, len_bytes, 2)) return std::nullopt;
     const std::size_t len = static_cast<std::size_t>(len_bytes[0]) << 8 |
                             len_bytes[1];
     util::Bytes payload(len);
-    if (len > 0 && !ReadAll(payload.data(), len)) return std::nullopt;
+    if (len > 0 && !RecvAll(fd_, payload.data(), len)) return std::nullopt;
     return payload;
   }
 
  private:
-  bool ReadAll(std::uint8_t* out, std::size_t len) {
-    std::size_t off = 0;
-    while (off < len) {
-      const ssize_t n = ::recv(fd_, out + off, len - off, 0);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
   int fd_ = -1;
   bool connected_ = false;
 };
@@ -405,6 +415,188 @@ TEST(NetParity, AxfrTransfersTheExactZone) {
   ASSERT_TRUE(up_to_date.ok());
   EXPECT_EQ(*up_to_date, nullptr);
   frontend.Stop();
+}
+
+// Only `. AXFR` of class IN with opcode QUERY transfers. An AXFR for another
+// name, class or opcode draws one REFUSED message and no stream: a `. SOA`
+// query sent next on the same connection is answered by the next frame.
+TEST(NetParity, AxfrRefusesEveryOtherZone) {
+  const zone::SnapshotPtr snapshot = TestSnapshot({2019, 6, 7});
+  SnapshotSource source(snapshot);
+  DnsFrontend frontend(source, {});
+  ASSERT_TRUE(frontend.Start().ok());
+
+  std::vector<dns::Message> refused = {
+      dns::MakeQuery(0x11, N("com."), RRType::kAXFR),
+      dns::MakeQuery(0x12, N("nonexistent-tld."), RRType::kAXFR),
+      dns::MakeQuery(0x13, Name(), RRType::kAXFR),
+      dns::MakeQuery(0x14, Name(), RRType::kAXFR)};
+  refused[2].questions.front().rrclass = dns::RRClass::kCH;
+  refused[3].header.opcode = dns::Opcode::kNotify;
+  TcpClient client(frontend.tcp_port());
+  ASSERT_TRUE(client.connected());
+  for (const dns::Message& query : refused) {
+    SCOPED_TRACE(query.header.id);
+    client.SendFrame(dns::EncodeMessage(query));
+    const auto frame = client.RecvFrame();
+    ASSERT_TRUE(frame.has_value());
+    const auto response = dns::DecodeMessage(*frame);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->header.id, query.header.id);
+    EXPECT_EQ(response->header.rcode, dns::RCode::kRefused);
+    EXPECT_EQ(response->questions, query.questions);
+    EXPECT_EQ(response->record_count(), 0u);
+
+    client.SendFrame(
+        dns::EncodeMessage(dns::MakeQuery(0x99, Name(), RRType::kSOA)));
+    const auto next = client.RecvFrame();
+    ASSERT_TRUE(next.has_value());
+    const auto soa = dns::DecodeMessage(*next);
+    ASSERT_TRUE(soa.ok());
+    EXPECT_EQ(soa->header.id, 0x99);
+    EXPECT_EQ(soa->header.rcode, dns::RCode::kNoError);
+  }
+
+  auto fetched = FetchZoneTcp("127.0.0.1", frontend.tcp_port(), {});
+  ASSERT_TRUE(fetched.ok()) << fetched.error().message();
+  ASSERT_TRUE(*fetched);
+  EXPECT_TRUE((*fetched)->SameContent(*snapshot));
+  frontend.Stop();
+}
+
+// ---- FetchZoneTcp against hostile framing -------------------------------
+
+// A loopback TCP peer for one FetchZoneTcp call: it accepts one connection,
+// reads the client's query frame, writes `script` verbatim, and then closes
+// — or, with `stall`, holds the connection open until the client gives up.
+class ScriptedPeer {
+ public:
+  ScriptedPeer(util::Bytes script, bool stall) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval tv{5, 0};  // bounds accept and every read if the client is gone
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 1) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      ADD_FAILURE() << "scripted peer: " << std::strerror(errno);
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, script = std::move(script), stall] {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      timeval conn_tv{5, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &conn_tv, sizeof(conn_tv));
+      std::uint8_t prefix[2];
+      if (RecvAll(fd, prefix, 2)) {
+        util::Bytes query(static_cast<std::size_t>(prefix[0]) << 8 | prefix[1]);
+        RecvAll(fd, query.data(), query.size());
+      }
+      SendAll(fd, script);
+      if (stall) {
+        std::uint8_t byte;
+        while (::recv(fd, &byte, 1, 0) > 0) {
+        }
+      }
+      ::close(fd);
+    });
+  }
+  ~ScriptedPeer() {
+    if (thread_.joinable()) thread_.join();
+    ::close(listen_fd_);
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+// The transfer of TestSnapshot, split into messages as a server sends it.
+const std::vector<util::Bytes>& TestStream() {
+  static const std::vector<util::Bytes> stream = distrib::BuildAxfrStream(
+      *TestSnapshot({2019, 6, 7}),
+      dns::MakeQuery(0xAFF, Name(), RRType::kAXFR));
+  return stream;
+}
+
+util::Bytes Frames(std::span<const util::Bytes> messages) {
+  util::Bytes out;
+  for (const util::Bytes& message : messages) {
+    const util::Bytes frame = Frame(message);
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+util::Result<zone::SnapshotPtr> FetchFromPeer(util::Bytes script,
+                                              bool stall = false) {
+  ScriptedPeer peer(std::move(script), stall);
+  AxfrFetchOptions options;
+  options.timeout_ms = stall ? 200 : 5000;
+  return FetchZoneTcp("127.0.0.1", peer.port(), options);
+}
+
+void ExpectFetchError(const util::Result<zone::SnapshotPtr>& result,
+                      ErrorCode code) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), code) << result.error().message();
+}
+
+TEST(FetchZoneTcp, ScriptedPeerTransfersTheWholeStream) {
+  ASSERT_GE(TestStream().size(), 3u);
+  const auto result = FetchFromPeer(Frames(TestStream()));
+  ASSERT_TRUE(result.ok()) << result.error().message();
+  ASSERT_TRUE(*result);
+  EXPECT_TRUE((*result)->SameContent(*TestSnapshot({2019, 6, 7})));
+}
+
+TEST(FetchZoneTcp, CloseInsideTheLengthPrefix) {
+  ExpectFetchError(FetchFromPeer({0x01}), ErrorCode::kProtocol);
+}
+
+TEST(FetchZoneTcp, ZeroLengthFrame) {
+  ExpectFetchError(FetchFromPeer({0x00, 0x00}), ErrorCode::kTruncated);
+}
+
+TEST(FetchZoneTcp, LengthPastWhatThePeerSends) {
+  const util::Bytes& first = TestStream().front();
+  util::Bytes script = Frame(first);
+  script.resize(script.size() - 1);
+  ExpectFetchError(FetchFromPeer(script), ErrorCode::kProtocol);
+}
+
+TEST(FetchZoneTcp, PeerStallsMidFrame) {
+  const util::Bytes& first = TestStream().front();
+  util::Bytes script = Frame(first);
+  script.resize(2 + first.size() / 2);
+  ExpectFetchError(FetchFromPeer(script, /*stall=*/true), ErrorCode::kTimeout);
+}
+
+TEST(FetchZoneTcp, StreamClosesBeforeTheClosingSoa) {
+  const auto& stream = TestStream();
+  ExpectFetchError(
+      FetchFromPeer(Frames(std::span(stream).first(stream.size() - 1))),
+      ErrorCode::kProtocol);
+}
+
+TEST(FetchZoneTcp, ErrorRcodeMidStream) {
+  const auto& stream = TestStream();
+  util::Bytes refused = stream[1];
+  refused[3] = static_cast<std::uint8_t>(
+      (refused[3] & 0xF0) | static_cast<std::uint8_t>(dns::RCode::kRefused));
+  const util::Bytes head[] = {stream[0], refused};
+  ExpectFetchError(FetchFromPeer(Frames(head)), ErrorCode::kProtocol);
 }
 
 TEST(NetParity, SnapshotSwapBecomesVisible) {

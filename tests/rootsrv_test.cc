@@ -159,6 +159,43 @@ TEST(AuthServer, RootOwnerAnswersHitTheCacheByteForByte) {
   EXPECT_EQ(server.pipeline_stats().cache_insertions, 2u);
 }
 
+// Every answer leaves the server with capacity() == size(): callers keep
+// answers (a transport's queue, a reference set), so slack stays resident.
+// Covers the encoded miss, the cache hit, NXDOMAIN, a Screen verdict, an
+// RRL slip and a FORMERR for garbage.
+TEST(AuthServer, AnswersAreExactSize) {
+  Fixture f;
+  AuthServer::Options options;
+  options.respond_formerr_to_garbage = true;
+  AuthServer server(nullptr, f.Snapshot(), options);
+  const auto expect_exact = [](const util::Bytes& wire) {
+    EXPECT_GE(wire.size(), 12u);
+    EXPECT_EQ(wire.capacity(), wire.size());
+  };
+  const auto referral = dns::MakeQuery(1, N("www.example.com."), RRType::kA);
+  expect_exact(server.AnswerWire(referral));
+  expect_exact(server.AnswerWire(referral));
+  EXPECT_EQ(server.stats().cache_hits, 1u);
+  expect_exact(
+      server.AnswerWire(dns::MakeQuery(2, N("foo.bogus-junk."), RRType::kA)));
+  dns::Message chaos = dns::MakeQuery(3, N("version.bind."), RRType::kTXT);
+  chaos.questions.front().rrclass = dns::RRClass::kCH;
+  expect_exact(server.AnswerWire(chaos));
+  const util::Bytes datagram = dns::EncodeMessage(referral);
+  expect_exact(server.AnswerDatagram(datagram, 0));
+  const util::Bytes garbage(datagram.begin(), datagram.begin() + 13);
+  expect_exact(server.AnswerDatagram(garbage, 0));
+  EXPECT_EQ(server.stats().malformed, 1u);
+
+  AuthServer::Options limited;
+  limited.rrl = {.enabled = true, .rate = 0, .burst = 0, .slip = 1,
+                 .buckets = 16};
+  AuthServer slipping(nullptr, f.Snapshot(), limited);
+  const util::Bytes slip = slipping.AnswerWireFrom(referral, Channel::kUdp, 7);
+  expect_exact(slip);
+  EXPECT_TRUE(slip[2] & 0x02);
+}
+
 // ---- EDNS0 / truncation / preflight / answer cache --------------------
 
 // A query carrying an OPT pseudo-record advertising `payload` bytes.
