@@ -14,15 +14,16 @@
 //
 // Each end costs about one zone copy. BuildAxfrStream encodes borrowed
 // RRset views of the snapshot (an RRset that straddles two messages is split
-// into rdata sub-spans), so it holds only the exact-size messages it
-// returns. The assembler decodes one message, moves its records into a
-// zone::Zone and keeps no message. Heap peaks on the signed 2018-04-11
-// model root zone (52,734 records, 528 messages, 2.36 MB of wire), in bytes
-// requested from a counting operator new: BuildAxfrStream +16.1 MB when it
-// first copied every record (11 MB at 208 B each) and left 4.2 MB of
-// capacity in its messages, +2.4 MB now; AssembleAxfrStream +42.2 MB when
-// it decoded and held every record before building the Zone, +27.7 MB now:
-// the Zone plus the 12.4 MB snapshot built from it.
+// into rdata sub-runs), copying each stored rdata as it stands, so it holds
+// only the exact-size messages it returns. The assembler decodes one
+// message, moves its records into a zone::Zone and keeps no message; the
+// snapshot built from the Zone stores every rdata uncompressed, whatever
+// compression the sender used inside rdata. Heap peaks on the signed
+// 2018-04-11 model root zone (52,734 records, 528 messages, 2.36 MB of
+// wire), counted as malloc_usable_size by a replacing operator new:
+// BuildAxfrStream +2.4 MB; AssembleAxfrStream +24.4 MB, the 15.8 MB Zone
+// plus building the 5.7 MB snapshot from it (whose arena, while it grows,
+// adds about 2.9 MB more).
 #pragma once
 
 #include <cstdint>

@@ -103,12 +103,23 @@ std::uint16_t HeaderFlags(const Header& h) {
   return flags;
 }
 
+// RDATA as the encoder writes it: a typed Rdata is encoded, a stored one
+// (uncompressed wire already) is copied.
+void WriteRdata(const Rdata& rdata, util::ByteWriter& w) {
+  EncodeRdata(rdata, w);
+}
+void WriteRdata(std::span<const std::uint8_t> wire, util::ByteWriter& w) {
+  w.WriteBytes(wire);
+}
+
 // Appends one record unless it ends past `max_size` (0 = unlimited), in
 // which case the record is cut off again and the caller must stop there.
 // Returns whether the record was kept.
+template <typename RdataLike>
 bool AppendRecord(const Name& name, RRType type, RRClass rrclass,
-                  std::uint32_t ttl, const Rdata& rdata, std::size_t max_size,
-                  NameCompressor& compressor, util::ByteWriter& w) {
+                  std::uint32_t ttl, const RdataLike& rdata,
+                  std::size_t max_size, NameCompressor& compressor,
+                  util::ByteWriter& w) {
   const std::size_t record_start = w.size();
   compressor.EncodeName(name, w);
   w.WriteU16(static_cast<std::uint16_t>(type));
@@ -117,7 +128,7 @@ bool AppendRecord(const Name& name, RRType type, RRClass rrclass,
   const std::size_t len_offset = w.size();
   w.WriteU16(0);  // placeholder RDLENGTH
   const std::size_t start = w.size();
-  EncodeRdata(rdata, w);
+  WriteRdata(rdata, w);
   w.PatchU16(len_offset, static_cast<std::uint16_t>(w.size() - start));
   if (max_size == 0 || w.size() <= max_size) return true;
   w.Truncate(record_start);
@@ -127,7 +138,7 @@ bool AppendRecord(const Name& name, RRType type, RRClass rrclass,
 // Appends a section's records in wire order, counting them in `kept`, until
 // one does not fit; returns false if one did not. A Message section holds
 // one record per element; a MessageView section expands each RRset view to
-// one record per rdata, in rdata order.
+// one record per stored rdata, in rdata order, and copies its bytes.
 bool AppendSection(const std::vector<ResourceRecord>& section,
                    std::size_t max_size, std::uint16_t& kept,
                    NameCompressor& compressor, util::ByteWriter& w) {
@@ -145,8 +156,8 @@ bool AppendSection(const std::vector<RRsetView>& section, std::size_t max_size,
                    std::uint16_t& kept, NameCompressor& compressor,
                    util::ByteWriter& w) {
   for (const auto& set : section) {
-    for (const auto& rd : set.rdatas) {
-      if (!AppendRecord(*set.name, set.type, set.rrclass, set.ttl, rd,
+    for (const auto wire : set.rdatas) {
+      if (!AppendRecord(*set.name, set.type, set.rrclass, set.ttl, wire,
                         max_size, compressor, w)) {
         return false;
       }

@@ -95,8 +95,9 @@ struct MessageView {
 };
 
 // Encodes a borrowed message (each RRset view expands to one record per
-// rdata). Same encoder body as the Message overload, so byte-identical to
-// EncodeMessage on the equivalent expanded Message, truncation included.
+// rdata, whose stored wire bytes are copied, not re-encoded). Same encoder
+// body as the Message overload, so byte-identical to EncodeMessage on the
+// equivalent expanded Message, truncation included.
 util::Bytes EncodeMessage(const MessageView& message, std::size_t max_size = 0);
 void EncodeMessage(const MessageView& message, std::size_t max_size,
                    util::ByteWriter& writer);

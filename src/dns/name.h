@@ -41,6 +41,14 @@ class NameView {
   NameView() = default;
   explicit NameView(const Name& name);
 
+  // A view of an uncompressed wire-form name (labels, then the root octet),
+  // such as one stored inside rdata, whose label count the caller already
+  // knows: the bytes are not re-parsed.
+  static NameView OfWire(std::span<const std::uint8_t> wire,
+                         std::size_t label_count) {
+    return NameView(wire.data(), wire.size() - 1, label_count);
+  }
+
   std::size_t label_count() const { return label_count_; }
   bool is_root() const { return label_count_ == 0; }
   std::span<const std::uint8_t> flat() const { return {data_, size_}; }

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "util/base64.h"
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace rootless::dns {
@@ -231,8 +232,16 @@ void EncodeRdata(const Rdata& rdata, util::ByteWriter& writer) {
   std::visit(WireEncoder{writer}, rdata);
 }
 
+bool RdataFitsRdlength(const Rdata& rdata) {
+  util::ByteWriter w;
+  EncodeRdata(rdata, w);
+  return w.size() <= kMaxRdataLength;
+}
+
 Result<Rdata> DecodeRdata(RRType type, std::size_t rdlength,
                           util::ByteReader& r) {
+  if (rdlength > kMaxRdataLength)
+    return Error(ErrorCode::kCorrupted, "rdata: longer than 65535 bytes");
   const std::size_t end = r.offset() + rdlength;
   if (end > r.size()) return Error(ErrorCode::kTruncated, "rdata: truncated");
 
@@ -333,6 +342,11 @@ Result<Rdata> DecodeRdata(RRType type, std::size_t rdlength,
       if (r.offset() > end) return Error(ErrorCode::kCorrupted, "rrsig: overflow");
       if (!r.ReadBytes(end - r.offset(), d.signature))
         return Error(ErrorCode::kTruncated, "rrsig: truncated");
+      // The one type whose encoding can outgrow RDLENGTH: a compressed
+      // signer of up to 255 bytes beside a signature filling the rest. It
+      // encodes to 18 fixed bytes, the signer and the signature.
+      if (18 + d.signer.wire_length() + d.signature.size() > kMaxRdataLength)
+        return Error(ErrorCode::kCorrupted, "rrsig: longer than 65535 bytes");
       return finish(std::move(d));
     }
     case RRType::kNSEC: {
@@ -423,9 +437,11 @@ std::string RdataToString(const Rdata& rdata) {
   return std::visit(Presenter{}, rdata);
 }
 
-Result<Rdata> RdataFromFields(RRType type,
-                              const std::vector<std::string_view>& f,
-                              const Name& origin) {
+namespace {
+
+Result<Rdata> ParseRdataFields(RRType type,
+                               const std::vector<std::string_view>& f,
+                               const Name& origin) {
   auto need = [&](std::size_t n) { return f.size() == n; };
   auto ParseNameField = [&origin](std::string_view text) -> Result<Name> {
     auto name = Name::Parse(text);
@@ -596,6 +612,17 @@ Result<Rdata> RdataFromFields(RRType type,
   }
 }
 
+}  // namespace
+
+Result<Rdata> RdataFromFields(RRType type,
+                              const std::vector<std::string_view>& fields,
+                              const Name& origin) {
+  auto rdata = ParseRdataFields(type, fields, origin);
+  if (rdata.ok() && !RdataFitsRdlength(*rdata))
+    return Error("rdata: longer than 65535 bytes");
+  return rdata;
+}
+
 bool RdataMatchesType(const Rdata& rdata, RRType type) {
   switch (type) {
     case RRType::kA: return std::holds_alternative<AData>(rdata);
@@ -612,6 +639,44 @@ bool RdataMatchesType(const Rdata& rdata, RRType type) {
     case RRType::kNSEC: return std::holds_alternative<NsecData>(rdata);
     default: return std::holds_alternative<RawData>(rdata);
   }
+}
+
+// ------------------------------------------------------------- stored runs
+
+std::size_t RdataRun::PrefixBytes(std::size_t n) const {
+  ROOTLESS_CHECK(n <= count_);
+  Iterator it = begin();
+  for (std::size_t i = 0; i < n; ++i) ++it;
+  return bytes_ - it.rest_.size();
+}
+
+RdataRun RdataRun::first(std::size_t n) const {
+  return RdataRun(stored().first(PrefixBytes(n)), n);
+}
+
+RdataRun RdataRun::subspan(std::size_t n) const {
+  return RdataRun(stored().subspan(PrefixBytes(n)), count_ - n);
+}
+
+RdataRun RdataRun::OneEmpty() {
+  static constexpr std::uint8_t kStored[2] = {0, 0};  // a zero length
+  return RdataRun(kStored, 1);
+}
+
+void RdataRun::Append(const Rdata& rdata, util::ByteWriter& arena) {
+  const std::size_t length_at = arena.size();
+  arena.WriteU16(0);
+  EncodeRdata(rdata, arena);
+  const std::size_t length = arena.size() - length_at - 2;
+  ROOTLESS_CHECK(length <= 0xFFFF);
+  arena.PatchU16(length_at, static_cast<std::uint16_t>(length));
+}
+
+Rdata RdataRun::Decode(RRType type, std::span<const std::uint8_t> wire) {
+  util::ByteReader reader(wire);
+  auto rdata = DecodeRdata(type, wire.size(), reader);
+  ROOTLESS_CHECK(rdata.ok());
+  return std::move(*rdata);
 }
 
 }  // namespace rootless::dns

@@ -26,7 +26,10 @@ RRset RRsetView::Materialize() const {
   out.type = type;
   out.rrclass = rrclass;
   out.ttl = ttl;
-  out.rdatas.assign(rdatas.begin(), rdatas.end());
+  out.rdatas.reserve(rdatas.size());
+  for (const auto wire : rdatas) {
+    out.rdatas.push_back(RdataRun::Decode(type, wire));
+  }
   return out;
 }
 

@@ -1,4 +1,5 @@
-// Resource records and RRsets.
+// Resource records, owning RRsets, and RRsetView: an RRset borrowed from
+// storage that keeps its rdatas as wire bytes.
 #pragma once
 
 #include <cstdint>
@@ -124,26 +125,25 @@ struct RRset {
 // the set is the minimum of the member TTLs per RFC 2181 guidance).
 std::vector<RRset> GroupIntoRRsets(const std::vector<ResourceRecord>& records);
 
-// Borrowed RRset: points at a Name and a contiguous run of Rdata owned by
-// someone else (a zone::ZoneSnapshot arena page, or a plain RRset). The view
-// is only valid while its backing storage is alive — consumers that outlive
-// the source (e.g. a cache) must Materialize().
+// Borrowed RRset: points at a Name and a run of stored rdatas owned by
+// someone else (a zone::ZoneSnapshot arena page). The rdatas are wire bytes,
+// not typed Rdata: an encoder copies them as they stand, and a consumer that
+// needs a field decodes just that rdata (RdataRun::Decode) or the whole set
+// (Materialize). The view is only valid while its backing storage is alive —
+// consumers that outlive the source (e.g. a cache) must decode what they
+// keep. Owning RRsets have their own typed paths (a Message, and
+// zone::WriteRRsetWire's RRset overload) and are never viewed.
 struct RRsetView {
   const Name* name = nullptr;
   RRType type = RRType::kA;
   RRClass rrclass = RRClass::kIN;
   std::uint32_t ttl = 0;
-  std::span<const Rdata> rdatas;
+  RdataRun rdatas;
 
   bool empty() const { return rdatas.empty(); }
   std::size_t size() const { return rdatas.size(); }
 
-  static RRsetView Of(const RRset& set) {
-    return RRsetView{&set.name, set.type, set.rrclass, set.ttl,
-                     std::span<const Rdata>(set.rdatas)};
-  }
-
-  // Deep-copies into an owning RRset.
+  // Decodes into an owning RRset.
   RRset Materialize() const;
 };
 

@@ -25,7 +25,12 @@ inline void AssignSet(dns::RRset& dst, const dns::RRsetView& src) {
   dst.type = src.type;
   dst.rrclass = src.rrclass;
   dst.ttl = src.ttl;
-  dst.rdatas.assign(src.rdatas.begin(), src.rdatas.end());
+  // Decoded in place: the slot's vector keeps its capacity across reuse.
+  dst.rdatas.resize(src.rdatas.size());
+  auto out = dst.rdatas.begin();
+  for (const auto wire : src.rdatas) {
+    *out++ = dns::RdataRun::Decode(src.type, wire);
+  }
 }
 }  // namespace
 

@@ -69,8 +69,8 @@ class DnsCache {
   // Inserts or replaces; expiry = now + ttl seconds.
   void Put(const dns::RRset& rrset, sim::SimTime now);
   // Same, from a borrowed view (e.g. a zone::ZoneSnapshot arena): the cache
-  // owns its entries, so the view is deep-copied exactly once, straight into
-  // the slot — no intermediate RRset.
+  // owns its entries, so the view's stored rdatas are decoded exactly once,
+  // straight into the slot — no intermediate RRset.
   void Put(const dns::RRsetView& rrset, sim::SimTime now);
 
   // Drops expired entries eagerly; returns how many were removed.

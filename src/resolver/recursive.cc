@@ -284,7 +284,9 @@ void RecursiveResolver::AskLocalStore(std::uint16_t id) {
       if (!local_view_.authority.empty() &&
           !local_view_.authority.front().empty()) {
         const dns::RRsetView& soa = local_view_.authority.front();
-        ttl = NegativeTtl(std::get<dns::SoaData>(soa.rdatas.front()), soa.ttl);
+        ttl = NegativeTtl(std::get<dns::SoaData>(dns::RdataRun::Decode(
+                              RRType::kSOA, soa.rdatas.front())),
+                          soa.ttl);
       }
       CacheNegative(pending.qname.tld_view(), ttl);
       Finish(id, dns::RCode::kNXDomain, {});

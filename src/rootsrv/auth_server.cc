@@ -109,7 +109,7 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
     response.additional.push_back(dns::RRsetView{
         &opt_owner_, dns::RRType::kOPT,
         static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
-        std::span<const dns::Rdata>(&opt_rdata_, 1)});
+        dns::RdataRun::OneEmpty()});
   }
   dns::EncodeMessage(response, edns.payload_limit, wire_);
   const std::span<const std::uint8_t> wire = wire_.span();

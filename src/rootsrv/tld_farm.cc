@@ -39,11 +39,15 @@ void TldFarm::RefreshAddresses(const zone::ZoneSnapshot& root_zone) {
     if (it == by_tld_.end()) continue;
     auto ns_set = root_zone.Find(child, RRType::kNS);
     if (!ns_set.has_value()) continue;
-    for (const auto& rd : ns_set->rdatas) {
-      const Name& host = std::get<dns::NsData>(rd).nameserver;
+    for (const auto ns_wire : ns_set->rdatas) {
+      const Name host = std::get<dns::NsData>(
+                            dns::RdataRun::Decode(RRType::kNS, ns_wire))
+                            .nameserver;
       if (auto a = root_zone.Find(host, RRType::kA)) {
-        for (const auto& ard : a->rdatas) {
-          by_address_[std::get<dns::AData>(ard).address.addr] = it->second;
+        for (const auto a_wire : a->rdatas) {
+          const auto addr = std::get<dns::AData>(
+              dns::RdataRun::Decode(RRType::kA, a_wire));
+          by_address_[addr.address.addr] = it->second;
         }
       }
     }

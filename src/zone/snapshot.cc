@@ -9,16 +9,31 @@ using util::Error;
 
 namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x525A4F4E;  // "RZON"
+
+void WriteRRsetHeader(const dns::Name& name, dns::RRType type,
+                      dns::RRClass rrclass, std::uint32_t ttl,
+                      std::size_t rdata_count, ByteWriter& w) {
+  name.EncodeWire(w);
+  w.WriteU16(static_cast<std::uint16_t>(type));
+  w.WriteU16(static_cast<std::uint16_t>(rrclass));
+  w.WriteU32(ttl);
+  w.WriteVarint(rdata_count);
 }
+}  // namespace
 
 void WriteRRsetWire(const dns::RRsetView& s, ByteWriter& w) {
-  s.name->EncodeWire(w);
-  w.WriteU16(static_cast<std::uint16_t>(s.type));
-  w.WriteU16(static_cast<std::uint16_t>(s.rrclass));
-  w.WriteU32(s.ttl);
-  w.WriteVarint(s.rdatas.size());
+  WriteRRsetHeader(*s.name, s.type, s.rrclass, s.ttl, s.rdatas.size(), w);
+  for (const auto wire : s.rdatas) {
+    w.WriteVarint(wire.size());
+    w.WriteBytes(wire);
+  }
+}
+
+void WriteRRsetWire(const dns::RRset& s, ByteWriter& w) {
+  WriteRRsetHeader(s.name, s.type, s.rrclass, s.ttl, s.rdatas.size(), w);
+  ByteWriter rw;
   for (const auto& rd : s.rdatas) {
-    ByteWriter rw;
+    rw.Clear();
     dns::EncodeRdata(rd, rw);
     w.WriteVarint(rw.size());
     w.WriteBytes(rw.span());

@@ -13,11 +13,13 @@
 namespace rootless::zone {
 
 // Low-level RRset wire helpers (no compression; rdata names uncompressed),
-// shared with the diff format. An owning RRset writes through
-// dns::RRsetView::Of. Decode failures carry kTruncated (the wire ended
-// early) or kCorrupted (it is present but malformed), as do
-// DeserializeSnapshot's and DeserializeDiff's.
+// shared with the diff format. A view's stored rdatas are copied as they
+// stand; an owning RRset's are encoded; both write the same bytes for the
+// same content. Decode failures carry kTruncated (the wire ended early) or
+// kCorrupted (it is present but malformed), as do DeserializeSnapshot's and
+// DeserializeDiff's.
 void WriteRRsetWire(const dns::RRsetView& rrset, util::ByteWriter& writer);
+void WriteRRsetWire(const dns::RRset& rrset, util::ByteWriter& writer);
 util::Result<dns::RRset> ReadRRsetWire(util::ByteReader& reader);
 
 // Whole-zone snapshot. Serialization walks the snapshot's canonical index;

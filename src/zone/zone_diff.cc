@@ -39,11 +39,11 @@ Bytes SerializeDiff(const ZoneDiff& diff) {
   ByteWriter w;
   w.WriteU32(kDiffMagic);
   w.WriteVarint(diff.added.size());
-  for (const auto& s : diff.added) WriteRRsetWire(dns::RRsetView::Of(s), w);
+  for (const auto& s : diff.added) WriteRRsetWire(s, w);
   w.WriteVarint(diff.removed.size());
   for (const auto& k : diff.removed) WriteKey(k, w);
   w.WriteVarint(diff.changed.size());
-  for (const auto& s : diff.changed) WriteRRsetWire(dns::RRsetView::Of(s), w);
+  for (const auto& s : diff.changed) WriteRRsetWire(s, w);
   return w.TakeData();
 }
 

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "util/check.h"
+
 namespace rootless::zone {
 
 using dns::Name;
@@ -24,6 +26,23 @@ std::weak_ordering CompareKey(const Name& an, RRType at, dns::RRClass ac,
   return ac <=> bc;
 }
 
+// Typed rdata equality, in which names inside rdata compare
+// case-insensitively. Equal stored bytes settle it for the whole run;
+// otherwise each differing pair of rdatas is decoded and compared.
+bool SameRdatas(RRType type, const dns::RdataRun& a, const dns::RdataRun& b) {
+  if (a.size() != b.size()) return false;
+  if (std::ranges::equal(a.stored(), b.stored())) return true;
+  auto bi = b.begin();
+  for (const auto wa : a) {
+    const auto wb = *bi++;
+    if (!std::ranges::equal(wa, wb) &&
+        !(dns::RdataRun::Decode(type, wa) == dns::RdataRun::Decode(type, wb))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 LookupResult LookupView::Materialize() const {
@@ -38,67 +57,96 @@ LookupResult LookupView::Materialize() const {
   return out;
 }
 
-void ZoneSnapshot::StoreRRset(const RRset& set, Page& page) {
+void ZoneSnapshot::StoreRRset(const RRset& set, const Name& apex, Page& page,
+                              util::ByteWriter& arena) {
   StoredRRset s;
   s.name = set.name;
+  s.name.Hash();  // cached now, so readers never write the page
   s.type = set.type;
   s.rrclass = set.rrclass;
   s.ttl = set.ttl;
-  s.rdata_offset = static_cast<std::uint32_t>(page.rdatas.size());
+  s.rdata_offset = static_cast<std::uint32_t>(arena.size());
   s.rdata_count = static_cast<std::uint32_t>(set.rdatas.size());
-  page.rdatas.insert(page.rdatas.end(), set.rdatas.begin(), set.rdatas.end());
+  const bool rrsig = set.type == RRType::kRRSIG;
+  // RRSIG sets: where each element starts, and where the last one ends.
+  std::vector<std::uint32_t> starts;
+  for (const auto& rd : set.rdatas) {
+    ROOTLESS_CHECK(dns::RdataMatchesType(rd, set.type));
+    if (rrsig) starts.push_back(static_cast<std::uint32_t>(arena.size()));
+    dns::RdataRun::Append(rd, arena);
+  }
+  s.rdata_bytes = static_cast<std::uint32_t>(arena.size()) - s.rdata_offset;
 
-  if (set.type == RRType::kRRSIG) {
+  if (rrsig) {
+    starts.push_back(static_cast<std::uint32_t>(arena.size()));
     // Pre-split the signature set by type_covered so serving never filters.
-    // Buckets keep first-seen order; members keep original rdata order.
-    s.sig_offset = static_cast<std::uint32_t>(page.sig_groups.size());
-    std::vector<std::pair<RRType, std::vector<std::uint32_t>>> buckets;
+    // Groups keep first-seen order; members keep original rdata order.
+    const auto covered_by = [&set](std::uint32_t i) {
+      return std::get<dns::RrsigData>(set.rdatas[i]).type_covered;
+    };
+    struct Bucket {
+      RRType covered;
+      std::uint32_t first, last, count;
+    };
+    std::vector<Bucket> buckets;
     for (std::uint32_t i = 0; i < s.rdata_count; ++i) {
-      const RRType covered =
-          std::get<dns::RrsigData>(set.rdatas[i]).type_covered;
-      auto it = std::find_if(buckets.begin(), buckets.end(),
-                             [&](const auto& b) { return b.first == covered; });
+      auto it = std::find_if(buckets.begin(), buckets.end(), [&](const auto& b) {
+        return b.covered == covered_by(i);
+      });
       if (it == buckets.end()) {
-        buckets.emplace_back(covered, std::vector<std::uint32_t>{i});
+        buckets.push_back({covered_by(i), i, i, 1});
       } else {
-        it->second.push_back(i);
+        it->last = i;
+        ++it->count;
       }
     }
-    for (const auto& [covered, members] : buckets) {
+    s.aux_offset = static_cast<std::uint32_t>(page.sig_groups.size());
+    for (const Bucket& b : buckets) {
       SigGroup g;
-      g.covered = covered;
-      g.rdata_count = static_cast<std::uint32_t>(members.size());
-      const bool contiguous =
-          members.back() - members.front() + 1 == members.size();
-      if (contiguous) {
-        // Alias the parent set's run directly.
-        g.rdata_offset = s.rdata_offset + members.front();
+      g.covered = b.covered;
+      g.rdata_count = b.count;
+      if (b.last - b.first + 1 == b.count) {
+        // Contiguous: alias the parent set's run directly.
+        g.rdata_offset = starts[b.first];
+        g.rdata_bytes = starts[b.last + 1] - g.rdata_offset;
       } else {
-        // Duplicate the scattered members into their own arena run.
-        g.rdata_offset = static_cast<std::uint32_t>(page.rdatas.size());
-        for (std::uint32_t m : members) {
-          page.rdatas.push_back(page.rdatas[s.rdata_offset + m]);
+        // Scattered: store the members again as their own run.
+        g.rdata_offset = static_cast<std::uint32_t>(arena.size());
+        for (std::uint32_t i = b.first; i <= b.last; ++i) {
+          if (covered_by(i) == b.covered) {
+            dns::RdataRun::Append(set.rdatas[i], arena);
+          }
         }
+        g.rdata_bytes =
+            static_cast<std::uint32_t>(arena.size()) - g.rdata_offset;
       }
       page.sig_groups.push_back(g);
     }
     s.sig_count =
-        static_cast<std::uint32_t>(page.sig_groups.size()) - s.sig_offset;
+        static_cast<std::uint32_t>(page.sig_groups.size()) - s.aux_offset;
+  } else if (set.type == RRType::kNS) {
+    s.aux_offset = static_cast<std::uint32_t>(page.ns_targets.size());
+    for (const auto& rd : set.rdatas) {
+      const Name& target = std::get<NsData>(rd).nameserver;
+      page.ns_targets.push_back(
+          NsTarget{target.Hash(),
+                   static_cast<std::uint8_t>(target.label_count()),
+                   target.IsSubdomainOf(apex)});
+    }
   }
 
   page.rrsets.push_back(std::move(s));
 }
 
-ZoneSnapshot::Entry ZoneSnapshot::MakeEntry(const Page& page, std::size_t i) {
-  const StoredRRset& s = page.rrsets[i];
-  Entry e;
-  e.set = &s;
-  e.rdatas = page.rdatas.data() + s.rdata_offset;
-  e.arena = page.rdatas.data();
-  e.sig_groups = s.type == RRType::kRRSIG
-                     ? page.sig_groups.data() + s.sig_offset
-                     : nullptr;
-  return e;
+std::vector<ZoneSnapshot::Entry> ZoneSnapshot::FinishPage(
+    Page& page, const util::ByteWriter& arena) {
+  page.arena = arena.Copy();
+  page.sig_groups.shrink_to_fit();
+  page.ns_targets.shrink_to_fit();
+  std::vector<Entry> entries;
+  entries.reserve(page.rrsets.size());
+  for (const StoredRRset& s : page.rrsets) entries.push_back({&s, &page});
+  return entries;
 }
 
 void ZoneSnapshot::FinishInit() {
@@ -126,7 +174,10 @@ void ZoneSnapshot::FinishInit() {
   serial_ = 0;
   if (const Entry* s = FindEntry(apex_, RRType::kSOA);
       s != nullptr && s->set->rdata_count > 0) {
-    serial_ = std::get<dns::SoaData>(s->rdatas[0]).serial;
+    serial_ = std::get<dns::SoaData>(
+                  dns::RdataRun::Decode(RRType::kSOA,
+                                        ViewOf(*s).rdatas.front()))
+                  .serial;
   }
 }
 
@@ -135,12 +186,11 @@ SnapshotPtr ZoneSnapshot::Build(const Zone& zone) {
   snap->apex_ = zone.apex();
   auto page = std::make_shared<Page>();
   page->rrsets.reserve(zone.rrset_count());
-  page->rdatas.reserve(zone.record_count());
-  for (const auto& [key, set] : zone.rrset_map()) StoreRRset(set, *page);
-  snap->index_.reserve(page->rrsets.size());
-  for (std::size_t i = 0; i < page->rrsets.size(); ++i) {
-    snap->index_.push_back(MakeEntry(*page, i));
+  util::ByteWriter arena;
+  for (const auto& [key, set] : zone.rrset_map()) {
+    StoreRRset(set, snap->apex_, *page, arena);
   }
+  snap->index_ = FinishPage(*page, arena);
   snap->pages_.push_back(std::move(page));
   snap->FinishInit();
   return snap;
@@ -162,6 +212,21 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
   std::set<RRsetKey> erased;
   std::map<RRsetKey, RRset> delta;
 
+  // The decoders only return storable rdata; a diff built in code may not.
+  const auto storable = [](const RRset& set) {
+    return std::all_of(set.rdatas.begin(), set.rdatas.end(),
+                       [&set](const dns::Rdata& rd) {
+                         return dns::RdataMatchesType(rd, set.type) &&
+                                dns::RdataFitsRdlength(rd);
+                       });
+  };
+  const auto unstorable = [](const RRset& set) {
+    return Error(ErrorCode::kCorrupted,
+                 "diff: rdata of " + set.name.ToString() + " " +
+                     dns::RRTypeToString(set.type) +
+                     " does not fit its type or RDLENGTH");
+  };
+
   for (const auto& key : diff.removed) {
     if (!base_has(key) || erased.count(key) > 0 || delta.count(key) > 0) {
       return Error("diff: removed key not present: " + key.name.ToString());
@@ -179,6 +244,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
       return Error("zone: owner " + set.name.ToString() + " out of zone " +
                    apex.ToString());
     }
+    if (!storable(set)) return unstorable(set);
     delta[key] = set;
   }
   for (const auto& set : diff.added) {
@@ -187,6 +253,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
       return Error("zone: owner " + set.name.ToString() + " out of zone " +
                    apex.ToString());
     }
+    if (!storable(set)) return unstorable(set);
     auto it = delta.find(key);
     if (it == delta.end() && base_has(key) && erased.count(key) == 0) {
       // Merging against live base content: lift it into the delta first.
@@ -208,12 +275,9 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
   // everything else is shared with the parent by page refcount.
   auto page = std::make_shared<Page>();
   page->rrsets.reserve(delta.size());
-  for (const auto& [key, set] : delta) StoreRRset(set, *page);
-  std::vector<Entry> delta_entries;
-  delta_entries.reserve(page->rrsets.size());
-  for (std::size_t i = 0; i < page->rrsets.size(); ++i) {
-    delta_entries.push_back(MakeEntry(*page, i));
-  }
+  util::ByteWriter arena;
+  for (const auto& [key, set] : delta) StoreRRset(set, apex, *page, arena);
+  const std::vector<Entry> delta_entries = FinishPage(*page, arena);
 
   // Sorted merge of the surviving parent entries with the delta entries.
   // O(index) pointer copies; the only data copied is the delta page above.
@@ -316,11 +380,16 @@ ZoneSnapshot::Run ZoneSnapshot::FindDelegation(const Name& name,
   return {};
 }
 
-void ZoneSnapshot::AppendGlue(const RRsetView& ns_set, LookupView& out) const {
-  for (const auto& rd : ns_set.rdatas) {
-    const Name& target = std::get<NsData>(rd).nameserver;
-    if (!target.IsSubdomainOf(apex_)) continue;
-    const Run run = OwnerRun(target);
+void ZoneSnapshot::AppendGlue(const Entry& ns_set, LookupView& out) const {
+  const auto targets = std::span<const NsTarget>(ns_set.page->ns_targets)
+                           .subspan(ns_set.set->aux_offset,
+                                    ns_set.set->rdata_count);
+  auto wire = ViewOf(ns_set).rdatas.begin();
+  for (const NsTarget& target : targets) {
+    const std::span<const std::uint8_t> name = *wire++;
+    if (!target.in_zone) continue;
+    const Run run =
+        OwnerRun(dns::NameView::OfWire(name, target.label_count), target.hash);
     if (const Entry* a = FindType(run, RRType::kA)) {
       out.additional.push_back(ViewOf(*a));
     }
@@ -334,13 +403,14 @@ void ZoneSnapshot::AppendRrsig(Run run, RRType covered,
                                std::vector<RRsetView>& out) {
   const Entry* sigs = FindType(run, RRType::kRRSIG);
   if (sigs == nullptr) return;
-  for (std::uint32_t i = 0; i < sigs->set->sig_count; ++i) {
-    const SigGroup& g = sigs->sig_groups[i];
+  const Page& page = *sigs->page;
+  for (const SigGroup& g : std::span<const SigGroup>(page.sig_groups)
+                               .subspan(sigs->set->aux_offset,
+                                        sigs->set->sig_count)) {
     if (g.covered != covered) continue;
     out.push_back(RRsetView{
         &sigs->set->name, RRType::kRRSIG, sigs->set->rrclass, sigs->set->ttl,
-        std::span<const dns::Rdata>(sigs->arena + g.rdata_offset,
-                                    g.rdata_count)});
+        page.Run(g.rdata_offset, g.rdata_bytes, g.rdata_count)});
     return;
   }
 }
@@ -365,7 +435,8 @@ void ZoneSnapshot::Lookup(const Name& qname, RRType qtype, bool include_dnssec,
       !cut.empty() && cut.data() == own.data() && qtype == RRType::kDS;
   if (!cut.empty() && !ds_at_cut) {
     out.disposition = LookupDisposition::kReferral;
-    out.authority.push_back(ViewOf(*FindType(cut, RRType::kNS)));
+    const Entry& ns = *FindType(cut, RRType::kNS);
+    out.authority.push_back(ViewOf(ns));
     if (include_dnssec) {
       // DS proves (or its absence disproves) the child's chain of trust.
       if (const Entry* ds = FindType(cut, RRType::kDS)) {
@@ -373,7 +444,7 @@ void ZoneSnapshot::Lookup(const Name& qname, RRType qtype, bool include_dnssec,
         AppendRrsig(cut, RRType::kDS, out.authority);
       }
     }
-    AppendGlue(out.authority.front(), out);
+    AppendGlue(ns, out);
     return;
   }
 
@@ -470,11 +541,10 @@ bool ZoneSnapshot::SameContent(const ZoneSnapshot& other) const {
     const StoredRRset& a = *index_[i].set;
     const StoredRRset& b = *other.index_[i].set;
     if (!(a.name == b.name) || a.type != b.type || a.rrclass != b.rrclass ||
-        a.ttl != b.ttl || a.rdata_count != b.rdata_count) {
+        a.ttl != b.ttl ||
+        !SameRdatas(a.type, ViewOf(index_[i]).rdatas,
+                    ViewOf(other.index_[i]).rdatas)) {
       return false;
-    }
-    for (std::uint32_t j = 0; j < a.rdata_count; ++j) {
-      if (!(index_[i].rdatas[j] == other.index_[i].rdatas[j])) return false;
     }
   }
   return true;
@@ -510,13 +580,9 @@ ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
   };
   auto same_content = [](const ZoneSnapshot::Entry& a,
                          const ZoneSnapshot::Entry& b) {
-    if (a.set->ttl != b.set->ttl || a.set->rdata_count != b.set->rdata_count) {
-      return false;
-    }
-    for (std::uint32_t j = 0; j < a.set->rdata_count; ++j) {
-      if (!(a.rdatas[j] == b.rdatas[j])) return false;
-    }
-    return true;
+    return a.set->ttl == b.set->ttl &&
+           SameRdatas(a.set->type, ZoneSnapshot::ViewOf(a).rdatas,
+                      ZoneSnapshot::ViewOf(b).rdatas);
   };
   while (o < oi.size() || n < ni.size()) {
     if (o == oi.size()) {

@@ -4,18 +4,33 @@
 // component: it is built once from a Zone (the builder: master-file parser,
 // RootZoneModel, SignZone) or derived from a parent snapshot plus a ZoneDiff,
 // and then handed around as a cheap refcounted value (SnapshotPtr). All
-// names and rdata live in contiguous per-page arenas; the snapshot's sorted
-// index stores borrowed pointers into those pages, and every read API hands
-// out dns::RRsetView spans over the same memory — consumers
-// (rootsrv::AuthServer, a local-root resolver::RecursiveResolver, distrib)
-// never copy an RRset on the serving path.
+// names and rdata live in contiguous per-page arenas: owner names in the
+// page's RRset descriptors, and every rdata as the wire bytes
+// dns::EncodeRdata writes, back to back in one byte arena per page
+// (dns::RdataRun's stored form). The snapshot's sorted index stores borrowed
+// pointers into those pages, and every read API hands out dns::RRsetView
+// runs over the same memory. Serving copies the stored bytes into the
+// answer (rootsrv::AuthServer, distrib's AXFR stream, the snapshot wire);
+// only a consumer that needs a field decodes the rdata it reads (a
+// resolver's cache, its NXDOMAIN TTL, TldFarm's addresses, AllRRsets).
+// The signed 2018-04-11 model zone (52,734 records) takes 5.66 MB of heap,
+// 107 B a record (ZoneSnapshot.BuildFootprint).
+//
+// Everything a lookup needs beyond the bytes is taken when a page is built:
+// the SOA serial, each RRSIG's covered type (pre-split SigGroups), and each
+// NS target's owner hash and label count for the glue probe. No lookup
+// decodes or hashes rdata, and nothing in a page is written after it is
+// built. Content comparisons (SameContent, DiffSnapshots, Apply's merge)
+// keep typed equality, in which names inside rdata compare
+// case-insensitively: equal bytes settle it, and only differing rdatas are
+// decoded and compared.
 //
 // Structural sharing: Apply() does not rebuild the arena. It allocates ONE new
-// delta page holding deep copies of only the added/changed RRsets, shares
-// every parent page by refcount, and merges the two sorted indexes — an
-// O(index) pointer merge with O(changed-RRsets) data movement. That is what
-// makes the paper's §5.2 every-two-days refresh cheap at population scale:
-// a fleet of simulated resolvers swaps a pointer, not a zone copy.
+// delta page holding only the added/changed RRsets, each rdata encoded once,
+// shares every parent page by refcount, and merges the two sorted indexes —
+// an O(index) pointer merge with O(changed-RRsets) data movement. That is
+// what makes the paper's §5.2 every-two-days refresh cheap at population
+// scale: a fleet of simulated resolvers swaps a pointer, not a zone copy.
 //
 // Owner index: beside the canonical sorted index (which AXFR order, the Apply
 // merge, DiffSnapshots, SameContent and the covering-NSEC search walk), every
@@ -68,25 +83,30 @@ struct LookupView {
     additional.clear();
   }
 
-  // Deep copy into the owning LookupResult form (tests, loopback compat).
+  // Decoded copy in the owning LookupResult form (tests, loopback compat).
   LookupResult Materialize() const;
 };
 
 class ZoneSnapshot {
  public:
   // Builds a snapshot from a Zone: one pass over the canonical map into a
-  // single new page. O(zone size).
+  // single new page, encoding each rdata once. O(zone size). Every rdata
+  // must match its RRset's type (dns::RdataMatchesType) and encode to at
+  // most dns::kMaxRdataLength bytes (both checked), as every parser and
+  // decoder in the library guarantees.
   static SnapshotPtr Build(const Zone& zone);
 
   // Derives a new snapshot from `base` by applying `diff`. Parent pages are
-  // shared by refcount; only added/changed RRsets are deep-copied into one
-  // new delta page. The lists apply in order removed, changed, added:
+  // shared by refcount; only added/changed RRsets are encoded into one new
+  // delta page. The lists apply in order removed, changed, added:
   //  - a removed key must be present (and is then gone);
   //  - a changed key must be present, and its RRset is replaced whole;
   //  - an added RRset whose key is absent is inserted; one whose key is
   //    present merges into it: TTL = min of the two, and rdatas it lacks
-  //    are appended in the diff's order;
-  //  - changed and added owners must lie under the apex.
+  //    (by typed equality) are appended in the diff's order;
+  //  - changed and added owners must lie under the apex;
+  //  - every changed and added rdata must match its RRset's type and fit
+  //    RDLENGTH, as for Build (kCorrupted otherwise).
   // Any violation fails the whole Apply; `base` is never modified.
   static util::Result<SnapshotPtr> Apply(const SnapshotPtr& base,
                                          const ZoneDiff& diff);
@@ -117,12 +137,11 @@ class ZoneSnapshot {
   void ForEachRRset(
       const std::function<void(const dns::RRsetView&)>& fn) const;
 
-  // Materialized copies, canonical order — cold paths only (crypto
-  // validation).
+  // Decoded copies, canonical order — cold paths only (crypto validation).
   std::vector<dns::RRset> AllRRsets() const;
 
-  // Content equality (same apex and identical RRsets in canonical order),
-  // regardless of page structure.
+  // Content equality (same apex and identical RRsets in canonical order,
+  // rdatas by typed equality), regardless of page structure.
   bool SameContent(const ZoneSnapshot& other) const;
 
   // --- structural-sharing introspection (tests and benches) ---
@@ -138,14 +157,19 @@ class ZoneSnapshot {
   // Internal storage — public only so std::make_shared can construct; use
   // Build()/Apply().
   struct StoredRRset {
-    dns::Name name;
+    dns::Name name;  // hashed when stored
     dns::RRType type = dns::RRType::kA;
     dns::RRClass rrclass = dns::RRClass::kIN;
     std::uint32_t ttl = 0;
-    std::uint32_t rdata_offset = 0;  // into the owning page's arena
+    // The set's rdatas: `rdata_count` stored rdatas in the `rdata_bytes`
+    // bytes at `rdata_offset` of the owning page's arena.
+    std::uint32_t rdata_offset = 0;
+    std::uint32_t rdata_bytes = 0;
     std::uint32_t rdata_count = 0;
-    // RRSIG owners only: pre-split covering groups in page->sig_groups.
-    std::uint32_t sig_offset = 0;
+    // RRSIG owners: `sig_count` covering groups from
+    // page.sig_groups[aux_offset]. NS owners: one target per rdata from
+    // page.ns_targets[aux_offset].
+    std::uint32_t aux_offset = 0;
     std::uint32_t sig_count = 0;
   };
 
@@ -156,15 +180,35 @@ class ZoneSnapshot {
   struct SigGroup {
     dns::RRType covered = dns::RRType::kA;
     std::uint32_t rdata_offset = 0;
+    std::uint32_t rdata_bytes = 0;
     std::uint32_t rdata_count = 0;
   };
 
+  // What glue lookup needs of one NS target, taken at build time so that no
+  // lookup parses or hashes rdata.
+  struct NsTarget {
+    std::uint64_t hash = 0;  // the target's Name::Hash()
+    std::uint8_t label_count = 0;
+    bool in_zone = false;  // at or below the apex: glue may exist
+  };
+
   // One immutable arena page. A Build snapshot has one; each Apply adds one
-  // delta page and shares the rest.
+  // delta page and shares the rest. Nothing in a page changes once it is
+  // built.
   struct Page {
     std::vector<StoredRRset> rrsets;
-    std::vector<dns::Rdata> rdatas;  // the arena
+    // Every rdata of the page, in dns::RdataRun's stored form: the bytes
+    // dns::EncodeRdata writes, each behind a two-byte length.
+    util::Bytes arena;
     std::vector<SigGroup> sig_groups;
+    std::vector<NsTarget> ns_targets;
+
+    dns::RdataRun Run(std::uint32_t offset, std::uint32_t bytes,
+                      std::uint32_t count) const {
+      return dns::RdataRun(std::span<const std::uint8_t>(arena).subspan(
+                               offset, bytes),
+                           count);
+    }
   };
 
   ZoneSnapshot() = default;
@@ -172,12 +216,10 @@ class ZoneSnapshot {
  private:
   friend ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
                                 const ZoneSnapshot& new_snapshot);
-  // Sorted-index entry: borrowed pointers into one page.
+  // Sorted-index entry: one stored RRset and the page that owns it.
   struct Entry {
     const StoredRRset* set = nullptr;
-    const dns::Rdata* rdatas = nullptr;      // set's run
-    const SigGroup* sig_groups = nullptr;    // RRSIG owners only
-    const dns::Rdata* arena = nullptr;       // page arena base (sig offsets)
+    const Page* page = nullptr;
   };
 
   // Every RRset of one owner: a contiguous slice of index_ in type order.
@@ -186,8 +228,8 @@ class ZoneSnapshot {
   static dns::RRsetView ViewOf(const Entry& e) {
     return dns::RRsetView{&e.set->name, e.set->type, e.set->rrclass,
                           e.set->ttl,
-                          std::span<const dns::Rdata>(e.rdatas,
-                                                      e.set->rdata_count)};
+                          e.page->Run(e.set->rdata_offset, e.set->rdata_bytes,
+                                      e.set->rdata_count)};
   }
 
   // The owner's run (empty if the name owns nothing): one owner-index probe
@@ -204,15 +246,19 @@ class ZoneSnapshot {
   // `name`, that holds an NS RRset; `own` is `name`'s own run.
   Run FindDelegation(const dns::Name& name, Run own) const;
   const Entry* FindCoveringNsec(const dns::Name& qname) const;
-  void AppendGlue(const dns::RRsetView& ns_set, LookupView& out) const;
+  void AppendGlue(const Entry& ns_set, LookupView& out) const;
   static void AppendRrsig(Run run, dns::RRType covered,
                           std::vector<dns::RRsetView>& out);
 
-  // Copies `set` into `page` (sig groups included). Returns nothing; the
-  // entry pointers are fixed up later, after the page's vectors are final.
-  static void StoreRRset(const dns::RRset& set, Page& page);
-  // Builds the Entry for page->rrsets[i] once the page is finalized.
-  static Entry MakeEntry(const Page& page, std::size_t i);
+  // Encodes `set` into `page`: its rdatas into `arena` (which becomes the
+  // page's arena once every set is stored), its sig groups or NS targets
+  // beside them. `apex` decides which NS targets can have glue.
+  static void StoreRRset(const dns::RRset& set, const dns::Name& apex,
+                         Page& page, util::ByteWriter& arena);
+  // Copies the arena into the page at exact size and trims its vectors;
+  // returns the page's index entries, in page order.
+  static std::vector<Entry> FinishPage(Page& page,
+                                       const util::ByteWriter& arena);
 
   // Builds the owner index and caches serial / record count; called once
   // index_ is final.

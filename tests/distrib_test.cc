@@ -11,6 +11,7 @@
 #include "distrib/rsync.h"
 #include "util/base64.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "zone/evolution.h"
 #include "zone/sign.h"
 #include "zone/snapshot.h"
@@ -122,6 +123,139 @@ TEST(AxfrStream, AssemblerFedMessageByMessageMatchesWholeStream) {
   const auto streamed = assembler.Finish();
   ASSERT_TRUE(streamed.ok()) << streamed.error().message();
   EXPECT_TRUE((*streamed)->SameContent(**whole));
+}
+
+// Hand-encodes DNS messages the way another server may: names inside rdata
+// compressed against names earlier in the message.
+class ForeignMessage {
+ public:
+  // A response header with `answers` records and the `. AXFR IN` question.
+  explicit ForeignMessage(std::uint16_t answers) {
+    w_.WriteU16(0x4242);
+    w_.WriteU16(0x8400);  // QR, AA
+    w_.WriteU16(1);
+    w_.WriteU16(answers);
+    w_.WriteU16(0);
+    w_.WriteU16(0);
+    w_.WriteU8(0);  // .
+    w_.WriteU16(static_cast<std::uint16_t>(dns::RRType::kAXFR));
+    w_.WriteU16(static_cast<std::uint16_t>(dns::RRClass::kIN));
+  }
+
+  // Writes `labels` then a pointer to `suffix_at` (or the root octet if it
+  // is 0); returns where the name starts.
+  std::size_t Name(std::initializer_list<std::string_view> labels,
+                   std::size_t suffix_at = 0) {
+    const std::size_t at = w_.size();
+    for (const std::string_view label : labels) {
+      w_.WriteU8(static_cast<std::uint8_t>(label.size()));
+      w_.WriteString(label);
+    }
+    if (suffix_at == 0) {
+      w_.WriteU8(0);
+    } else {
+      w_.WriteU16(static_cast<std::uint16_t>(0xC000 | suffix_at));
+    }
+    return at;
+  }
+  // The fixed fields after a record's owner; RData() patches the length.
+  void Fields(dns::RRType type) {
+    w_.WriteU16(static_cast<std::uint16_t>(type));
+    w_.WriteU16(static_cast<std::uint16_t>(dns::RRClass::kIN));
+    w_.WriteU32(86400);
+    length_at_ = w_.size();
+    w_.WriteU16(0);
+  }
+  void RData() {
+    w_.PatchU16(length_at_,
+                static_cast<std::uint16_t>(w_.size() - length_at_ - 2));
+  }
+  util::ByteWriter& writer() { return w_; }
+  util::Bytes Take() { return w_.Copy(); }
+
+ private:
+  util::ByteWriter w_;
+  std::size_t length_at_ = 0;
+};
+
+// A transfer from a server that compresses names inside rdata (legal for
+// NS and SOA, which RFC 1035 defines; BuildAxfrStream never does it). The
+// snapshot stores each rdata uncompressed, so the rebuilt zone has the
+// source's content, and re-serving it writes exactly the stream the source
+// snapshot gives: no message byte, and so no pointer, reaches the arena.
+TEST(AxfrStream, ForeignTransferWithCompressedRdataNames) {
+  zone::Zone source;
+  const auto add = [&source](std::string_view line) {
+    const auto fields = util::SplitWhitespace(line);
+    const dns::Name owner = *dns::Name::Parse(fields[0]);
+    const dns::RRType type = *dns::RRTypeFromString(fields[1]);
+    const std::vector<std::string_view> rdata(fields.begin() + 2,
+                                              fields.end());
+    auto parsed = dns::RdataFromFields(type, rdata);
+    ASSERT_TRUE(parsed.ok()) << line;
+    ASSERT_TRUE(source
+                    .AddRRset(dns::RRset{owner, type, dns::RRClass::kIN,
+                                         86400, {std::move(*parsed)}})
+                    .ok());
+  };
+  add(". SOA a.root-servers.net. hostmaster.root-servers.net. 2018041100 "
+      "1800 900 604800 86400");
+  add(". NS a.root-servers.net.");
+  add("a.root-servers.net. A 198.41.0.4");
+  add("com. NS a.gtld-servers.net.");
+  add("com. NS b.gtld-servers.net.");
+  add("a.gtld-servers.net. A 192.5.6.30");
+  const zone::SnapshotPtr want = zone::ZoneSnapshot::Build(source);
+
+  const auto soa_numbers = [](util::ByteWriter& w) {
+    for (const std::uint32_t v : {2018041100u, 1800u, 900u, 604800u, 86400u}) {
+      w.WriteU32(v);
+    }
+  };
+  ForeignMessage first(5);
+  first.Name({});
+  first.Fields(dns::RRType::kSOA);
+  const std::size_t mname = first.Name({"a", "root-servers", "net"});
+  first.Name({"hostmaster"}, mname + 2);  // into mname: root-servers.net.
+  soa_numbers(first.writer());
+  first.RData();
+  const std::size_t gtld_host = first.Name({"a", "gtld-servers", "net"});
+  first.Fields(dns::RRType::kA);
+  first.writer().WriteU32(0xC005061E);
+  first.RData();
+  const std::size_t com = first.Name({"com"});
+  first.Fields(dns::RRType::kNS);
+  first.Name({}, gtld_host);  // the whole target: an earlier owner
+  first.RData();
+  first.Name({}, com);
+  first.Fields(dns::RRType::kNS);
+  first.Name({"b"}, gtld_host + 2);  // b. + the owner's gtld-servers.net.
+  first.RData();
+  first.Name({});
+  first.Fields(dns::RRType::kNS);
+  first.Name({}, mname);  // into the SOA's rdata
+  first.RData();
+
+  // The closing SOA's names point into the owner before it.
+  ForeignMessage last(2);
+  const std::size_t root_host = last.Name({"a", "root-servers", "net"});
+  last.Fields(dns::RRType::kA);
+  last.writer().WriteU32(0xC6290004);
+  last.RData();
+  last.Name({});
+  last.Fields(dns::RRType::kSOA);
+  last.Name({}, root_host);
+  last.Name({"hostmaster"}, root_host + 2);
+  soa_numbers(last.writer());
+  last.RData();
+  const std::vector<util::Bytes> stream = {first.Take(), last.Take()};
+
+  const auto got = AssembleAxfrStream(stream);
+  ASSERT_TRUE(got.ok()) << got.error().message();
+  EXPECT_TRUE((*got)->SameContent(*want));
+  const dns::Message query =
+      dns::MakeQuery(9, dns::Name(), dns::RRType::kAXFR);
+  EXPECT_EQ(BuildAxfrStream(**got, query), BuildAxfrStream(*want, query));
 }
 
 // ------------------------------------------------------------------ rsync

@@ -8,6 +8,7 @@
 #include "dns/message.h"
 #include "dns/rdata.h"
 #include "dns/rr.h"
+#include "util/base64.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "zone/evolution.h"
@@ -147,6 +148,36 @@ TEST(Rdata, NsecTypeBitmapWindows) {
   // Type 4242 lives in window 16; exercises multi-window bitmaps.
   NsecData nsec{N("next."), {RRType::kA, static_cast<RRType>(4242)}};
   ExpectRdataRoundTrip(RRType::kNSEC, nsec);
+}
+
+// RDLENGTH is 16 bits, so no rdata may encode to more than 65,535 bytes:
+// the decoder and the presentation parser refuse one that would.
+TEST(Rdata, LongerThanRdlengthIsRefused) {
+  const util::Bytes bytes(kMaxRdataLength + 1, 0xAB);
+  util::ByteReader r(bytes);
+  const auto raw = DecodeRdata(static_cast<RRType>(65280), bytes.size(), r);
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.error().code(), ErrorCode::kCorrupted);
+
+  const auto from_hex = [](RRType type, std::size_t n) {
+    const std::string hex = util::HexEncode(util::Bytes(n, 0xAB));
+    return RdataFromFields(type, {"\\#", std::to_string(n), hex});
+  };
+  EXPECT_TRUE(from_hex(static_cast<RRType>(65280), kMaxRdataLength).ok());
+  EXPECT_FALSE(from_hex(static_cast<RRType>(65280), kMaxRdataLength + 1).ok());
+
+  // DNSKEY: flags, protocol and algorithm take 4 bytes beside the key.
+  const auto dnskey = [](std::size_t key_bytes) {
+    const std::string key = util::Base64Encode(util::Bytes(key_bytes, 7));
+    return RdataFromFields(RRType::kDNSKEY, {"256", "3", "8", key});
+  };
+  EXPECT_TRUE(dnskey(kMaxRdataLength - 4).ok());
+  EXPECT_FALSE(dnskey(kMaxRdataLength - 3).ok());
+
+  // TXT: 257 strings of 255 bytes take 257 * 256 bytes.
+  const std::string part(255, 't');
+  const std::vector<std::string_view> parts(257, part);
+  EXPECT_FALSE(RdataFromFields(RRType::kTXT, parts).ok());
 }
 
 // ----------------------------------------------------------------- rrset
@@ -289,7 +320,6 @@ TEST(Message, OnePassTruncationMatchesReencodeOracle) {
   const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(
       zone::SignZone(model.Snapshot({2018, 4, 11}), zsk, {0, 2'000'000'000}));
   const Name root;
-  const Rdata opt_rdata = RawData{};
 
   const std::pair<const char*, RRType> cases[] = {
       {"www.com.", RRType::kA},
@@ -310,7 +340,7 @@ TEST(Message, OnePassTruncationMatchesReencodeOracle) {
     view.additional = lookup.additional;
     view.additional.push_back(RRsetView{&root, RRType::kOPT,
                                         static_cast<RRClass>(1232), 0,
-                                        std::span<const Rdata>(&opt_rdata, 1)});
+                                        RdataRun::OneEmpty()});
 
     Message owned;
     owned.header = view.header;
@@ -318,8 +348,9 @@ TEST(Message, OnePassTruncationMatchesReencodeOracle) {
     const auto expand = [](const std::vector<RRsetView>& sets,
                            std::vector<ResourceRecord>& out) {
       for (const auto& set : sets) {
-        for (const auto& rd : set.rdatas) {
-          out.push_back({*set.name, set.type, set.rrclass, set.ttl, rd});
+        for (const auto wire : set.rdatas) {
+          out.push_back({*set.name, set.type, set.rrclass, set.ttl,
+                         RdataRun::Decode(set.type, wire)});
         }
       }
     };
@@ -349,6 +380,25 @@ TEST(Message, OnePassTruncationMatchesReencodeOracle) {
   }
 }
 
+// Views of `sets` over rdatas stored in `arena`, back to back in set order,
+// as a snapshot page stores them.
+std::vector<RRsetView> StoredViews(const std::vector<RRset>& sets,
+                                   util::ByteWriter& arena) {
+  std::size_t count = 0;
+  for (const RRset& set : sets) {
+    for (const Rdata& rd : set.rdatas) RdataRun::Append(rd, arena);
+    count += set.size();
+  }
+  std::vector<RRsetView> views;
+  RdataRun rest(arena.span(), count);
+  for (const RRset& set : sets) {
+    views.push_back(RRsetView{&set.name, set.type, set.rrclass, set.ttl,
+                              rest.first(set.size())});
+    rest = rest.subspan(set.size());
+  }
+  return views;
+}
+
 // Encoded messages hold no spare capacity: a server keeps answers (the
 // answer cache, a bench's reference set), so every byte of slack is resident.
 TEST(Message, EncodeReturnsExactSizeBuffers) {
@@ -357,11 +407,13 @@ TEST(Message, EncodeReturnsExactSizeBuffers) {
   for (const auto* section : {&owned.authority, &owned.additional}) {
     for (const RRset& set : GroupIntoRRsets(*section)) sets.push_back(set);
   }
+  util::ByteWriter arena;
+  const std::vector<RRsetView> stored = StoredViews(sets, arena);
   MessageView view;
   view.header = owned.header;
   view.questions = owned.questions;
-  view.authority = {RRsetView::Of(sets[0])};
-  view.additional = {RRsetView::Of(sets[1])};
+  view.authority = {stored[0]};
+  view.additional = {stored[1]};
 
   const util::Bytes full = EncodeMessage(owned);
   for (const std::size_t max : {std::size_t{0}, std::size_t{512},

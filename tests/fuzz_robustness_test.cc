@@ -172,6 +172,133 @@ TEST(Fuzz, SnapshotAndDiffPrefixesAreTruncated) {
   }
 }
 
+// The snapshot and diff wires carry rdata lengths as varints, but an rdata
+// ends at 65,535 bytes (RDLENGTH is 16 bits) and the snapshot arena stores
+// no longer one. Every decoder must refuse a longer rdata as kCorrupted, as
+// it must an RRSIG whose compressed signer expands past that, and nothing
+// may throw on the way.
+TEST(Fuzz, RdataLongerThanRdlengthIsCorrupted) {
+  const auto expect_corrupted = [](const auto& result, const char* what) {
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.error().code(), ErrorCode::kCorrupted)
+        << what << ": " << result.error().message();
+  };
+  const auto dnskey_set = [](std::size_t rdata_bytes) {
+    dns::RRset set;
+    set.type = dns::RRType::kDNSKEY;
+    set.ttl = 172800;
+    set.rdatas.push_back(
+        dns::DnskeyData{256, 3, 8, util::Bytes(rdata_bytes - 4, 7)});
+    return set;
+  };
+  dns::RRset raw;
+  raw.type = static_cast<dns::RRType>(65280);
+  raw.rdatas.push_back(dns::RawData{util::Bytes(dns::kMaxRdataLength + 1, 9)});
+
+  // The wire of an empty root-zone snapshot without its RRset count (a
+  // single varint 0), so that a test can append RRsets of its own.
+  util::Bytes empty =
+      zone::SerializeSnapshot(*zone::ZoneSnapshot::Build(zone::Zone()));
+  ASSERT_EQ(empty.back(), 0);
+  empty.pop_back();
+  const auto snapshot_with = [&empty](const dns::RRset& set) {
+    util::ByteWriter w;
+    w.WriteBytes(empty);
+    w.WriteVarint(1);
+    zone::WriteRRsetWire(set, w);
+    return w.TakeData();
+  };
+  const auto diff_with = [](const dns::RRset& set) {
+    zone::ZoneDiff diff;
+    diff.added.push_back(set);
+    return zone::SerializeDiff(diff);
+  };
+
+  ASSERT_TRUE(zone::DeserializeSnapshot(
+                  snapshot_with(dnskey_set(dns::kMaxRdataLength)))
+                  .ok());
+  ASSERT_TRUE(
+      zone::DeserializeDiff(diff_with(dnskey_set(dns::kMaxRdataLength))).ok());
+  for (const dns::RRset& set : {dnskey_set(dns::kMaxRdataLength + 1), raw}) {
+    expect_corrupted(zone::DeserializeSnapshot(snapshot_with(set)),
+                     "snapshot");
+    expect_corrupted(zone::DeserializeDiff(diff_with(set)), "diff");
+  }
+
+  // An RRSIG of RDLENGTH 65,535 whose signer is a pointer to the 255-byte
+  // owner: it would store 253 bytes longer. One 253 bytes shorter fits.
+  const dns::Name owner = *dns::Name::Parse(
+      std::string(63, 'a') + "." + std::string(63, 'b') + "." +
+      std::string(63, 'c') + "." + std::string(61, 'd') + ".");
+  ASSERT_EQ(owner.wire_length(), 255u);
+  const auto rrsig_snapshot = [&](std::size_t rdlength) {
+    util::ByteWriter w;
+    w.WriteBytes(empty);
+    w.WriteVarint(1);
+    const std::size_t owner_at = w.size();
+    owner.EncodeWire(w);
+    w.WriteU16(static_cast<std::uint16_t>(dns::RRType::kRRSIG));
+    w.WriteU16(static_cast<std::uint16_t>(dns::RRClass::kIN));
+    w.WriteU32(172800);
+    w.WriteVarint(1);
+    w.WriteVarint(rdlength);
+    w.WriteU16(static_cast<std::uint16_t>(dns::RRType::kA));
+    w.WriteU8(8);   // algorithm
+    w.WriteU8(4);   // labels
+    w.WriteU32(172800);
+    w.WriteU32(2000000000);
+    w.WriteU32(1000000000);
+    w.WriteU16(20326);
+    w.WriteU8(static_cast<std::uint8_t>(0xC0 | owner_at >> 8));
+    w.WriteU8(static_cast<std::uint8_t>(owner_at & 0xFF));
+    w.WriteBytes(util::Bytes(rdlength - 20, 5));
+    return w.TakeData();
+  };
+  ASSERT_TRUE(
+      zone::DeserializeSnapshot(rrsig_snapshot(dns::kMaxRdataLength - 253))
+          .ok());
+  expect_corrupted(
+      zone::DeserializeSnapshot(rrsig_snapshot(dns::kMaxRdataLength)),
+      "rrsig snapshot");
+
+  // Through the diff channel: a full-zone answer and a diff chain.
+  zone::EvolutionConfig config;
+  config.legacy_tld_count = 4;
+  config.peak_tld_count = 6;
+  const zone::RootZoneModel model(config);
+  const zone::SnapshotPtr base = ModelSnapshot(model, 1);
+  distrib::DiffSubscriber subscriber(base);
+  distrib::DiffPublisher::Update full;
+  full.kind = distrib::DiffPublisher::Update::Kind::kFullZone;
+  full.payload = snapshot_with(raw);
+  EXPECT_FALSE(subscriber.Apply(full).ok());
+  const util::Bytes diff = diff_with(raw);
+  util::ByteWriter chain;
+  chain.WriteVarint(1);
+  chain.WriteU32(base->Serial());
+  chain.WriteU32(base->Serial() + 1);
+  chain.WriteVarint(diff.size());
+  chain.WriteBytes(diff);
+  distrib::DiffPublisher::Update diffs;
+  diffs.kind = distrib::DiffPublisher::Update::Kind::kDiffs;
+  diffs.payload = chain.TakeData();
+  EXPECT_FALSE(subscriber.Apply(diffs).ok());
+  EXPECT_EQ(subscriber.snapshot(), base);
+
+  // A diff built in code skips the decoders; Apply refuses it all the same,
+  // and one whose rdata does not match its RRset's type.
+  zone::ZoneDiff oversized;
+  oversized.added.push_back(raw);
+  expect_corrupted(zone::ZoneSnapshot::Apply(base, oversized), "apply");
+  dns::RRset mismatched;
+  mismatched.name = *dns::Name::Parse("com.");
+  mismatched.type = dns::RRType::kA;
+  mismatched.rdatas.push_back(dns::NsData{*dns::Name::Parse("a.gtld.")});
+  zone::ZoneDiff wrong_type;
+  wrong_type.added.push_back(mismatched);
+  expect_corrupted(zone::ZoneSnapshot::Apply(base, wrong_type), "apply type");
+}
+
 const util::Bytes kRzcSample = zone::RzcCompressText(
     "a perfectly ordinary zone file body that compresses somewhat, "
     "a perfectly ordinary zone file body that compresses somewhat");

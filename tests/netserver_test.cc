@@ -410,7 +410,10 @@ TEST(NetParity, AxfrTransfersTheExactZone) {
   const auto soa = (*fetched)->soa();
   ASSERT_TRUE(soa.has_value());
   AxfrFetchOptions probe;
-  probe.have_serial = std::get<dns::SoaData>(soa->rdatas.front()).serial;
+  probe.have_serial = std::get<dns::SoaData>(dns::RdataRun::Decode(
+                                                 dns::RRType::kSOA,
+                                                 soa->rdatas.front()))
+                          .serial;
   auto up_to_date = FetchZoneTcp("127.0.0.1", frontend.tcp_port(), probe);
   ASSERT_TRUE(up_to_date.ok());
   EXPECT_EQ(*up_to_date, nullptr);

@@ -331,7 +331,7 @@ TEST(Recursive, LocalReferralCachesNsGlueAndDs) {
   const auto ns = root.Find(com, RRType::kNS);
   ASSERT_TRUE(ns.has_value());
   std::vector<dns::RRsetKey> expected = {{com, RRType::kNS, RRClass::kIN}};
-  for (const auto& rd : ns->rdatas) {
+  for (const auto& rd : ns->Materialize().rdatas) {
     const Name& host = std::get<dns::NsData>(rd).nameserver;
     for (const RRType type : {RRType::kA, RRType::kAAAA}) {
       if (root.Find(host, type)) expected.push_back({host, type, RRClass::kIN});

@@ -4,6 +4,7 @@
 // against its definition, the zero-copy MessageView wire path, and
 // concurrent reads of one shared snapshot.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cctype>
@@ -67,10 +68,7 @@ bool SameSection(const std::vector<dns::RRsetView>& got,
                  const std::vector<RRset>& want) {
   return std::equal(got.begin(), got.end(), want.begin(), want.end(),
                     [](const dns::RRsetView& g, const RRset& w) {
-                      return *g.name == w.name && g.type == w.type &&
-                             g.rrclass == w.rrclass && g.ttl == w.ttl &&
-                             std::equal(g.rdatas.begin(), g.rdatas.end(),
-                                        w.rdatas.begin(), w.rdatas.end());
+                      return g.Materialize() == w;
                     });
 }
 
@@ -395,7 +393,7 @@ TEST(ZoneSnapshot, ApplyLeavesUnchangedViewsAliasingBaseArena) {
   ASSERT_TRUE(before.has_value());
   ASSERT_TRUE(after.has_value());
   // Zero-copy: the derived snapshot serves the very same arena memory.
-  EXPECT_EQ(after->rdatas.data(), before->rdatas.data());
+  EXPECT_EQ(after->rdatas.stored().data(), before->rdatas.stored().data());
   EXPECT_EQ(after->name, before->name);
 }
 
@@ -456,8 +454,7 @@ TEST(ZoneSnapshot, ApplyMergesAddedRRsetIntoExistingKey) {
   const std::vector<dns::Rdata> want = {
       dns::NsData{N("a.gtld.")}, dns::NsData{N("b.gtld.")},
       dns::NsData{N("c.gtld.")}, dns::NsData{N("d.gtld.")}};
-  EXPECT_TRUE(std::equal(ns->rdatas.begin(), ns->rdatas.end(), want.begin(),
-                         want.end()));
+  EXPECT_EQ(ns->Materialize().rdatas, want);
   EXPECT_EQ((*merged)->rrset_count(), base->rrset_count());
   EXPECT_EQ((*merged)->record_count(), base->record_count() + 2);
   // The base snapshot is untouched.
@@ -750,6 +747,125 @@ TEST(ZoneSnapshot, DiffSnapshotsMeetsDefinition) {
   auto applied = ZoneSnapshot::Apply(today, diff);
   ASSERT_TRUE(applied.ok());
   EXPECT_TRUE(DiffSnapshots(*tomorrow, **applied).empty());
+}
+
+// A small signed-looking zone whose NS targets and RRSIG signer are spelled
+// in upper case (`upper`) or lower case, with the DS digest's last byte
+// replaced by `digest_last`.
+Zone CaseZone(bool upper, std::uint8_t digest_last = 0x5A) {
+  const auto spell = [upper](std::string text) {
+    if (upper) {
+      for (char& c : text) c = static_cast<char>(std::toupper(c));
+    }
+    return N(text);
+  };
+  Zone zone;
+  const auto add = [&zone](const char* owner, RRType type,
+                           std::vector<dns::Rdata> rdatas) {
+    ASSERT_TRUE(zone.AddRRset(RRset{N(owner), type, dns::RRClass::kIN, 86400,
+                                    std::move(rdatas)})
+                    .ok());
+  };
+  add(".", RRType::kSOA,
+      {dns::SoaData{N("a.root-servers.net."), N("nstld.verisign-grs.com."),
+                    2018041100, 1800, 900, 604800, 86400}});
+  add(".", RRType::kNS, {dns::NsData{spell("a.root-servers.net.")}});
+  add("com.", RRType::kNS,
+      {dns::NsData{spell("a.gtld-servers.net.")},
+       dns::NsData{spell("b.gtld-servers.net.")}});
+  add("com.", RRType::kDS,
+      {dns::DsData{30909, 8, 2, {0x12, 0x34, 0x56, digest_last}}});
+  dns::RrsigData sig;
+  sig.type_covered = RRType::kDS;
+  sig.algorithm = 8;
+  sig.labels = 1;
+  sig.original_ttl = 86400;
+  sig.expiration = 1'600'000'000;
+  sig.inception = 1'500'000'000;
+  sig.key_tag = 39570;
+  sig.signer = spell(".");
+  sig.signature = {1, 2, 3, 4, 5, 6, 7, 8};
+  dns::RrsigData ns_sig = sig;
+  ns_sig.type_covered = RRType::kNS;
+  ns_sig.signer = spell("a.root-servers.net.");
+  add("com.", RRType::kRRSIG, {sig, ns_sig});
+  add("a.root-servers.net.", RRType::kA,
+      {dns::AData{*dns::Ipv4::Parse("198.41.0.4")}});
+  return zone;
+}
+
+// Names inside rdata compare case-insensitively in every content
+// comparison (SameContent, DiffSnapshots, Apply's merge), however the
+// snapshot stores them; any other byte of rdata counts.
+TEST(ZoneSnapshot, RdataEqualityIsTyped) {
+  const SnapshotPtr lower = ZoneSnapshot::Build(CaseZone(false));
+  const SnapshotPtr upper = ZoneSnapshot::Build(CaseZone(true));
+  EXPECT_TRUE(lower->SameContent(*upper));
+  EXPECT_TRUE(upper->SameContent(*lower));
+  EXPECT_TRUE(DiffSnapshots(*lower, *upper).empty());
+  EXPECT_TRUE(DiffSnapshots(*upper, *lower).empty());
+
+  // Adding the NS RRset spelled the other way merges into the same rdatas.
+  ZoneDiff respelled;
+  respelled.added.push_back(
+      upper->Find(N("com."), RRType::kNS)->Materialize());
+  auto merged = ZoneSnapshot::Apply(lower, respelled);
+  ASSERT_TRUE(merged.ok()) << merged.error().message();
+  EXPECT_EQ((*merged)->Find(N("com."), RRType::kNS)->size(), 2u);
+  EXPECT_EQ((*merged)->record_count(), lower->record_count());
+  EXPECT_TRUE((*merged)->SameContent(*lower));
+
+  // One byte of a DS digest is a change in all three.
+  const SnapshotPtr tweaked = ZoneSnapshot::Build(CaseZone(false, 0x5B));
+  EXPECT_FALSE(lower->SameContent(*tweaked));
+  const ZoneDiff diff = DiffSnapshots(*lower, *tweaked);
+  ASSERT_EQ(diff.changed.size(), 1u);
+  EXPECT_EQ(diff.changed[0].type, RRType::kDS);
+  EXPECT_TRUE(diff.added.empty());
+  EXPECT_TRUE(diff.removed.empty());
+  ZoneDiff add_ds;
+  add_ds.added.push_back(diff.changed[0]);
+  auto grown = ZoneSnapshot::Apply(lower, add_ds);
+  ASSERT_TRUE(grown.ok()) << grown.error().message();
+  EXPECT_EQ((*grown)->Find(N("com."), RRType::kDS)->size(), 2u);
+  EXPECT_FALSE((*grown)->SameContent(*lower));
+}
+
+// What one in-memory copy of the root zone costs a resolver or server (the
+// 2018-04-11 model zone, plain and signed with the benchmark's key).
+TEST(ZoneSnapshot, BuildFootprint) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer allocators do not report through mallinfo2";
+#else
+  // Heap bytes in use: mallinfo2's small-chunk total plus its mmapped total.
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  // Megabytes (10^6 bytes) of heap that Build adds and the snapshot keeps.
+  const auto footprint_mb = [&](const Zone& zone) {
+    const std::size_t before = heap_in_use();
+    const SnapshotPtr snapshot = ZoneSnapshot::Build(zone);
+    const std::size_t after = heap_in_use();
+    EXPECT_EQ(snapshot->record_count(), zone.record_count());
+    return static_cast<double>(after - before) / 1e6;
+  };
+
+  const RootZoneModel model;
+  const Zone plain = model.Snapshot({2018, 4, 11});
+  util::Rng key_rng(0xD15EC);
+  const Zone signed_zone =
+      SignZone(plain, crypto::GenerateKey(crypto::kZskFlags, key_rng),
+               {0, 0xFFFFFFFF});
+  const double plain_mb = footprint_mb(plain);
+  const double signed_mb = footprint_mb(signed_zone);
+  std::printf("snapshot heap: plain %.2f MB (%zu records), signed %.2f MB "
+              "(%zu records)\n",
+              plain_mb, plain.record_count(), signed_mb,
+              signed_zone.record_count());
+  EXPECT_LE(plain_mb, 3.0);
+  EXPECT_LE(signed_mb, 6.5);
+#endif
 }
 
 TEST(ZoneSnapshot, MessageViewEncodesByteIdenticalToMessage) {
